@@ -475,8 +475,8 @@ def cmd_sweep(reg: Registry, name: str, pipeline: str, degree: int, lengths: lis
         h = homology(comp, degree)
         values.append((length, h, comp.dim(degree)))
     stabilized = None
-    for (l1, h1, _), (_, h2, _) in zip(values, values[1:]):
-        if h1.same_group(h2):
+    for (l1, h1, n1), (_, h2, n2) in zip(values, values[1:]):
+        if n1 and n2 and h1.same_group(h2):  # an empty basis shows nothing yet
             stabilized = l1
             break
     report = Report(
@@ -532,7 +532,7 @@ def _parse_length_range(text: str) -> list[int]:
             lo, hi = (int(v) for v in text.split("..", 1))
         except ValueError as exc:
             raise ParseError(f"bad length range {text!r}") from exc
-        if hi < lo:
+        if lo < 0 or hi < lo:
             raise ParseError(f"bad length range {text!r}")
         return list(range(lo, hi + 1))
     return _parse_length_list(text)
@@ -587,8 +587,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    simplex_cap = args.cap if getattr(args, "cap", None) else SIMPLEX_CAP
-    matrix_cap = args.cap if getattr(args, "cap", None) else MATRIX_CAP
+    for name, low in (("max_degree", 0), ("max_length", 0), ("degree", 0), ("cap", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            print(f"error: --{name.replace('_', '-')} must be at least {low}, got {value}",
+                  file=sys.stderr)
+            return EXIT_INPUT
+    cap = getattr(args, "cap", None)
+    simplex_cap = SIMPLEX_CAP if cap is None else cap
+    matrix_cap = MATRIX_CAP if cap is None else cap
     try:
         reg = parse_input(args.file)
         if args.cmd == "validate":

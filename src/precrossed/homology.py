@@ -24,9 +24,6 @@ class SparseIntMatrix:
     cols: int
     entries: dict[tuple[int, int], int]
 
-    def column(self, j: int) -> list[tuple[int, int]]:
-        return [(r, v) for (r, c), v in self.entries.items() if c == j]
-
     def by_columns(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}
         for (r, c), v in self.entries.items():
@@ -53,8 +50,21 @@ class SNFResult:
         return tuple(d for d in self.diag if d > 1)
 
 
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _add_multiple(x: list[int], q: int, y: list[int]) -> list[int]:
+    """x + q * y, entrywise"""
+    return [a + q * b for a, b in zip(x, y)]
+
+
 class _Smith:
-    def __init__(self, mat: SparseIntMatrix, with_transforms: bool):
+    """Sparse elimination state.  Row operations act on U (rows) and U^-1
+    (columns), column operations on V (columns) and V^-1 (rows); U^-1 and V
+    are stored transposed, so every tracked update is a row update."""
+
+    def __init__(self, mat: SparseIntMatrix, rows: bool, cols: bool):
         self.nrows = mat.rows
         self.ncols = mat.cols
         self.rows: dict[int, dict[int, int]] = {}
@@ -63,14 +73,13 @@ class _Smith:
             if v:
                 self.rows.setdefault(r, {})[c] = v
                 self.cols.setdefault(c, set()).add(r)
-        self.wt = with_transforms
-        if with_transforms:
-            self.u = [[int(i == j) for j in range(self.nrows)] for i in range(self.nrows)]
-            self.uinv = [[int(i == j) for j in range(self.nrows)] for i in range(self.nrows)]
-            self.v = [[int(i == j) for j in range(self.ncols)] for i in range(self.ncols)]
-            self.vinv = [[int(i == j) for j in range(self.ncols)] for i in range(self.ncols)]
+        self.track_rows, self.track_cols = rows, cols
+        if rows:
+            self.u, self.uinv_t = _identity(self.nrows), _identity(self.nrows)
+        if cols:
+            self.v_t, self.vinv = _identity(self.ncols), _identity(self.ncols)
 
-    # -- elementary operations (mirrored on the transforms) ------------------
+    # -- elementary operations (mirrored on the tracked transforms) ------------
 
     def row_sub(self, i: int, t: int, q: int) -> None:
         """row_i -= q * row_t"""
@@ -88,14 +97,9 @@ class _Smith:
                 self.cols[c].discard(i)
         if not row_i:
             del self.rows[i]
-        if self.wt:
-            ut = self.u[t]
-            ui = self.u[i]
-            for c in range(self.nrows):
-                ui[c] -= q * ut[c]
-            uinv = self.uinv
-            for r in range(self.nrows):
-                uinv[r][t] += q * uinv[r][i]
+        if self.track_rows:
+            self.u[i] = _add_multiple(self.u[i], -q, self.u[t])
+            self.uinv_t[t] = _add_multiple(self.uinv_t[t], q, self.uinv_t[i])
 
     def col_sub(self, j: int, t: int, q: int) -> None:
         """col_j -= q * col_t"""
@@ -108,14 +112,9 @@ class _Smith:
             elif j in row:
                 del row[j]
                 self.cols[j].discard(r)
-        if self.wt:
-            v = self.v
-            for r in range(self.ncols):
-                v[r][j] -= q * v[r][t]
-            vt = self.vinv[t]
-            vj = self.vinv[j]
-            for c in range(self.ncols):
-                vt[c] += q * vj[c]
+        if self.track_cols:
+            self.v_t[j] = _add_multiple(self.v_t[j], -q, self.v_t[t])
+            self.vinv[t] = _add_multiple(self.vinv[t], q, self.vinv[j])
 
     def swap_rows(self, a: int, b: int) -> None:
         if a == b:
@@ -134,10 +133,9 @@ class _Smith:
                 s.add(b)
             if rb and c in rb:
                 s.add(a)
-        if self.wt:
-            self.u[a], self.u[b] = self.u[b], self.u[a]
-            for r in range(self.nrows):
-                self.uinv[r][a], self.uinv[r][b] = self.uinv[r][b], self.uinv[r][a]
+        if self.track_rows:
+            for m in (self.u, self.uinv_t):
+                m[a], m[b] = m[b], m[a]
 
     def swap_cols(self, a: int, b: int) -> None:
         if a == b:
@@ -156,19 +154,17 @@ class _Smith:
             self.cols[b] = sa
         if sb:
             self.cols[a] = sb
-        if self.wt:
-            for r in range(self.ncols):
-                self.v[r][a], self.v[r][b] = self.v[r][b], self.v[r][a]
-            self.vinv[a], self.vinv[b] = self.vinv[b], self.vinv[a]
+        if self.track_cols:
+            for m in (self.v_t, self.vinv):
+                m[a], m[b] = m[b], m[a]
 
     def negate_row(self, t: int) -> None:
         row = self.rows[t]
         for c in row:
             row[c] = -row[c]
-        if self.wt:
-            self.u[t] = [-v for v in self.u[t]]
-            for r in range(self.nrows):
-                self.uinv[r][t] = -self.uinv[r][t]
+        if self.track_rows:
+            for m in (self.u, self.uinv_t):
+                m[t] = [-v for v in m[t]]
 
     # -- pivoting -------------------------------------------------------------
 
@@ -249,16 +245,29 @@ class _Smith:
         return tuple(diag)
 
 
-def smith_normal_form(mat: SparseIntMatrix, with_transforms: bool = False) -> SNFResult:
-    """Diagonalize over Z; with transforms, U M V = D with det(U), det(V) = +-1."""
-    state = _Smith(mat, with_transforms)
+def smith_normal_form(mat: SparseIntMatrix, with_transforms: bool = False,
+                      side: str = "both") -> SNFResult:
+    """Diagonalize over Z; with transforms, U M V = D with det(U), det(V) = +-1.
+
+    ``side`` picks the transforms tracked: "rows" (U, U^-1), "cols" (V, V^-1)
+    or "both"; the others are left None.  Tracking never changes a pivot, so
+    a tracked transform is the same whichever side is asked for.
+    """
+    if side not in ("rows", "cols", "both"):
+        raise ValueError(f"unknown transform side {side!r}")
+    rows = with_transforms and side != "cols"
+    cols = with_transforms and side != "rows"
+    state = _Smith(mat, rows, cols)
     diag = state.run()
     for a, b in zip(diag, diag[1:]):
         if b % a:
             raise AssertionError(f"invariant factors {a}, {b} break the divisibility chain")
-    if with_transforms:
-        return SNFResult(diag, state.u, state.uinv, state.v, state.vinv)
-    return SNFResult(diag)
+    out = SNFResult(diag)
+    if rows:
+        out.u, out.uinv = state.u, [list(c) for c in zip(*state.uinv_t)]
+    if cols:
+        out.v, out.vinv = [list(c) for c in zip(*state.v_t)], state.vinv
+    return out
 
 
 def gaussian_rank(mat: SparseIntMatrix, p: int | None = None) -> int:
@@ -448,8 +457,9 @@ class HomologyBasis:
     degree: int
     orders: list[int]  # 0 marks a free generator, d > 1 torsion of order d
     chains: list[list[int]]
-    kernel: list[list[int]]
-    ksnf: SNFResult
+    kernel: list[list[int]]  # columns r.. of V from the Smith form U d_m V = D
+    vinv_cols: list[tuple[int, ...]]  # columns of V^-1
+    rank: int  # r, the rank of d_m
     ua: list[list[int]]
     kept: list[int]
 
@@ -460,20 +470,15 @@ class HomologyBasis:
         return betti, torsion
 
 
-def _solve_in_lattice(snf: SNFResult, b: list[int], ncols: int) -> list[int]:
-    """Solve K y = b given the transformed SNF of K; b must lie in the column lattice."""
-    nrows = len(b)
-    ub = [sum(snf.u[i][k] * b[k] for k in range(nrows)) for i in range(nrows)]
-    z = [0] * ncols
-    for i in range(nrows):
-        if i < snf.rank:
-            d = snf.diag[i]
-            if ub[i] % d:
-                raise AssertionError("vector lies outside the kernel lattice")
-            z[i] = ub[i] // d
-        elif ub[i]:
-            raise AssertionError("vector lies outside the kernel span")
-    return [sum(snf.v[i][k] * z[k] for k in range(ncols)) for i in range(ncols)]
+def _kernel_coords(vinv_cols, r: int, support) -> list[int]:
+    """Coordinates (V^-1 b)[r:] in the kernel basis V[:, r:] of b, given as (row, value)
+    pairs.  V is unimodular, so they are unique; b is a cycle iff (V^-1 b)[:r] = 0."""
+    y = [0] * len(vinv_cols)
+    for i, val in support:
+        y = _add_multiple(y, val, vinv_cols[i])
+    if any(y[:r]):
+        raise AssertionError("vector lies outside the kernel")
+    return y[r:]
 
 
 def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
@@ -481,27 +486,20 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
     if m < 0 or m + 1 > comp.max_degree:
         raise DegreeOutOfRange(f"H_{m} needs degree {m + 1}; complex stops at {comp.max_degree}")
     dim = comp.dim(m)
-    sm = smith_normal_form(comp.boundaries[m], with_transforms=True)
+    sm = smith_normal_form(comp.boundaries[m], with_transforms=True, side="cols")
     r = sm.rank
     kappa = dim - r
     kernel = [[sm.v[i][r + c] for i in range(dim)] for c in range(kappa)]
-    kmat = SparseIntMatrix(
-        dim,
-        kappa,
-        {(i, c): kernel[c][i] for c in range(kappa) for i in range(dim) if kernel[c][i]},
-    )
-    ksnf = smith_normal_form(kmat, with_transforms=True)
+    vinv_cols = list(zip(*sm.vinv))
     bnd = comp.boundaries[m + 1]
     a_entries: dict[tuple[int, int], int] = {}
     bycol = bnd.by_columns()
     for j in range(bnd.cols):
-        b = [0] * dim
-        for rr, v in bycol.get(j, ()):
-            b[rr] = v
-        for i, val in enumerate(_solve_in_lattice(ksnf, b, kappa)):
+        for i, val in enumerate(_kernel_coords(vinv_cols, r, bycol.get(j, ()))):
             if val:
                 a_entries[(i, j)] = val
-    asnf = smith_normal_form(SparseIntMatrix(kappa, bnd.cols, a_entries), with_transforms=True)
+    asnf = smith_normal_form(SparseIntMatrix(kappa, bnd.cols, a_entries),
+                             with_transforms=True, side="rows")
     orders: list[int] = []
     chains: list[list[int]] = []
     kept: list[int] = []
@@ -511,18 +509,17 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
             continue
         kept.append(i)
         orders.append(d)
-        col = [asnf.uinv[rr][i] for rr in range(kappa)]
-        chains.append(
-            [sum(kernel[c][row] * col[c] for c in range(kappa)) for row in range(dim)]
-        )
-    return HomologyBasis(m, orders, chains, kernel, ksnf, asnf.u, kept)
+        chain = [0] * dim
+        for c in range(kappa):
+            chain = _add_multiple(chain, asnf.uinv[c][i], kernel[c])
+        chains.append(chain)
+    return HomologyBasis(m, orders, chains, kernel, vinv_cols, r, asnf.u, kept)
 
 
 def classify_cycle(basis: HomologyBasis, vec: list[int]) -> tuple[int, ...]:
     """Coordinates of a cycle's homology class in the generator presentation."""
-    kappa = len(basis.kernel)
-    y = _solve_in_lattice(basis.ksnf, list(vec), kappa)
-    w = [sum(basis.ua[i][k] * y[k] for k in range(kappa)) for i in range(kappa)]
+    y = _kernel_coords(basis.vinv_cols, basis.rank, [(i, v) for i, v in enumerate(vec) if v])
+    w = [sum(a * b for a, b in zip(row, y)) for row in basis.ua]
     return tuple(
         w[i] % d if d else w[i] for i, d in zip(basis.kept, basis.orders)
     )

@@ -212,6 +212,70 @@ def test_sweep_stabilization_and_warning(desk_path, capsys):
     assert "stabilized-at: L=2" in out
 
 
+def test_sweep_does_not_stabilize_over_empty_bases(desk_path, capsys):
+    code, out = run(
+        [
+            "sweep", desk_path, "--object", "IDZ3", "--pipeline", "envelope",
+            "--degree", "3", "--lengths", "1..4",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "L=3: H_3 = Z^26\nL=4: H_3 = Z/3 + Z/3 + Z/3\n" in out
+    assert "stabilized-at: none" in out
+
+
+HOMOLOGY = ["homology", "--object", "Z2TRIV", "--pipeline", "envelope"]
+SWEEP = ["sweep", "--object", "Z2TRIV", "--pipeline", "envelope"]
+BAD_NUMERIC = {
+    "max-degree": (HOMOLOGY + ["--max-degree", "-1", "--max-length", "2"], "--max-degree"),
+    "max-length": (HOMOLOGY + ["--max-degree", "1", "--max-length", "-3"], "--max-length"),
+    "sweep-degree": (SWEEP + ["--degree", "-1", "--lengths", "1..2"], "--degree"),
+    "cap-zero": (HOMOLOGY + ["--max-degree", "1", "--max-length", "2", "--cap", "0"], "--cap"),
+    "cap-negative": (
+        HOMOLOGY + ["--max-degree", "1", "--max-length", "2", "--cap", "-5"], "--cap"
+    ),
+    "length-range": (SWEEP + ["--degree", "1", "--lengths=-2..1"], "length range"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", list(BAD_NUMERIC.values()), ids=list(BAD_NUMERIC))
+def test_bad_numeric_parameters_exit_one(desk_path, capsys, argv, flag):
+    code = main(argv[:1] + [desk_path] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.err.count("\n") == 1
+
+
+COSKELETON_IDS3_2 = """\
+command: check-coskeleton
+object: IDS3
+max-degree: 2
+max-length: 3
+pi-surjective: yes
+cap: 200000
+degree coskeleton nerve
+0 Z Z
+1 Z/2 Z/2
+2 0 0
+induced H_0 matrix: [[1]]
+induced H_1 matrix: [[1]]
+induced H_2 matrix: []
+induced H_0 isomorphism: yes
+verdict: AGREE
+"""
+
+
+def test_check_coskeleton_s3_report_is_pinned(desk_path, capsys):
+    code, out = run(
+        ["check-coskeleton", desk_path, "--object", "IDS3", "--max-degree", "2"], capsys
+    )
+    assert code == 0
+    assert out == COSKELETON_IDS3_2
+
+
 def test_reports_are_deterministic(desk_path, capsys):
     argv = [
         "compare-ra", desk_path, "--object", "ONE", "--max-degree", "2", "--max-length", "3",

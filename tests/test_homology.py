@@ -5,6 +5,7 @@ import pytest
 from precrossed.algebra import (
     conjugation_module,
     cyclic_group,
+    symmetric_group,
     trivial_action,
     trivial_group,
     validate_augmented_rack,
@@ -13,6 +14,7 @@ from precrossed.algebra import (
 from precrossed.errors import DegreeOutOfRange, NotChainMap
 from precrossed.homology import (
     ChainComplex,
+    _kernel_coords,
     SparseIntMatrix,
     chain_complex,
     classify_cycle,
@@ -129,6 +131,25 @@ def test_smith_transforms_are_unimodular_and_exact():
         ]
 
 
+def test_one_sided_smith_matches_two_sided():
+    rng = random.Random(31)
+    for _ in range(60):
+        dense = random_matrix(rng, max_dim=9)
+        mat = sparse(len(dense), len(dense[0]), dense)
+        both = smith_normal_form(mat, with_transforms=True)
+        rows = smith_normal_form(mat, with_transforms=True, side="rows")
+        cols = smith_normal_form(mat, with_transforms=True, side="cols")
+        assert rows.diag == cols.diag == both.diag
+        assert (rows.u, rows.uinv) == (both.u, both.uinv)
+        assert (cols.v, cols.vinv) == (both.v, both.vinv)
+        assert rows.v is rows.vinv is cols.u is cols.uinv is None
+
+
+def test_smith_rejects_unknown_side():
+    with pytest.raises(ValueError):
+        smith_normal_form(sparse(1, 1, [[1]]), with_transforms=True, side="left")
+
+
 def test_divisibility_chain_on_random_matrices():
     rng = random.Random(5)
     for _ in range(100):
@@ -175,14 +196,17 @@ def test_homology_invariant_under_basis_shuffle():
         assert (a.betti, a.torsion) == (b.betti, b.torsion)
 
 
-def test_field_betti_relations_on_fixtures():
-    complexes = [
+def fixture_complexes():
+    return [
         z2_trivial_complex(length=3, m_max=1),
         chain_complex(build_coskeleton(conjugation_module(cyclic_group(2))), 2),
         chain_complex(build_coskeleton(conjugation_module(cyclic_group(3))), 2),
         chain_complex(build_nerve(cyclic_group(3)), 2),
     ]
-    for comp in complexes:
+
+
+def test_field_betti_relations_on_fixtures():
+    for comp in fixture_complexes():
         for m in range(comp.max_degree):
             hz = homology(comp, m)
             assert homology(comp, m, "Q").betti == hz.betti
@@ -284,3 +308,47 @@ def test_chain_complex_rejects_broken_boundaries():
             good.bases,
             [good.boundaries[0], SparseIntMatrix(1, 1, tampered), good.boundaries[2]],
         )
+
+
+def generator_complexes():
+    """The fixture complexes plus the envelope of id: S3 -> S3 at length 3."""
+    s3_envelope = build_envelope(conjugation_module(symmetric_group(3)), WordMode.GROUP_SYLLABLE)
+    return fixture_complexes() + [chain_complex(s3_envelope, 2, 3)]
+
+
+def test_kernel_coordinates_rebuild_every_boundary_column():
+    for comp in generator_complexes():
+        for m in range(comp.max_degree):
+            basis = homology_generators(comp, m)
+            by_col = comp.boundaries[m + 1].by_columns()
+            for j in range(comp.dim(m + 1)):
+                column = by_col.get(j, [])
+                coords = _kernel_coords(basis.vinv_cols, basis.rank, column)
+                rebuilt = [0] * comp.dim(m)
+                for coeff, kernel_col in zip(coords, basis.kernel):
+                    if coeff:
+                        rebuilt = [a + coeff * b for a, b in zip(rebuilt, kernel_col)]
+                want = [0] * comp.dim(m)
+                for r, v in column:
+                    want[r] = v
+                assert rebuilt == want
+
+
+def test_generators_classify_as_unit_vectors():
+    for comp in generator_complexes():
+        for m in range(comp.max_degree):
+            basis = homology_generators(comp, m)
+            for i, chain in enumerate(basis.chains):
+                unit = tuple(
+                    int(i == k) % d if d else int(i == k) for k, d in enumerate(basis.orders)
+                )
+                assert classify_cycle(basis, chain) == unit
+
+
+def test_classify_cycle_rejects_a_non_cycle():
+    comp = chain_complex(build_coskeleton(conjugation_module(cyclic_group(3))), 2)
+    basis = homology_generators(comp, 2)
+    j = next(c for (_, c) in sorted(comp.boundaries[2].entries))
+    not_a_cycle = [int(k == j) for k in range(comp.dim(2))]
+    with pytest.raises(AssertionError, match="outside the kernel"):
+        classify_cycle(basis, not_a_cycle)
