@@ -52,7 +52,6 @@ from .simplicial import (
     build_nerve,
     canonical_to_coskeleton,
     check_simplicial_identities,
-    enumerate_simplices,
     envelope_pi_map,
     is_degenerate,
 )

@@ -173,18 +173,12 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
     return "".join(parts) or "e"
 
 
-def group_from_permutations(perms) -> FiniteGroup:
-    """Close a set of permutations (image tuples) under composition.
+def _permutation_group(gens, n: int) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
+    """Close permutations of 0..n-1 under composition (diagram order).
 
-    Products are taken in diagram order: (p*q)(i) = q(p(i)).
+    Returns the group, whose element i is the i-th permutation in sorted
+    order, together with those sorted permutations.
     """
-    gens = [tuple(int(v) for v in p) for p in perms]
-    if not gens:
-        raise ValidationError("at least one generator permutation required")
-    n = len(gens[0])
-    for p in gens:
-        if len(p) != n or sorted(p) != list(range(n)):
-            raise NotBijective(f"{p} is not a permutation of 0..{n - 1}")
     ident = tuple(range(n))
     seen = {ident}
     queue = [ident]
@@ -200,7 +194,22 @@ def group_from_permutations(perms) -> FiniteGroup:
     table = [
         [index[tuple(q[p[i]] for i in range(n))] for q in elems] for p in elems
     ]
-    return validate_group(table, [_cycle_label(p) for p in elems])
+    return validate_group(table, [_cycle_label(p) for p in elems]), elems
+
+
+def group_from_permutations(perms) -> FiniteGroup:
+    """Close a set of permutations (image tuples) under composition.
+
+    Products are taken in diagram order: (p*q)(i) = q(p(i)).
+    """
+    gens = [tuple(int(v) for v in p) for p in perms]
+    if not gens:
+        raise ValidationError("at least one generator permutation required")
+    n = len(gens[0])
+    for p in gens:
+        if len(p) != n or sorted(p) != list(range(n)):
+            raise NotBijective(f"{p} is not a permutation of 0..{n - 1}")
+    return _permutation_group(gens, n)[0]
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -368,23 +377,8 @@ def precrossed_action(module: PreCrossedModule) -> PrecrossedAction:
     phi = tuple(
         tuple(module.action.act(x, module.pi[y]) for x in range(n)) for y in range(n)
     )
-    gens = sorted(set(phi))
-    ident = tuple(range(n))
-    elems = {ident}
-    queue = [ident]
-    while queue:
-        p = queue.pop()
-        for q in gens:
-            r = tuple(q[p[i]] for i in range(n))
-            if r not in elems:
-                elems.add(r)
-                queue.append(r)
-    ordered = sorted(elems)
+    image, ordered = _permutation_group(set(phi), n)
     perm_index = {p: i for i, p in enumerate(ordered)}
-    table = [
-        [perm_index[tuple(q[p[i]] for i in range(n))] for q in ordered] for p in ordered
-    ]
-    image = validate_group(table, [_cycle_label(p) for p in ordered])
     pi2 = tuple(perm_index[p] for p in phi)
     action2 = tuple(
         tuple(ordered[q][x] for q in range(image.order)) for x in range(n)

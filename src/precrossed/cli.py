@@ -31,7 +31,7 @@ from .algebra import (
     validate_rack,
 )
 from .errors import Incompatible, ParseError, PrecrossedError, ResourceBound, ValidationError
-from .homology import MATRIX_CAP, chain_complex, homology, induced_map
+from .homology import chain_complex, homology, induced_map
 from .oracles import group_homology, rack_complex, tensor_algebra_dims
 from .simplicial import (
     SIMPLEX_CAP,
@@ -59,22 +59,16 @@ class Registry:
     augracks: dict[str, AugmentedRack] = field(default_factory=dict)
     precrossed: dict[str, PreCrossedModule] = field(default_factory=dict)
 
+    def tables(self) -> dict[str, dict]:
+        """Object kind -> the name-to-object table of that kind."""
+        return {"group": self.groups, "rack": self.racks, "augrack": self.augracks,
+                "precrossed": self.precrossed}
+
     def lookup(self, name: str) -> tuple[str, object]:
-        for kind, table in (
-            ("group", self.groups),
-            ("rack", self.racks),
-            ("augrack", self.augracks),
-            ("precrossed", self.precrossed),
-        ):
+        for kind, table in self.tables().items():
             if name in table:
                 return kind, table[name]
         raise ParseError(f"unknown object {name!r}")
-
-    def names(self):
-        out = []
-        for table in (self.groups, self.racks, self.augracks, self.precrossed):
-            out.extend(table)
-        return out
 
 
 def _ints(text: str, what: str) -> list[int]:
@@ -111,7 +105,7 @@ class _Parser:
         if len(parts) != 2 or parts[0] not in ("group", "rack", "augrack", "precrossed"):
             raise ParseError(f"line {lineno}: expected 'group|rack|augrack|precrossed NAME'")
         kind, name = parts
-        if name in self.registry.names():
+        if any(name in table for table in self.registry.tables().values()):
             raise ParseError(f"line {lineno}: duplicate name {name!r}")
         self.block_kind, self.block_name, self.block_line = kind, name, lineno
         self.keys = {}
@@ -156,10 +150,9 @@ class _Parser:
                 else:
                     self._need("table")
                     obj = validate_group(_rows(keys["table"], "table"))
-                self.registry.groups[name] = obj
             elif kind == "rack":
                 self._need("table")
-                self.registry.racks[name] = validate_rack(_rows(keys["table"], "table"))
+                obj = validate_rack(_rows(keys["table"], "table"))
             elif kind == "augrack":
                 if "subset" in keys:
                     self._need("group", "subset")
@@ -168,19 +161,21 @@ class _Parser:
                 else:
                     self._need("group", "size", "pi", "action")
                     group = self._group_ref(keys["group"])
+                    if not keys["size"].isdecimal():
+                        raise ParseError(f"size: expected an integer, got {keys['size']!r}")
                     size = int(keys["size"])
                     pi = _ints(keys["pi"], "pi")
                     action = self._action(keys["action"], group, size, None)
                     labels = [f"x{i}" for i in range(size)]
                     obj = validate_augmented_rack(labels, group, action, pi)
-                self.registry.augracks[name] = obj
             elif kind == "precrossed":
                 self._need("x", "g", "pi", "action")
                 xg = self._group_ref(keys["x"])
                 g = self._group_ref(keys["g"])
                 pi = self._pi(keys["pi"], xg, g)
                 action = self._action(keys["action"], g, xg.order, xg)
-                self.registry.precrossed[name] = validate_precrossed(xg, g, action, pi)
+                obj = validate_precrossed(xg, g, action, pi)
+            self.registry.tables()[kind][name] = obj
         except ValidationError:
             raise
         except PrecrossedError as exc:
@@ -264,7 +259,6 @@ class Report:
     lines: list[str] = field(default_factory=list)
     verdict: str | None = None
     machine: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
 
     def render(self, machine: bool = False) -> str:
         if machine:
@@ -285,193 +279,167 @@ def _as_rack(kind: str, obj) -> AugmentedRack:
     raise Incompatible(f"a {kind} cannot feed a rack pipeline")
 
 
-def _resolve_pipeline(kind: str, obj, pipeline: str):
-    """Build the simplicial spec for an object/pipeline pair (rackcomplex aside)."""
-    if pipeline == "envelope":
-        if kind == "precrossed":
-            return build_envelope(obj, WordMode.GROUP_SYLLABLE)
-        if kind == "augrack":
-            return build_envelope(obj, WordMode.FREE_LETTER)
-        raise Incompatible(f"envelope pipeline needs a pre-crossed module or augmented rack, got {kind}")
-    if pipeline == "clauwens":
-        return build_clauwens(_as_rack(kind, obj))
-    if pipeline == "coskeleton":
-        if kind != "precrossed":
-            raise Incompatible(f"coskeleton pipeline needs a pre-crossed module, got {kind}")
-        return build_coskeleton(obj)
-    if pipeline == "nerve":
-        if kind != "group":
-            raise Incompatible(f"nerve pipeline needs a group, got {kind}")
-        return build_nerve(obj)
-    raise Incompatible(f"unknown pipeline {pipeline!r}")
-
-
-def _pipeline_complex(kind, obj, pipeline, m_max, length, simplex_cap, matrix_cap):
+def _pipeline_complex(kind, obj, pipeline, max_degree, length, cap):
+    """Chain complex of an object through one pipeline, in degrees 0..max_degree+1."""
     if pipeline == "rackcomplex":
-        return rack_complex(_as_rack(kind, obj), m_max + 1)
-    spec = _resolve_pipeline(kind, obj, pipeline)
-    return chain_complex(spec, m_max, length, simplex_cap=simplex_cap, matrix_cap=matrix_cap)
+        return rack_complex(_as_rack(kind, obj), max_degree + 1, cap=cap)
+    if pipeline == "clauwens":
+        spec = build_clauwens(_as_rack(kind, obj))
+    elif (pipeline, kind) == ("envelope", "precrossed"):
+        spec = build_envelope(obj, WordMode.GROUP_SYLLABLE)
+    elif (pipeline, kind) == ("envelope", "augrack"):
+        spec = build_envelope(obj, WordMode.FREE_LETTER)
+    elif (pipeline, kind) == ("coskeleton", "precrossed"):
+        spec = build_coskeleton(obj)
+    elif (pipeline, kind) == ("nerve", "group"):
+        spec = build_nerve(obj)
+    else:
+        raise Incompatible(f"the {pipeline} pipeline does not take a {kind} object")
+    return chain_complex(spec, max_degree, length, cap=cap)
 
 
-def cmd_homology(reg: Registry, name: str, pipeline: str, m_max: int, length: int,
-                 coeff: str, simplex_cap: int, matrix_cap: int) -> Report:
+def cmd_homology(reg: Registry, name: str, pipeline: str, max_degree: int, max_length: int,
+                 coeff: str, cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
-    start = time.perf_counter()
-    comp = _pipeline_complex(kind, obj, pipeline, m_max, length, simplex_cap, matrix_cap)
-    groups = [homology(comp, m, coeff) for m in range(m_max + 1)]
+    comp = _pipeline_complex(kind, obj, pipeline, max_degree, max_length, cap)
+    groups = [homology(comp, m, coeff) for m in range(max_degree + 1)]
     report = Report(
         "homology",
         {
             "object": name,
             "pipeline": pipeline,
             "coeff": coeff,
-            "max-degree": str(m_max),
-            "max-length": str(length),
-            "cap": str(simplex_cap),
+            "max-degree": str(max_degree),
+            "max-length": str(max_length),
+            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
     )
     report.lines = [f"H_{h.degree} = {h.render()}" for h in groups]
     report.machine = [h.machine() for h in groups]
-    report.elapsed = time.perf_counter() - start
     return report
 
 
-def cmd_compare_ra(reg: Registry, name: str, m_max: int, length: int,
-                   simplex_cap: int, matrix_cap: int) -> Report:
+def cmd_compare_ra(reg: Registry, name: str, max_degree: int, max_length: int,
+                   cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
     rack = _as_rack(kind, obj)
-    start = time.perf_counter()
     columns = {}
     for pipeline in ("envelope", "clauwens", "rackcomplex"):
-        comp = _pipeline_complex("augrack", rack, pipeline, m_max, length, simplex_cap, matrix_cap)
-        columns[pipeline] = [homology(comp, m) for m in range(m_max + 1)]
+        comp = _pipeline_complex("augrack", rack, pipeline, max_degree, max_length, cap)
+        columns[pipeline] = [homology(comp, m) for m in range(max_degree + 1)]
     agree = all(
-        columns["envelope"][m].same_group(columns["clauwens"][m])
-        and columns["envelope"][m].same_group(columns["rackcomplex"][m])
-        for m in range(m_max + 1)
+        columns["envelope"][m].same_group(columns[other][m])
+        for other in ("clauwens", "rackcomplex") for m in range(max_degree + 1)
     )
     report = Report(
         "compare-ra",
         {
             "object": name,
-            "max-degree": str(m_max),
-            "max-length": str(length),
-            "cap": str(simplex_cap),
+            "max-degree": str(max_degree),
+            "max-length": str(max_length),
+            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
     )
     report.lines.append("degree envelope clauwens rackcomplex")
-    for m in range(m_max + 1):
+    for m in range(max_degree + 1):
         report.lines.append(
             f"{m} {columns['envelope'][m].render()} {columns['clauwens'][m].render()} "
             f"{columns['rackcomplex'][m].render()}"
         )
     report.verdict = "AGREE" if agree else "DISAGREE"
-    report.elapsed = time.perf_counter() - start
     return report
 
 
-def cmd_check_tri(reg: Registry, name: str, m_max: int, coeff: str, lengths: list[int],
-                  simplex_cap: int, matrix_cap: int) -> Report:
+def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths: list[int],
+                  cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
     if kind != "group":
         raise Incompatible(f"check-tri needs a group, got {kind}")
     if coeff == "Z":
         raise Incompatible("check-tri needs field coefficients")
-    start = time.perf_counter()
     base = trivial_group()
     module = validate_precrossed(
         obj, base, trivial_action(base, obj.order), [base.identity] * obj.order
     )
     spec = build_envelope(module, WordMode.GROUP_SYLLABLE)
     generators = []
-    for m in range(1, m_max + 1):
+    for m in range(1, max_degree + 1):
         betti = group_homology(obj, m, coeff).betti
         if betti:
             generators.append((m, betti))
-    expected = [tensor_algebra_dims(generators, m) for m in range(m_max + 1)]
+    expected = [tensor_algebra_dims(generators, m) for m in range(max_degree + 1)]
     table: dict[int, list[int]] = {}
     for length in lengths:
-        comp = chain_complex(spec, m_max, length, simplex_cap=simplex_cap, matrix_cap=matrix_cap)
-        table[length] = [homology(comp, m, coeff).betti for m in range(m_max + 1)]
-    compare_at = {m: (m + 1 if m + 1 in lengths else max(lengths)) for m in range(m_max + 1)}
-    agree = all(table[compare_at[m]][m] == expected[m] for m in range(m_max + 1))
+        comp = chain_complex(spec, max_degree, length, cap=cap)
+        table[length] = [homology(comp, m, coeff).betti for m in range(max_degree + 1)]
+    compare_at = {m: (m + 1 if m + 1 in lengths else max(lengths)) for m in range(max_degree + 1)}
+    agree = all(table[compare_at[m]][m] == expected[m] for m in range(max_degree + 1))
     report = Report(
         "check-tri",
         {
             "object": name,
             "coeff": coeff,
-            "max-degree": str(m_max),
+            "max-degree": str(max_degree),
             "lengths": ",".join(map(str, lengths)),
-            "cap": str(simplex_cap),
+            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
     )
     report.lines.append(
         "generators: " + (", ".join(f"degree {d} x{c}" for d, c in generators) or "none")
     )
-    header = "m expected " + " ".join(f"L={length}" for length in lengths)
-    report.lines.append(header)
-    for m in range(m_max + 1):
+    report.lines.append("m expected " + " ".join(f"L={length}" for length in lengths))
+    for m in range(max_degree + 1):
         cells = " ".join(str(table[length][m]) for length in lengths)
         report.lines.append(f"{m} {expected[m]} {cells}")
     report.lines.append(
-        "compared: " + ", ".join(f"m={m}@L={compare_at[m]}" for m in range(m_max + 1))
+        "compared: " + ", ".join(f"m={m}@L={compare_at[m]}" for m in range(max_degree + 1))
     )
     report.verdict = "AGREE" if agree else "DISAGREE"
-    report.elapsed = time.perf_counter() - start
     return report
 
 
-def cmd_check_coskeleton(reg: Registry, name: str, m_max: int,
-                         simplex_cap: int, matrix_cap: int) -> Report:
+def cmd_check_coskeleton(reg: Registry, name: str, max_degree: int,
+                         cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
     if kind != "precrossed":
         raise Incompatible(f"check-coskeleton needs a pre-crossed module, got {kind}")
-    start = time.perf_counter()
     surjective = set(obj.pi) == set(range(obj.group.order))
     module = obj if surjective else restrict_to_image(obj)
-    cosk = chain_complex(
-        build_coskeleton(module), m_max, simplex_cap=simplex_cap, matrix_cap=matrix_cap
-    )
-    nerve = chain_complex(
-        build_nerve(module.group), m_max, simplex_cap=simplex_cap, matrix_cap=matrix_cap
-    )
-    cosk_h = [homology(cosk, m) for m in range(m_max + 1)]
-    nerve_h = [homology(nerve, m) for m in range(m_max + 1)]
+    cosk = chain_complex(build_coskeleton(module), max_degree, cap=cap)
+    nerve = chain_complex(build_nerve(module.group), max_degree, cap=cap)
+    cosk_h = [homology(cosk, m) for m in range(max_degree + 1)]
+    nerve_h = [homology(nerve, m) for m in range(max_degree + 1)]
     agree = all(a.same_group(b) for a, b in zip(cosk_h, nerve_h))
     cmap = canonical_to_coskeleton(module)
-    env = chain_complex(
-        cmap.source, m_max, m_max + 1, simplex_cap=simplex_cap, matrix_cap=matrix_cap
-    )
-    maps = [induced_map(cmap, env, cosk, m) for m in range(m_max + 1)]
+    env = chain_complex(cmap.source, max_degree, max_degree + 1, cap=cap)
+    maps = [induced_map(cmap, env, cosk, m) for m in range(max_degree + 1)]
     h0_iso = maps[0].is_isomorphism()
     report = Report(
         "check-coskeleton",
         {
             "object": name,
-            "max-degree": str(m_max),
-            "max-length": str(m_max + 1),
+            "max-degree": str(max_degree),
+            "max-length": str(max_degree + 1),
             "pi-surjective": "yes" if surjective else "no (base group replaced by image)",
-            "cap": str(simplex_cap),
+            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
     )
     report.lines.append("degree coskeleton nerve")
-    for m in range(m_max + 1):
+    for m in range(max_degree + 1):
         report.lines.append(f"{m} {cosk_h[m].render()} {nerve_h[m].render()}")
     for m, imap in enumerate(maps):
         report.lines.append(f"induced H_{m} matrix: {imap.matrix}")
     report.lines.append(f"induced H_0 isomorphism: {'yes' if h0_iso else 'no'}")
     report.verdict = "AGREE" if agree and h0_iso else "DISAGREE"
-    report.elapsed = time.perf_counter() - start
     return report
 
 
 def cmd_sweep(reg: Registry, name: str, pipeline: str, degree: int, lengths: list[int],
-              simplex_cap: int, matrix_cap: int) -> Report:
+              cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
-    start = time.perf_counter()
     values = []
     for length in lengths:
-        comp = _pipeline_complex(kind, obj, pipeline, degree, length, simplex_cap, matrix_cap)
+        comp = _pipeline_complex(kind, obj, pipeline, degree, length, cap)
         h = homology(comp, degree)
         values.append((length, h, comp.dim(degree)))
     stabilized = None
@@ -486,7 +454,7 @@ def cmd_sweep(reg: Registry, name: str, pipeline: str, degree: int, lengths: lis
             "pipeline": pipeline,
             "degree": str(degree),
             "lengths": ",".join(map(str, lengths)),
-            "cap": str(simplex_cap),
+            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
     )
     for length, h, dim in values:
@@ -495,7 +463,6 @@ def cmd_sweep(reg: Registry, name: str, pipeline: str, degree: int, lengths: lis
     report.lines.append(
         f"stabilized-at: L={stabilized}" if stabilized is not None else "stabilized-at: none"
     )
-    report.elapsed = time.perf_counter() - start
     return report
 
 
@@ -516,115 +483,96 @@ def cmd_validate(reg: Registry) -> Report:
     return report
 
 
-def _parse_length_list(text: str) -> list[int]:
+def _parse_lengths(text: str) -> list[int]:
+    """Truncation lengths, as a list L1,L2,.. or an inclusive range lo..hi."""
+    kind = "range" if ".." in text else "list"
     try:
-        values = [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad length list {text!r}") from exc
-    if not values or any(v < 0 for v in values):
-        raise ParseError(f"bad length list {text!r}")
+        if kind == "range":
+            lo, hi = (int(v) for v in text.split("..", 1))
+            values = list(range(lo, hi + 1))
+        else:
+            values = [int(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 0:
+        raise ParseError(f"bad length {kind} {text!r}")
     return values
 
 
-def _parse_length_range(text: str) -> list[int]:
-    if ".." in text:
-        try:
-            lo, hi = (int(v) for v in text.split("..", 1))
-        except ValueError as exc:
-            raise ParseError(f"bad length range {text!r}") from exc
-        if lo < 0 or hi < lo:
-            raise ParseError(f"bad length range {text!r}")
-        return list(range(lo, hi + 1))
-    return _parse_length_list(text)
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they leave main like any other input error."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="precrossed",
         description="Homology of pre-crossed modules, racks, and groups at desk scale.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def command(name, run, text):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
         p.add_argument("file")
-        p.add_argument("--object", required=True)
-        p.add_argument("--cap", type=int, default=None,
-                       help="override the per-degree simplex cap and matrix cap")
+        if run is not cmd_validate:
+            p.add_argument("--object", dest="name", required=True)
+            p.add_argument("--cap", type=int, default=None,
+                           help="override the per-degree simplex cap and matrix cap")
+        return p
 
-    p = sub.add_parser("validate", help="parse and validate a registry file")
-    p.add_argument("file")
+    command("validate", cmd_validate, "parse and validate a registry file")
 
-    p = sub.add_parser("homology", help="homology of one object through one pipeline")
-    common(p)
+    p = command("homology", cmd_homology, "homology of one object through one pipeline")
     p.add_argument("--pipeline", required=True, choices=PIPELINES)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--max-length", type=int, required=True)
     p.add_argument("--coeff", default="Z", choices=COEFFS)
     p.add_argument("--machine", action="store_true")
 
-    p = sub.add_parser("compare-ra", help="envelope vs Clauwens vs rack complex")
-    common(p)
+    p = command("compare-ra", cmd_compare_ra, "envelope vs Clauwens vs rack complex")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--max-length", type=int, required=True)
 
-    p = sub.add_parser("check-tri", help="trivial-action envelope vs tensor algebra")
-    common(p)
+    p = command("check-tri", cmd_check_tri, "trivial-action envelope vs tensor algebra")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--coeff", required=True, choices=("Q", "F2", "F3", "F5"))
-    p.add_argument("--lengths", required=True)
+    p.add_argument("--lengths", type=_parse_lengths, required=True)
 
-    p = sub.add_parser("check-coskeleton", help="coskeleton vs nerve plus induced map")
-    common(p)
+    p = command("check-coskeleton", cmd_check_coskeleton, "coskeleton vs nerve plus induced map")
     p.add_argument("--max-degree", type=int, required=True)
 
-    p = sub.add_parser("sweep", help="one homology degree across truncation lengths")
-    common(p)
+    p = command("sweep", cmd_sweep, "one homology degree across truncation lengths")
     p.add_argument("--pipeline", required=True, choices=PIPELINES)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--lengths", required=True)
+    p.add_argument("--lengths", type=_parse_lengths, required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    for name, low in (("max_degree", 0), ("max_length", 0), ("degree", 0), ("cap", 1)):
-        value = getattr(args, name, None)
-        if value is not None and value < low:
-            print(f"error: --{name.replace('_', '-')} must be at least {low}, got {value}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-    cap = getattr(args, "cap", None)
-    simplex_cap = SIMPLEX_CAP if cap is None else cap
-    matrix_cap = MATRIX_CAP if cap is None else cap
     try:
-        reg = parse_input(args.file)
-        if args.cmd == "validate":
-            report = cmd_validate(reg)
-        elif args.cmd == "homology":
-            report = cmd_homology(reg, args.object, args.pipeline, args.max_degree,
-                                  args.max_length, args.coeff, simplex_cap, matrix_cap)
-        elif args.cmd == "compare-ra":
-            report = cmd_compare_ra(reg, args.object, args.max_degree, args.max_length,
-                                    simplex_cap, matrix_cap)
-        elif args.cmd == "check-tri":
-            report = cmd_check_tri(reg, args.object, args.max_degree, args.coeff,
-                                   _parse_length_list(args.lengths), simplex_cap, matrix_cap)
-        elif args.cmd == "check-coskeleton":
-            report = cmd_check_coskeleton(reg, args.object, args.max_degree,
-                                          simplex_cap, matrix_cap)
-        elif args.cmd == "sweep":
-            report = cmd_sweep(reg, args.object, args.pipeline, args.degree,
-                               _parse_length_range(args.lengths), simplex_cap, matrix_cap)
-        else:  # pragma: no cover
-            raise Incompatible(f"unknown command {args.cmd}")
+        args = vars(build_arg_parser().parse_args(argv))
+        del args["cmd"]
+        command = args.pop("run")
+        machine = args.pop("machine", False)
+        for name, low in (("max_degree", 0), ("max_length", 0), ("degree", 0), ("cap", 1)):
+            value = args.get(name)
+            if value is not None and value < low:
+                raise ParseError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+        reg = parse_input(args.pop("file"))
+        start = time.perf_counter()
+        report = command(reg, **args)
+        elapsed = time.perf_counter() - start
     except ResourceBound as exc:
         print(f"error: resource bound exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValidationError, Incompatible) as exc:
+    except PrecrossedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    sys.stdout.write(report.render(machine=getattr(args, "machine", False)))
-    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
+    sys.stdout.write(report.render(machine=machine))
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return EXIT_DISAGREE if report.verdict == "DISAGREE" else EXIT_OK
 
 

@@ -245,18 +245,18 @@ class _Smith:
         return tuple(diag)
 
 
-def smith_normal_form(mat: SparseIntMatrix, with_transforms: bool = False,
-                      side: str = "both") -> SNFResult:
-    """Diagonalize over Z; with transforms, U M V = D with det(U), det(V) = +-1.
+def smith_normal_form(mat: SparseIntMatrix, transforms: str | None = None) -> SNFResult:
+    """Diagonalize over Z; the transforms satisfy U M V = D with det(U), det(V) = +-1.
 
-    ``side`` picks the transforms tracked: "rows" (U, U^-1), "cols" (V, V^-1)
-    or "both"; the others are left None.  Tracking never changes a pivot, so
-    a tracked transform is the same whichever side is asked for.
+    ``transforms`` picks the transforms tracked: "rows" (U, U^-1), "cols"
+    (V, V^-1), "both" or None; the others are left None.  Tracking never
+    changes a pivot, so a tracked transform is the same whichever side is
+    asked for.
     """
-    if side not in ("rows", "cols", "both"):
-        raise ValueError(f"unknown transform side {side!r}")
-    rows = with_transforms and side != "cols"
-    cols = with_transforms and side != "rows"
+    if transforms not in (None, "rows", "cols", "both"):
+        raise ValueError(f"unknown transforms {transforms!r}")
+    rows = transforms in ("rows", "both")
+    cols = transforms in ("cols", "both")
     state = _Smith(mat, rows, cols)
     diag = state.run()
     for a, b in zip(diag, diag[1:]):
@@ -399,16 +399,20 @@ def _assert_composes_to_zero(a: SparseIntMatrix, b: SparseIntMatrix, k: int) -> 
 
 
 def chain_complex(spec, m_max: int, length_bound: int | None = None,
-                  simplex_cap: int | None = None, matrix_cap: int | None = None) -> ChainComplex:
-    """Normalized chain complex of a spec in degrees 0..m_max+1."""
+                  cap: int | None = None) -> ChainComplex:
+    """Normalized chain complex of a spec in degrees 0..m_max+1.
+
+    ``cap`` bounds both the simplices enumerated per degree and the basis of
+    each boundary matrix; None keeps SIMPLEX_CAP and MATRIX_CAP.
+    """
     from .simplicial import is_degenerate  # local import avoids a cycle
 
-    matrix_cap = MATRIX_CAP if matrix_cap is None else matrix_cap
+    matrix_cap = MATRIX_CAP if cap is None else cap
     bases: list[list[str]] = []
     simps: list[list] = []
     lookups: list[dict] = []
     for k in range(m_max + 2):
-        everything = spec.simplices(k, length_bound, cap=simplex_cap)
+        everything = spec.simplices(k, length_bound, cap=cap)
         nondeg = [s for s in everything if not is_degenerate(spec, s)]
         if len(nondeg) > matrix_cap:
             raise ResourceBound(
@@ -486,7 +490,7 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
     if m < 0 or m + 1 > comp.max_degree:
         raise DegreeOutOfRange(f"H_{m} needs degree {m + 1}; complex stops at {comp.max_degree}")
     dim = comp.dim(m)
-    sm = smith_normal_form(comp.boundaries[m], with_transforms=True, side="cols")
+    sm = smith_normal_form(comp.boundaries[m], transforms="cols")
     r = sm.rank
     kappa = dim - r
     kernel = [[sm.v[i][r + c] for i in range(dim)] for c in range(kappa)]
@@ -498,8 +502,7 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
         for i, val in enumerate(_kernel_coords(vinv_cols, r, bycol.get(j, ()))):
             if val:
                 a_entries[(i, j)] = val
-    asnf = smith_normal_form(SparseIntMatrix(kappa, bnd.cols, a_entries),
-                             with_transforms=True, side="rows")
+    asnf = smith_normal_form(SparseIntMatrix(kappa, bnd.cols, a_entries), transforms="rows")
     orders: list[int] = []
     chains: list[list[int]] = []
     kept: list[int] = []

@@ -11,25 +11,40 @@ from __future__ import annotations
 import itertools
 
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
-from .homology import ChainComplex, HomologyGroup, SparseIntMatrix, chain_complex, homology
+from .errors import ResourceBound
+from .homology import (
+    MATRIX_CAP,
+    ChainComplex,
+    HomologyGroup,
+    SparseIntMatrix,
+    chain_complex,
+    homology,
+)
 from .simplicial import build_nerve
 
 
-def rack_complex(rack: AugmentedRack, n_max: int) -> ChainComplex:
+def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> ChainComplex:
     """Chain complex of the rack space: degree n is free on n-tuples of the carrier.
 
     The differential deletes one entry and subtracts the variant where the
     deleted entry acts on the prefix:
     d(x_1..x_n) = sum_i (-1)^i [ (x_1..^x_i..x_n) - (x_1^(pi x_i),..,x_{i-1}^(pi x_i),x_{i+1},..,x_n) ].
+    Every tuple is a basis element, so ``cap`` (MATRIX_CAP when None) bounds
+    size**n before the degree-n tuples are built.
     """
     if isinstance(rack, PreCrossedModule):
         rack = rack.as_augmented_rack()
     size = rack.size
     act = rack.action.act
     pi = rack.pi
+    cap = MATRIX_CAP if cap is None else cap
     bases: list[list[str]] = []
     simplices: list[list[tuple[int, ...]]] = []
     for n in range(n_max + 1):
+        if size**n > cap:
+            raise ResourceBound(
+                f"rackcomplex degree {n} basis of size {size**n} exceeds matrix cap {cap}"
+            )
         tuples = list(itertools.product(range(size), repeat=n))
         simplices.append(tuples)
         bases.append(

@@ -60,7 +60,6 @@ class SimplicialSpec:
     """Common contract: enumerate simplices per degree, plus face/degeneracy."""
 
     kind: SpecKind
-    finite_per_degree: bool
 
     def simplices(self, k: int, length_bound: int | None = None, cap: int | None = None) -> list[Simplex]:
         raise NotImplementedError
@@ -83,8 +82,6 @@ class SimplicialSpec:
 
 class WordSpec(SimplicialSpec):
     """Envelope and Clauwens quotients: simplices are pure normal-form words."""
-
-    finite_per_degree = False
 
     def __init__(self, kind: SpecKind, ctx: WordContext, source):
         self.kind = kind
@@ -180,7 +177,6 @@ class CoskeletonSpec(SimplicialSpec):
     """
 
     kind = SpecKind.COSKELETON
-    finite_per_degree = True
 
     def __init__(self, module: PreCrossedModule):
         self.module = module
@@ -264,7 +260,6 @@ class NerveSpec(SimplicialSpec):
     """The bar model of a finite group: degree k holds all k-tuples."""
 
     kind = SpecKind.NERVE
-    finite_per_degree = True
 
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -339,12 +334,6 @@ def is_degenerate(spec: SimplicialSpec, simplex: Simplex) -> bool:
         if spec.degeneracy(spec.face(simplex, i), i) == simplex:
             return True
     return False
-
-
-def enumerate_simplices(spec: SimplicialSpec, k: int, length_bound: int | None = None,
-                        cap: int | None = None) -> list[Simplex]:
-    """All normal-form simplices of one degree, in canonical text-encoding order."""
-    return spec.simplices(k, length_bound=length_bound, cap=cap)
 
 
 @dataclass

@@ -15,21 +15,30 @@ from precrossed.cli import (
     cmd_compare_ra,
     cmd_homology,
 )
-from precrossed.homology import MATRIX_CAP, SparseIntMatrix, chain_complex, homology, smith_normal_form
+from precrossed.homology import SparseIntMatrix, chain_complex, homology, smith_normal_form
 from precrossed.simplicial import (
-    SIMPLEX_CAP,
     build_clauwens,
     build_coskeleton,
     build_envelope,
     build_nerve,
     check_simplicial_identities,
-    enumerate_simplices,
 )
 from precrossed.words import WordMode
 
 from snf_oracle import dense_det, dense_smith, matmul
 
-CAPS = dict(simplex_cap=SIMPLEX_CAP, matrix_cap=MATRIX_CAP)
+COMPARE_RA_TRANS_2_3 = """\
+command: compare-ra
+object: TRANS
+max-degree: 2
+max-length: 3
+cap: 200000
+degree envelope clauwens rackcomplex
+0 Z Z Z
+1 Z Z Z
+2 Z Z Z
+verdict: AGREE
+"""
 
 
 def _passed(criterion, detail, elapsed=None):
@@ -50,20 +59,22 @@ def _homology_table(report):
 def test_criterion_1_three_pipeline_agreement(registry):
     for name in ("ONE", "TRANS"):
         start = time.perf_counter()
-        report = cmd_compare_ra(registry, name, 2, 3, **CAPS)
+        report = cmd_compare_ra(registry, name, 2, 3)
         elapsed = time.perf_counter() - start
         assert report.verdict == "AGREE", report.lines
         assert elapsed < 300.0
         if name == "ONE":
             table = _homology_table(report)
             assert all(table[m] == ("Z", "Z", "Z") for m in range(3))
+        else:
+            assert report.render() == COMPARE_RA_TRANS_2_3
         _passed(1, f"compare-ra {name}: three pipelines agree in degrees 0..2 at L=3", elapsed)
 
 
 def test_criterion_2_trivial_rack_closed_form(registry):
     start = time.perf_counter()
     for name, d in (("TR1", 1), ("TR2", 2)):
-        report = cmd_compare_ra(registry, name, 2, 3, **CAPS)
+        report = cmd_compare_ra(registry, name, 2, 3)
         assert report.verdict == "AGREE", report.lines
         table = _homology_table(report)
         for m in range(3):
@@ -76,7 +87,7 @@ def test_criterion_2_trivial_rack_closed_form(registry):
 
 def test_criterion_3_tensor_algebra_mod_two(registry):
     start = time.perf_counter()
-    report = cmd_check_tri(registry, "Z2", 3, "F2", [1, 2, 3, 4], **CAPS)
+    report = cmd_check_tri(registry, "Z2", 3, "F2", [1, 2, 3, 4])
     elapsed = time.perf_counter() - start
     assert report.verdict == "AGREE", report.lines
     expected = {0: 1, 1: 1, 2: 2, 3: 4}
@@ -94,7 +105,7 @@ def test_criterion_3_tensor_algebra_mod_two(registry):
 
 def test_criterion_4_rational_vanishing(registry):
     start = time.perf_counter()
-    report = cmd_check_tri(registry, "Z2", 3, "Q", [1, 2, 3, 4], **CAPS)
+    report = cmd_check_tri(registry, "Z2", 3, "Q", [1, 2, 3, 4])
     elapsed = time.perf_counter() - start
     assert report.verdict == "AGREE", report.lines
     for line in report.lines:
@@ -110,7 +121,7 @@ def test_criterion_5_coskeleton_computes_group_homology(registry):
     expectations = {"IDZ2": ["Z", "Z/2", "0"], "IDZ3": ["Z", "Z/3", "0"]}
     start = time.perf_counter()
     for name, want in expectations.items():
-        report = cmd_check_coskeleton(registry, name, 2, **CAPS)
+        report = cmd_check_coskeleton(registry, name, 2)
         assert report.verdict == "AGREE", report.lines
         for m in range(3):
             assert f"{m} {want[m]} {want[m]}" in report.lines
@@ -175,7 +186,7 @@ def test_criterion_6c_smith_contracts_against_dense_oracle():
         entries = {
             (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v
         }
-        snf = smith_normal_form(SparseIntMatrix(rows, cols, entries), with_transforms=True)
+        snf = smith_normal_form(SparseIntMatrix(rows, cols, entries), transforms="both")
         assert list(snf.diag) == dense_smith(dense)
         for a, b in zip(snf.diag, snf.diag[1:]):
             assert b % a == 0
@@ -198,8 +209,8 @@ def test_criterion_6d_independence_of_base_group(registry):
         a = build_envelope(module, WordMode.GROUP_SYLLABLE)
         b = build_envelope(reduced, WordMode.GROUP_SYLLABLE)
         for k in range(3):
-            left = enumerate_simplices(a, k, 2)
-            right = enumerate_simplices(b, k, 2)
+            left = a.simplices(k, 2)
+            right = b.simplices(k, 2)
             assert [a.encode(s) for s in left] == [b.encode(s) for s in right]
             for sa, sb in zip(left, right):
                 for i in range(k + 1):
@@ -231,11 +242,11 @@ def test_criterion_7_determinism(registry):
     runs = []
     for _ in range(2):
         chunks = [
-            cmd_compare_ra(registry, "ONE", 2, 3, **CAPS).render(),
-            cmd_check_tri(registry, "Z2", 3, "F2", [1, 2, 3, 4], **CAPS).render(),
-            cmd_check_coskeleton(registry, "IDZ2", 2, **CAPS).render(),
-            cmd_homology(registry, "TRANS", "envelope", 2, 3, "Z", **CAPS).render(),
-            cmd_homology(registry, "TRANS", "envelope", 2, 3, "Z", **CAPS).render(machine=True),
+            cmd_compare_ra(registry, "ONE", 2, 3).render(),
+            cmd_check_tri(registry, "Z2", 3, "F2", [1, 2, 3, 4]).render(),
+            cmd_check_coskeleton(registry, "IDZ2", 2).render(),
+            cmd_homology(registry, "TRANS", "envelope", 2, 3, "Z").render(),
+            cmd_homology(registry, "TRANS", "envelope", 2, 3, "Z").render(machine=True),
         ]
         runs.append("".join(chunks))
     assert runs[0] == runs[1]

@@ -48,6 +48,26 @@ def test_parse_rejects_stray_key_line():
         parse_text("  table: 0\n")
 
 
+def test_parse_rejects_non_integer_size():
+    text = (
+        "group Z2\n  table: 0,1 / 1,0\n"
+        "augrack A\n  group: Z2\n  size: two\n  pi: 1\n  action: trivial\n"
+    )
+    with pytest.raises(ParseError, match="size: expected an integer, got 'two'"):
+        parse_text(text)
+
+
+def test_non_integer_size_exits_one(capsys, tmp_path):
+    path = tmp_path / "reg.txt"
+    path.write_text("group Z2\n  table: 0,1 / 1,0\naugrack A\n  group: Z2\n  size: two\n"
+                    "  pi: 1\n  action: trivial\n")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == "error: size: expected an integer, got 'two'\n"
+
+
 def test_round_trip_preserves_tables(registry):
     text = render_registry(registry)
     reparsed = parse_text(text)
@@ -154,6 +174,19 @@ def test_resource_bound_exits_three(desk_path, capsys):
     assert code == EXIT_RESOURCE
 
 
+def test_rack_complex_resource_bound_exits_three(desk_path, capsys):
+    code = main(
+        [
+            "homology", desk_path, "--object", "TRANS", "--pipeline", "rackcomplex",
+            "--max-degree", "2", "--max-length", "1", "--cap", "5",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert captured.err.startswith("error: resource bound exceeded: rackcomplex degree 2")
+
+
 def test_compare_ra_agree(desk_path, capsys):
     code, out = run(
         ["compare-ra", desk_path, "--object", "ONE", "--max-degree", "2", "--max-length", "3"],
@@ -236,6 +269,14 @@ BAD_NUMERIC = {
         HOMOLOGY + ["--max-degree", "1", "--max-length", "2", "--cap", "-5"], "--cap"
     ),
     "length-range": (SWEEP + ["--degree", "1", "--lengths=-2..1"], "length range"),
+    "length-list-separate": (
+        ["check-tri", "--object", "Z2", "--max-degree", "2", "--coeff", "F2", "--lengths", "-1,2"],
+        "--lengths",
+    ),
+    "missing-object": (
+        ["homology", "--pipeline", "nerve", "--max-degree", "1", "--max-length", "1"],
+        "--object",
+    ),
 }
 
 
@@ -274,6 +315,117 @@ def test_check_coskeleton_s3_report_is_pinned(desk_path, capsys):
     )
     assert code == 0
     assert out == COSKELETON_IDS3_2
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-tri", "--help"])
+    assert exc.value.code == 0
+    assert "--lengths" in capsys.readouterr().out
+
+
+def test_check_tri_accepts_a_length_range(desk_path, capsys):
+    argv = ["check-tri", desk_path, "--object", "Z2", "--max-degree", "2", "--coeff", "F2"]
+    listed = run(argv + ["--lengths", "1,2,3"], capsys)
+    ranged = run(argv + ["--lengths", "1..3"], capsys)
+    assert listed == ranged
+    assert listed[0] == 0 and "lengths: 1,2,3\n" in listed[1]
+
+
+# Full reports of the README examples and of one cheap invocation per command
+# (compare-ra TRANS is pinned in the acceptance suite, check-coskeleton above).
+PINNED = {
+    "validate": (
+        ["validate"],
+        """\
+command: validate
+group TRIV: order 1
+group Z2: order 2
+group Z3: order 3
+group S3: order 6
+rack R3: size 3
+augrack ONE: carrier 1 over group of order 2
+augrack TRANS: carrier 3 over group of order 6
+augrack TR1: carrier 1 over group of order 1
+augrack TR2: carrier 2 over group of order 1
+precrossed Z2TRIV: |X| = 2, |G| = 1
+precrossed IDZ2: |X| = 2, |G| = 2
+precrossed IDZ3: |X| = 3, |G| = 3
+precrossed IDS3: |X| = 6, |G| = 6
+""",
+    ),
+    "homology": (
+        HOMOLOGY + ["--max-degree", "1", "--max-length", "2", "--coeff", "Z"],
+        """\
+command: homology
+object: Z2TRIV
+pipeline: envelope
+coeff: Z
+max-degree: 1
+max-length: 2
+cap: 200000
+H_0 = Z
+H_1 = Z/2
+""",
+    ),
+    "compare-ra": (
+        ["compare-ra", "--object", "ONE", "--max-degree", "2", "--max-length", "3"],
+        """\
+command: compare-ra
+object: ONE
+max-degree: 2
+max-length: 3
+cap: 200000
+degree envelope clauwens rackcomplex
+0 Z Z Z
+1 Z Z Z
+2 Z Z Z
+verdict: AGREE
+""",
+    ),
+    "check-tri": (
+        ["check-tri", "--object", "Z2", "--max-degree", "3", "--coeff", "F2",
+         "--lengths", "1,2,3,4"],
+        """\
+command: check-tri
+object: Z2
+coeff: F2
+max-degree: 3
+lengths: 1,2,3,4
+cap: 200000
+generators: degree 1 x1, degree 2 x1, degree 3 x1
+m expected L=1 L=2 L=3 L=4
+0 1 1 1 1 1
+1 1 1 1 1 1
+2 2 0 2 2 2
+3 4 0 0 4 4
+compared: m=0@L=1, m=1@L=2, m=2@L=3, m=3@L=4
+verdict: AGREE
+""",
+    ),
+    "sweep": (
+        SWEEP + ["--degree", "1", "--lengths", "1..3"],
+        """\
+command: sweep
+object: Z2TRIV
+pipeline: envelope
+degree: 1
+lengths: 1,2,3
+cap: 200000
+L=1: H_1 = Z
+L=2: H_1 = Z/2
+L=3: H_1 = Z/2
+stabilized-at: L=2
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", list(PINNED.values()), ids=list(PINNED))
+def test_report_is_pinned(desk_path, capsys, argv, expected):
+    code, out = run(argv[:1] + [desk_path] + argv[1:], capsys)
+    assert code == 0
+    assert out == expected
 
 
 def test_reports_are_deterministic(desk_path, capsys):

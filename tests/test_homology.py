@@ -114,7 +114,7 @@ def test_smith_transforms_are_unimodular_and_exact():
     for _ in range(60):
         dense = random_matrix(rng, max_dim=7)
         rows, cols = len(dense), len(dense[0])
-        snf = smith_normal_form(sparse(rows, cols, dense), with_transforms=True)
+        snf = smith_normal_form(sparse(rows, cols, dense), transforms="both")
         product = matmul(matmul(snf.u, dense), snf.v)
         for i in range(rows):
             for j in range(cols):
@@ -136,18 +136,24 @@ def test_one_sided_smith_matches_two_sided():
     for _ in range(60):
         dense = random_matrix(rng, max_dim=9)
         mat = sparse(len(dense), len(dense[0]), dense)
-        both = smith_normal_form(mat, with_transforms=True)
-        rows = smith_normal_form(mat, with_transforms=True, side="rows")
-        cols = smith_normal_form(mat, with_transforms=True, side="cols")
+        both = smith_normal_form(mat, transforms="both")
+        rows = smith_normal_form(mat, transforms="rows")
+        cols = smith_normal_form(mat, transforms="cols")
         assert rows.diag == cols.diag == both.diag
         assert (rows.u, rows.uinv) == (both.u, both.uinv)
         assert (cols.v, cols.vinv) == (both.v, both.vinv)
         assert rows.v is rows.vinv is cols.u is cols.uinv is None
 
 
+def test_smith_without_transforms_tracks_none():
+    snf = smith_normal_form(sparse(2, 2, [[2, 0], [0, 3]]))
+    assert snf.diag == (1, 6)
+    assert snf.u is snf.uinv is snf.v is snf.vinv is None
+
+
 def test_smith_rejects_unknown_side():
     with pytest.raises(ValueError):
-        smith_normal_form(sparse(1, 1, [[1]]), with_transforms=True, side="left")
+        smith_normal_form(sparse(1, 1, [[1]]), transforms="left")
 
 
 def test_divisibility_chain_on_random_matrices():

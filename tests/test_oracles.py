@@ -9,6 +9,7 @@ from precrossed.algebra import (
     trivial_group,
     validate_augmented_rack,
 )
+from precrossed.errors import ResourceBound
 from precrossed.homology import chain_complex, homology
 from precrossed.oracles import (
     group_homology,
@@ -54,6 +55,13 @@ def test_trivial_rack_closed_form():
         for m in range(3):
             h = homology(comp, m)
             assert (h.betti, h.torsion) == (d**m, ())
+
+
+def test_rack_complex_honours_cap():
+    comp = rack_complex(trivial_rack(3), 3, cap=27)
+    assert [comp.dim(n) for n in range(4)] == [1, 3, 9, 27]
+    with pytest.raises(ResourceBound, match="degree 3 basis of size 27 exceeds matrix cap 26"):
+        rack_complex(trivial_rack(3), 3, cap=26)
 
 
 def test_transposition_rack_degree_two_columns():

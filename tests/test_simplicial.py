@@ -22,7 +22,6 @@ from precrossed.simplicial import (
     build_nerve,
     canonical_to_coskeleton,
     check_simplicial_identities,
-    enumerate_simplices,
     envelope_pi_map,
     is_degenerate,
 )
@@ -50,7 +49,7 @@ def transposition_rack():
 def nondegenerate_encodings(spec, k, length):
     return [
         spec.encode(s)
-        for s in enumerate_simplices(spec, k, length)
+        for s in spec.simplices(k, length)
         if not is_degenerate(spec, s)
     ]
 
@@ -65,7 +64,7 @@ def test_envelope_trivial_carrier_is_a_point():
     module = validate_precrossed(triv, z2, trivial_action(z2, 1), [0])
     spec = build_envelope(module, WordMode.GROUP_SYLLABLE)
     for k in range(1, 4):
-        sims = enumerate_simplices(spec, k, 3)
+        sims = spec.simplices(k, 3)
         assert len(sims) == 1 and is_degenerate(spec, sims[0])
 
 
@@ -94,7 +93,7 @@ def test_clauwens_empty_carrier_is_a_point():
     empty = validate_augmented_rack([], triv, [], [])
     spec = build_clauwens(empty)
     for k in range(4):
-        sims = enumerate_simplices(spec, k, 3)
+        sims = spec.simplices(k, 3)
         assert [spec.encode(s) for s in sims] == ["1"]
 
 
@@ -147,19 +146,19 @@ def test_is_degenerate_cases():
 
 def test_enumeration_counts():
     env = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
-    assert len(enumerate_simplices(env, 3, 2)) == 10  # 1 + 3 + 3*2
+    assert len(env.simplices(3, 2)) == 10  # 1 + 3 + 3*2
     nerve = build_nerve(cyclic_group(2))
-    tuples = enumerate_simplices(nerve, 2)
+    tuples = nerve.simplices(2)
     assert len(tuples) == 4
     assert sum(not is_degenerate(nerve, s) for s in tuples) == 1
     cosk = build_coskeleton(conjugation_module(cyclic_group(2)))
-    assert len(enumerate_simplices(cosk, 2)) == 4
+    assert len(cosk.simplices(2)) == 4
 
 
 def test_enumeration_resource_bound():
     spec = build_envelope(transposition_rack(), WordMode.FREE_LETTER)
     with pytest.raises(ResourceBound):
-        enumerate_simplices(spec, 3, 3, cap=100)
+        spec.simplices(3, 3, cap=100)
 
 
 def test_envelope_requires_matching_mode():
@@ -189,12 +188,12 @@ def test_nerve_bar_face_multiplies():
 def test_nerve_of_trivial_group_is_a_point():
     nerve = build_nerve(trivial_group())
     for k in range(4):
-        assert len(enumerate_simplices(nerve, k)) == 1
+        assert len(nerve.simplices(k)) == 1
 
 
 def test_coskeleton_degree_one_cosets():
     cosk = build_coskeleton(conjugation_module(cyclic_group(2)))
-    sims = enumerate_simplices(cosk, 1)
+    sims = cosk.simplices(1)
     assert len(sims) == 2  # |X x| G| / |G|
 
 
@@ -205,11 +204,11 @@ def test_coskeleton_trivial_carrier_collapses():
     module = validate_precrossed(triv, z2, trivial_action(z2, 1), [0])
     cosk = build_coskeleton(module)
     for k in range(4):
-        assert len(enumerate_simplices(cosk, k)) == 1
+        assert len(cosk.simplices(k)) == 1
     cmap = canonical_to_coskeleton(module)
     assert cmap.check_commutes(3, 3).passed
     for k in range(3):
-        assert len(enumerate_simplices(cmap.source, k, 3)) == 1
+        assert len(cmap.source.simplices(k, 3)) == 1
 
 
 def test_coskeleton_faces_renormalize_last_vertex():
@@ -254,7 +253,7 @@ def test_face_never_lengthens_and_degeneracy_preserves_length():
         (build_envelope(conjugation_module(symmetric_group(3)), WordMode.GROUP_SYLLABLE), 2),
     ):
         for k in range(1, 4):
-            for s in enumerate_simplices(spec, k, bound):
+            for s in spec.simplices(k, bound):
                 for i in range(k + 1):
                     assert spec.face(s, i).payload.length <= s.payload.length
                 for i in range(k + 1):
@@ -272,8 +271,8 @@ def test_independence_of_base_group():
             build_envelope(reduced, WordMode.GROUP_SYLLABLE),
         )
         for k in range(3):
-            left = enumerate_simplices(a, k, 2)
-            right = enumerate_simplices(b, k, 2)
+            left = a.simplices(k, 2)
+            right = b.simplices(k, 2)
             assert [a.encode(s) for s in left] == [b.encode(s) for s in right]
             for sa, sb in zip(left, right):
                 for i in range(k + 1):
@@ -309,7 +308,7 @@ def test_pi_map_commutes_for_rack():
 def test_word_spec_requires_length_bound():
     spec = build_clauwens(one_rack())
     with pytest.raises(ResourceBound):
-        enumerate_simplices(spec, 2)
+        spec.simplices(2)
 
 
 def test_coskeleton_with_multivalued_preimages():
@@ -321,7 +320,7 @@ def test_coskeleton_with_multivalued_preimages():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     module = validate_precrossed(z4, z2, trivial_action(z2, 4), [0, 1, 0, 1])
     cosk = build_coskeleton(module)
-    assert [len(enumerate_simplices(cosk, k)) for k in range(3)] == [1, 4, 32]
+    assert [len(cosk.simplices(k)) for k in range(3)] == [1, 4, 32]
     assert check_simplicial_identities(cosk, 3).passed
     comp = chain_complex(cosk, 2)
     assert [homology(comp, m).render() for m in range(3)] == ["Z", "Z/2", "0"]
