@@ -146,7 +146,12 @@ class _Parser:
             if kind == "group":
                 if "perms" in keys:
                     self._need("perms")
-                    obj = group_from_permutations(_rows(keys["perms"], "perms"))
+                    perms = _rows(keys["perms"], "perms")
+                    if not all(perms):
+                        raise ParseError(
+                            f"line {self.block_line}: group {name!r} has an empty permutation"
+                        )
+                    obj = group_from_permutations(perms)
                 else:
                     self._need("table")
                     obj = validate_group(_rows(keys["table"], "table"))

@@ -402,18 +402,17 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
                   cap: int | None = None) -> ChainComplex:
     """Normalized chain complex of a spec in degrees 0..m_max+1.
 
-    ``cap`` bounds both the simplices enumerated per degree and the basis of
-    each boundary matrix; None keeps SIMPLEX_CAP and MATRIX_CAP.
+    The basis in degree k is ``spec.nondegenerate(k, length_bound)``.
+    ``cap`` bounds both what that enumeration counts (nondegenerate words
+    and nerve tuples, every coskeleton family) and the basis of each
+    boundary matrix; None keeps SIMPLEX_CAP and MATRIX_CAP.
     """
-    from .simplicial import is_degenerate  # local import avoids a cycle
-
     matrix_cap = MATRIX_CAP if cap is None else cap
     bases: list[list[str]] = []
     simps: list[list] = []
     lookups: list[dict] = []
     for k in range(m_max + 2):
-        everything = spec.simplices(k, length_bound, cap=cap)
-        nondeg = [s for s in everything if not is_degenerate(spec, s)]
+        nondeg = spec.nondegenerate(k, length_bound, cap=cap)
         if len(nondeg) > matrix_cap:
             raise ResourceBound(
                 f"degree {k} basis of size {len(nondeg)} exceeds matrix cap {matrix_cap}"

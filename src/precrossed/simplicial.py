@@ -64,6 +64,16 @@ class SimplicialSpec:
     def simplices(self, k: int, length_bound: int | None = None, cap: int | None = None) -> list[Simplex]:
         raise NotImplementedError
 
+    def nondegenerate(self, k: int, length_bound: int | None = None,
+                      cap: int | None = None) -> list[Simplex]:
+        """The basis of the normalized chains in degree k, in ``simplices`` order.
+
+        The generic rule filters ``simplices`` through ``is_degenerate``, so
+        ``cap`` counts every simplex; builders with a direct description of
+        their nondegenerate simplices override it and count only those.
+        """
+        return [s for s in self.simplices(k, length_bound, cap) if not is_degenerate(self, s)]
+
     def face(self, simplex: Simplex, i: int) -> Simplex:
         raise NotImplementedError
 
@@ -110,33 +120,58 @@ class WordSpec(SimplicialSpec):
             return not (prev.base == nxt.base and prev.position == nxt.position and prev.sign == -nxt.sign)
         return True
 
-    def simplices(self, k, length_bound=None, cap=None):
+    def _words(self, k, length_bound, cap, nondegenerate):
+        """Normal-form words of length <= length_bound, sorted; ``cap`` is checked per word.
+
+        With ``nondegenerate`` only words meeting every position 0..k-1 are
+        kept (s_i leaves position i empty), and a prefix is dropped as soon as
+        it misses more positions than it has letters left to add.
+        """
         if length_bound is None:
             raise ResourceBound(f"{self.kind.value} enumeration needs a length bound")
         cap = SIMPLEX_CAP if cap is None else cap
+        what = "nondegenerate simplices" if nondegenerate else "simplices"
         alphabet = self._alphabet(k)
-        ident = self.ctx.group.identity
-        words: list[tuple[Letter, ...]] = [()]
-        frontier: list[tuple[Letter, ...]] = [()]
-        for _ in range(length_bound):
-            nxt = []
-            for w in frontier:
-                for lt in alphabet:
-                    if not w or self._may_follow(w[-1], lt):
-                        nxt.append(w + (lt,))
-            words.extend(nxt)
-            if len(words) > cap:
+        follow = {lt: [nl for nl in alphabet if self._may_follow(lt, nl)] for lt in alphabet}
+        full = (1 << k) - 1
+        found: list[tuple[Letter, ...]] = []
+
+        def keep(word):
+            found.append(word)
+            if len(found) > cap:
                 raise ResourceBound(
-                    f"{self.kind.value} degree {k} exceeds {cap} simplices at length {length_bound}"
+                    f"{self.kind.value} degree {k} exceeds {cap} {what} at length {length_bound}"
                 )
-            frontier = nxt
+
+        if not nondegenerate or k == 0:
+            keep(())
+        # (word, bit mask of the positions it meets); `left` letters may follow
+        frontier: list[tuple[tuple[Letter, ...], int]] = [((), 0)]
+        for left in range(length_bound - 1, -1, -1):
+            grown = []
+            for word, seen in frontier:
+                for lt in follow[word[-1]] if word else alphabet:
+                    now = seen | 1 << lt.position
+                    if nondegenerate and k - now.bit_count() > left:
+                        continue
+                    longer = word + (lt,)
+                    if not nondegenerate or now == full:
+                        keep(longer)
+                    if left:
+                        grown.append((longer, now))
+            frontier = grown
             if not frontier:
                 break
-        out = [
-            Simplex(k, EnvelopeWord(self.ctx.mode, k, w, ident)) for w in words
-        ]
+        ident = self.ctx.group.identity
+        out = [Simplex(k, EnvelopeWord(self.ctx.mode, k, w, ident)) for w in found]
         out.sort(key=self.sort_key)
         return out
+
+    def simplices(self, k, length_bound=None, cap=None):
+        return self._words(k, length_bound, cap, nondegenerate=False)
+
+    def nondegenerate(self, k, length_bound=None, cap=None):
+        return self._words(k, length_bound, cap, nondegenerate=True)
 
     def face(self, simplex, i):
         w = face_word(self.ctx, simplex.payload, i)
@@ -269,6 +304,17 @@ class NerveSpec(SimplicialSpec):
         if self.group.order**k > cap:
             raise ResourceBound(f"nerve degree {k} exceeds {cap} simplices")
         out = [Simplex(k, t) for t in itertools.product(range(self.group.order), repeat=k)]
+        out.sort(key=self.sort_key)
+        return out
+
+    def nondegenerate(self, k, length_bound=None, cap=None):
+        """Tuples with no identity entry: s_i inserts the identity at place i."""
+        cap = SIMPLEX_CAP if cap is None else cap
+        g = self.group
+        if (g.order - 1) ** k > cap:
+            raise ResourceBound(f"nerve degree {k} exceeds {cap} nondegenerate simplices")
+        others = [v for v in range(g.order) if v != g.identity]
+        out = [Simplex(k, t) for t in itertools.product(others, repeat=k)]
         out.sort(key=self.sort_key)
         return out
 

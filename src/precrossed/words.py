@@ -126,12 +126,17 @@ def _push(ctx: WordContext, out: list[Letter], lt: Letter) -> None:
 
 
 def reduce(ctx: WordContext, degree: int, letters: Iterable[Letter], tail: int | None = None) -> EnvelopeWord:
-    """Normal form of a letter sequence; idempotent."""
-    if tail is None:
-        tail = ctx.group.identity
-    out: list[Letter] = []
+    """Normal form of a letter sequence; idempotent.  Every letter is checked."""
+    letters = list(letters)
     for lt in letters:
         _check_letter(ctx, lt, degree)
+    return _reduce(ctx, degree, letters, ctx.group.identity if tail is None else tail)
+
+
+def _reduce(ctx: WordContext, degree: int, letters: Iterable[Letter], tail: int) -> EnvelopeWord:
+    """``reduce`` without the letter checks, for letters re-indexed from a checked word."""
+    out: list[Letter] = []
+    for lt in letters:
         _push(ctx, out, lt)
     return EnvelopeWord(ctx.mode, degree, tuple(out), tail)
 
@@ -167,6 +172,12 @@ def normalize_mixed(ctx: WordContext, degree: int, items, tail: int | None = Non
 
     ``items`` may mix Letter values and group element indices (plain ints).
     """
+    letters, g = _push_group_elements(ctx, items, tail)
+    return reduce(ctx, degree, letters, tail=g)
+
+
+def _push_group_elements(ctx: WordContext, items, tail: int | None) -> tuple[list[Letter], int]:
+    """Twist each letter by the group elements before it; return the letters and the tail."""
     g = ctx.group.identity
     letters: list[Letter] = []
     for item in items:
@@ -180,7 +191,7 @@ def normalize_mixed(ctx: WordContext, degree: int, items, tail: int | None = Non
             g = ctx.group.mul(g, item)
     if tail is not None:
         g = ctx.group.mul(g, tail)
-    return reduce(ctx, degree, letters, tail=g)
+    return letters, g
 
 
 def face_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:
@@ -206,7 +217,8 @@ def face_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:
             continue  # i = j = 0: the letter evaluates to the identity
         else:
             items.append(Letter(b, s, j - 1))
-    return normalize_mixed(ctx, k - 1, items, tail=word.tail)
+    letters, tail = _push_group_elements(ctx, items, word.tail)
+    return _reduce(ctx, k - 1, letters, tail)
 
 
 def degeneracy_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:
@@ -217,7 +229,7 @@ def degeneracy_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWor
     letters = [
         Letter(b, s, j + 1 if i <= j else j) for b, s, j in word.letters
     ]
-    return reduce(ctx, k + 1, letters, tail=word.tail)
+    return _reduce(ctx, k + 1, letters, word.tail)
 
 
 def strip_tail(ctx: WordContext, word: EnvelopeWord) -> EnvelopeWord:

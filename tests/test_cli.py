@@ -68,6 +68,22 @@ def test_non_integer_size_exits_one(capsys, tmp_path):
     assert captured.err == "error: size: expected an integer, got 'two'\n"
 
 
+@pytest.mark.parametrize("perms", ["", "/", "1,0 / "])
+def test_parse_rejects_an_empty_permutation(perms):
+    with pytest.raises(ParseError, match="group 'G' has an empty permutation"):
+        parse_text(f"group G\n  perms: {perms}\n")
+
+
+def test_empty_permutation_exits_one(capsys, tmp_path):
+    path = tmp_path / "reg.txt"
+    path.write_text("group G\n  perms: \n")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == "error: line 1: group 'G' has an empty permutation\n"
+
+
 def test_round_trip_preserves_tables(registry):
     text = render_registry(registry)
     reparsed = parse_text(text)
@@ -172,6 +188,19 @@ def test_resource_bound_exits_three(desk_path, capsys):
         capsys,
     )
     assert code == EXIT_RESOURCE
+
+
+def test_cap_counts_nondegenerate_words(desk_path, capsys):
+    # the degree-3 envelope of IDZ3 at L=3 has 48 nondegenerate words among
+    # 127 normal-form words; the cap counts only the former
+    argv = [
+        "homology", desk_path, "--object", "IDZ3", "--pipeline", "envelope",
+        "--max-degree", "2", "--max-length", "3",
+    ]
+    assert run(argv + ["--cap", "48"], capsys)[0] == 0
+    code = main(argv + ["--cap", "47"])
+    assert code == EXIT_RESOURCE
+    assert "envelope degree 3 exceeds 47 nondegenerate simplices" in capsys.readouterr().err
 
 
 def test_rack_complex_resource_bound_exits_three(desk_path, capsys):
@@ -400,6 +429,27 @@ m expected L=1 L=2 L=3 L=4
 2 2 0 2 2 2
 3 4 0 0 4 4
 compared: m=0@L=1, m=1@L=2, m=2@L=3, m=3@L=4
+verdict: AGREE
+""",
+    ),
+    "check-tri Z3": (
+        ["check-tri", "--object", "Z3", "--coeff", "F3", "--max-degree", "4",
+         "--lengths", "1,2,3,4,5"],
+        """\
+command: check-tri
+object: Z3
+coeff: F3
+max-degree: 4
+lengths: 1,2,3,4,5
+cap: 200000
+generators: degree 1 x1, degree 2 x1, degree 3 x1, degree 4 x1
+m expected L=1 L=2 L=3 L=4 L=5
+0 1 1 1 1 1 1
+1 1 2 1 1 1 1
+2 2 0 7 2 2 2
+3 4 0 0 27 4 4
+4 8 0 0 0 105 8
+compared: m=0@L=1, m=1@L=2, m=2@L=3, m=3@L=4, m=4@L=5
 verdict: AGREE
 """,
     ),

@@ -159,6 +159,49 @@ def test_enumeration_resource_bound():
     spec = build_envelope(transposition_rack(), WordMode.FREE_LETTER)
     with pytest.raises(ResourceBound):
         spec.simplices(3, 3, cap=100)
+    with pytest.raises(ResourceBound):
+        spec.nondegenerate(3, 3, cap=100)
+
+
+@pytest.mark.parametrize("method", ["simplices", "nondegenerate"])
+def test_enumeration_cap_is_exact(method):
+    # the cap is checked per word: the true count passes, one less raises
+    spec = build_envelope(transposition_rack(), WordMode.FREE_LETTER)
+    enumerate_ = getattr(spec, method)
+    for k, bound in ((1, 3), (2, 3), (3, 3)):
+        n = len(enumerate_(k, bound))
+        assert len(enumerate_(k, bound, cap=n)) == n
+        with pytest.raises(ResourceBound, match=f"degree {k} exceeds {n - 1} "):
+            enumerate_(k, bound, cap=n - 1)
+
+
+def test_nerve_cap_counts_nondegenerate_tuples():
+    nerve = build_nerve(symmetric_group(3))
+    assert len(nerve.nondegenerate(3, cap=125)) == 125
+    with pytest.raises(ResourceBound):
+        nerve.nondegenerate(3, cap=124)
+
+
+def desk_specs(registry):
+    """Every builder the bundled registry supports, with its length bound."""
+    specs = []
+    for name, module in registry.precrossed.items():
+        specs.append((f"{name} group envelope", build_envelope(module, WordMode.GROUP_SYLLABLE), 3))
+        specs.append((f"{name} coskeleton", build_coskeleton(module), None))
+    for name, rack in registry.augracks.items():
+        specs.append((f"{name} free envelope", build_envelope(rack, WordMode.FREE_LETTER), 3))
+        specs.append((f"{name} clauwens", build_clauwens(rack), 3))
+    for name, group in registry.groups.items():
+        specs.append((f"{name} nerve", build_nerve(group), None))
+    return specs
+
+
+def test_nondegenerate_matches_the_degeneracy_filter(registry):
+    for label, spec, top in desk_specs(registry):
+        for bound in [None] if top is None else range(top + 1):
+            for k in range(4):
+                want = [s for s in spec.simplices(k, bound) if not is_degenerate(spec, s)]
+                assert spec.nondegenerate(k, bound) == want, (label, k, bound)
 
 
 def test_envelope_requires_matching_mode():

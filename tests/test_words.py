@@ -12,7 +12,7 @@ from precrossed.algebra import (
     validate_augmented_rack,
     validate_precrossed,
 )
-from precrossed.errors import DegreeMismatch, ModeMismatch
+from precrossed.errors import DegreeMismatch, IndexOutOfRange, ModeMismatch
 from precrossed.words import (
     EnvelopeWord,
     Letter,
@@ -151,6 +151,18 @@ def test_multiply_rejects_mode_and_degree_mismatch():
     wf = reduce(free_ctx, 2, [Letter(0, 1, 0)])
     with pytest.raises(ModeMismatch):
         multiply(ctx, w1, wf)
+
+
+def test_reduce_checks_every_letter():
+    ctx = z2_trivial_ctx()
+    with pytest.raises(IndexOutOfRange, match="position 2 outside degree 2"):
+        reduce(ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 2)])
+    with pytest.raises(IndexOutOfRange, match="base 2 outside"):
+        reduce(ctx, 2, iter([Letter(2, 1, 0)]))
+    with pytest.raises(ModeMismatch, match="sign -1"):
+        reduce(ctx, 2, [Letter(1, -1, 1)])
+    with pytest.raises(IndexOutOfRange):
+        normalize_mixed(ctx, 1, [Letter(1, 1, 1)])
 
 
 def test_multiply_is_associative_exhaustively_small():
