@@ -362,6 +362,7 @@ class ChainComplex:
     simplices: list[list] | None = None
     spec: object | None = None
     _snf_cache: dict = field(default_factory=dict, repr=False)
+    _rank_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if len(self.boundaries) != len(self.bases):
@@ -385,6 +386,12 @@ class ChainComplex:
             self._snf_cache[k] = smith_normal_form(self.boundaries[k])
         return self._snf_cache[k]
 
+    def field_rank(self, k: int, p: int | None) -> int:
+        """Rank of d_k over GF(p), or over Q when p is None; kept apart from the Smith cache."""
+        if (k, p) not in self._rank_cache:
+            self._rank_cache[k, p] = gaussian_rank(self.boundaries[k], p)
+        return self._rank_cache[k, p]
+
 
 def _assert_composes_to_zero(a: SparseIntMatrix, b: SparseIntMatrix, k: int) -> None:
     acols = a.by_columns()
@@ -402,10 +409,12 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
                   cap: int | None = None) -> ChainComplex:
     """Normalized chain complex of a spec in degrees 0..m_max+1.
 
-    The basis in degree k is ``spec.nondegenerate(k, length_bound)``.
-    ``cap`` bounds both what that enumeration counts (nondegenerate words
-    and nerve tuples, every coskeleton family) and the basis of each
-    boundary matrix; None keeps SIMPLEX_CAP and MATRIX_CAP.
+    The basis in degree k is ``spec.nondegenerate(k, length_bound)``.  Each
+    face is looked up by ``spec.face_key`` among the ``spec.key`` values of
+    the basis below, so a builder need not build the face itself.  ``cap``
+    bounds both what that enumeration counts (nondegenerate words and nerve
+    tuples, every coskeleton family) and the basis of each boundary matrix;
+    None keeps SIMPLEX_CAP and MATRIX_CAP.
     """
     matrix_cap = MATRIX_CAP if cap is None else cap
     bases: list[list[str]] = []
@@ -419,14 +428,14 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
             )
         bases.append([spec.encode(s) for s in nondeg])
         simps.append(nondeg)
-        lookups.append({s.payload: i for i, s in enumerate(nondeg)})
+        lookups.append({spec.key(s): i for i, s in enumerate(nondeg)})
     boundaries = [SparseIntMatrix(0, len(bases[0]), {})]
     for k in range(1, m_max + 2):
         entries: dict[tuple[int, int], int] = {}
         lookup = lookups[k - 1]
         for c, s in enumerate(simps[k]):
             for i in range(k + 1):
-                r = lookup.get(spec.face(s, i).payload)
+                r = lookup.get(spec.face_key(s, i))
                 if r is None:
                     continue  # degenerate face contributes zero
                 key = (r, c)
@@ -448,9 +457,7 @@ def homology(comp: ChainComplex, m: int, coeff: str = "Z") -> HomologyGroup:
         below = comp.snf(m + 1)
         return HomologyGroup(m, coeff, dim - comp.snf(m).rank - below.rank, below.torsion)
     p = field_characteristic(coeff)
-    r1 = gaussian_rank(comp.boundaries[m], p)
-    r2 = gaussian_rank(comp.boundaries[m + 1], p)
-    return HomologyGroup(m, coeff, dim - r1 - r2, ())
+    return HomologyGroup(m, coeff, dim - comp.field_rank(m, p) - comp.field_rank(m + 1, p), ())
 
 
 @dataclass

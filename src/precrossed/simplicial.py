@@ -34,6 +34,7 @@ from .words import (
     context_from_rack,
     degeneracy_word,
     encode,
+    face_letters,
     face_word,
     reduce,
     sort_key,
@@ -76,6 +77,14 @@ class SimplicialSpec:
 
     def face(self, simplex: Simplex, i: int) -> Simplex:
         raise NotImplementedError
+
+    def key(self, simplex: Simplex):
+        """What identifies a simplex within its degree; chain assembly looks faces up by it."""
+        return simplex.payload
+
+    def face_key(self, simplex: Simplex, i: int):
+        """``key(face(simplex, i))``; builders may compute it without building the face."""
+        return self.key(self.face(simplex, i))
 
     def degeneracy(self, simplex: Simplex, i: int) -> Simplex:
         raise NotImplementedError
@@ -176,6 +185,14 @@ class WordSpec(SimplicialSpec):
     def face(self, simplex, i):
         w = face_word(self.ctx, simplex.payload, i)
         return Simplex(simplex.degree - 1, strip_tail(self.ctx, w))
+
+    def key(self, simplex):
+        return simplex.payload.letters
+
+    def face_key(self, simplex, i):
+        """The reduced letters of d_i, tail dropped, as plain ``(base, sign, position)`` tuples."""
+        w = simplex.payload
+        return face_letters(self.ctx, w.degree, w.letters, w.tail, i)[0]
 
     def degeneracy(self, simplex, i):
         w = degeneracy_word(self.ctx, simplex.payload, i)

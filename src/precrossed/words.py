@@ -11,10 +11,15 @@ a single group element (the tail).  Three modes share the machinery:
 
 The tail sits rightmost; pushing a group element g left-to-right past a
 letter twists the letter base, g * (x)_j = (x^(g^-1))_j * g.
+
+Faces, degeneracies and ``reduce`` share one routine on plain
+``(base, sign, position)`` tuples: re-index positions through a cached map,
+then reduce on a stack.  Only the top face d_k evaluates pi and twists.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -45,9 +50,6 @@ class EnvelopeWord:
     @property
     def length(self) -> int:
         return len(self.letters)
-
-    def is_pure(self, ctx: "WordContext") -> bool:
-        return self.tail == ctx.group.identity
 
 
 @dataclass(frozen=True)
@@ -104,25 +106,45 @@ def _check_letter(ctx: WordContext, lt: Letter, degree: int) -> None:
         raise ModeMismatch(f"sign {lt.sign} not allowed in mode {ctx.mode.name}")
 
 
-def _push(ctx: WordContext, out: list[Letter], lt: Letter) -> None:
+def _normal_form(ctx: WordContext, letters: Iterable[tuple[int, int, int]],
+                 move: tuple[int, ...]) -> tuple:
+    """Re-index letter positions through ``move`` (-1 drops a letter), then reduce.
+
+    Letters are ``(base, sign, position)`` tuples and come back as plain
+    tuples.  The reduction runs on a stack: group syllables at one position
+    merge through the X table and identities vanish, free letters cancel
+    against an adjacent exact inverse, monoid letters never reduce.
+    """
+    if ctx.mode is WordMode.MONOID_LETTER:
+        return tuple([(b, s, m) for b, s, j in letters if (m := move[j]) >= 0])
+    out: list = []
     if ctx.mode is WordMode.GROUP_SYLLABLE:
-        if lt.base == ctx.x_identity:
-            return
-        if out and out[-1].position == lt.position:
-            prev = out.pop()
-            merged = ctx.x_table[prev.base][lt.base]
-            # the new top has a different position, so one merge suffices
-            if merged != ctx.x_identity:
-                out.append(Letter(merged, 1, lt.position))
-            return
-        out.append(lt)
-    elif ctx.mode is WordMode.FREE_LETTER:
-        if out and out[-1] == Letter(lt.base, -lt.sign, lt.position):
-            out.pop()
-            return
-        out.append(lt)
+        table, e = ctx.x_table, ctx.x_identity
+        for b, s, j in letters:
+            j = move[j]
+            if j < 0 or b == e:
+                continue
+            if out and out[-1][2] == j:
+                # the new top has a different position, so one merge suffices
+                merged = table[out.pop()[0]][b]
+                if merged != e:
+                    out.append((merged, 1, j))
+            else:
+                out.append((b, s, j))
     else:
-        out.append(lt)
+        for b, s, j in letters:
+            j = move[j]
+            if j < 0:
+                continue
+            if out and out[-1] == (b, -s, j):
+                out.pop()
+            else:
+                out.append((b, s, j))
+    return tuple(out)
+
+
+def _as_letters(letters: tuple) -> tuple[Letter, ...]:
+    return tuple(map(Letter._make, letters))
 
 
 def reduce(ctx: WordContext, degree: int, letters: Iterable[Letter], tail: int | None = None) -> EnvelopeWord:
@@ -130,15 +152,9 @@ def reduce(ctx: WordContext, degree: int, letters: Iterable[Letter], tail: int |
     letters = list(letters)
     for lt in letters:
         _check_letter(ctx, lt, degree)
-    return _reduce(ctx, degree, letters, ctx.group.identity if tail is None else tail)
-
-
-def _reduce(ctx: WordContext, degree: int, letters: Iterable[Letter], tail: int) -> EnvelopeWord:
-    """``reduce`` without the letter checks, for letters re-indexed from a checked word."""
-    out: list[Letter] = []
-    for lt in letters:
-        _push(ctx, out, lt)
-    return EnvelopeWord(ctx.mode, degree, tuple(out), tail)
+    letters = _normal_form(ctx, letters, tuple(range(degree)))
+    return EnvelopeWord(ctx.mode, degree, _as_letters(letters),
+                        ctx.group.identity if tail is None else tail)
 
 
 def twist(ctx: WordContext, g: int, word: EnvelopeWord) -> EnvelopeWord:
@@ -170,55 +186,67 @@ def multiply(ctx: WordContext, w1: EnvelopeWord, w2: EnvelopeWord) -> EnvelopeWo
 def normalize_mixed(ctx: WordContext, degree: int, items, tail: int | None = None) -> EnvelopeWord:
     """Push every interleaved group element to the right, then reduce.
 
-    ``items`` may mix Letter values and group element indices (plain ints).
+    ``items`` may mix Letter values and group element indices (plain ints);
+    each letter is twisted by the group elements before it.
     """
-    letters, g = _push_group_elements(ctx, items, tail)
-    return reduce(ctx, degree, letters, tail=g)
-
-
-def _push_group_elements(ctx: WordContext, items, tail: int | None) -> tuple[list[Letter], int]:
-    """Twist each letter by the group elements before it; return the letters and the tail."""
     g = ctx.group.identity
     letters: list[Letter] = []
     for item in items:
         if isinstance(item, Letter):
-            if g == ctx.group.identity:
-                letters.append(item)
-            else:
-                ginv = ctx.group.inv(g)
-                letters.append(Letter(ctx.action[item.base][ginv], item.sign, item.position))
+            if g != ctx.group.identity:
+                item = Letter(ctx.action[item.base][ctx.group.inv(g)], item.sign, item.position)
+            letters.append(item)
         else:
             g = ctx.group.mul(g, item)
     if tail is not None:
         g = ctx.group.mul(g, tail)
-    return letters, g
+    return reduce(ctx, degree, letters, tail=g)
+
+
+@functools.cache
+def _face_map(k: int, i: int) -> tuple[int, ...]:
+    """Where d_i sends the positions 0..k-1 of degree k; -1 drops the letter.
+
+    d_k is the identity here: its top letters are evaluated before the map.
+    """
+    return tuple(j if j < i else j - 1 for j in range(k))
+
+
+def face_letters(ctx: WordContext, degree: int, letters: tuple, tail: int,
+                 i: int) -> tuple[tuple, int]:
+    """Face d_i of a word given as ``(base, sign, position)`` tuples and a tail.
+
+    Returns the reduced letters in degree-1 and the new tail.  A letter at
+    position j goes to: nothing when i = j = 0, the untouched letter when
+    i > j, position j-1 when i <= j and j > 0.  So a face d_i with i < k
+    only re-indexes positions, through a per-(k, i) map, and merges where
+    letters meet.  The top face d_k turns each letter at position k-1 into
+    the group element pi(base)^sign, carries it right into the tail, and
+    twists every later letter by it on the way.
+    """
+    k = degree
+    if k == 0 or not 0 <= i <= k:
+        raise IndexOutOfRange(f"face {i} undefined in degree {k}")
+    if i < k:
+        return _normal_form(ctx, letters, _face_map(k, i)), tail
+    group = ctx.group
+    mul, inv, e = group.table, group.inverse, group.identity
+    pi, action = ctx.pi, ctx.action
+    top = k - 1
+    g = e
+    kept = []
+    for b, s, j in letters:
+        if j == top:
+            g = mul[g][pi[b] if s > 0 else inv[pi[b]]]
+        else:
+            kept.append((action[b][inv[g]], s, j))
+    return _normal_form(ctx, kept, _face_map(k, k)), mul[g][tail]
 
 
 def face_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:
-    """Letterwise face operator on a full word (tail kept).
-
-    A letter at position j in degree k goes to: nothing when i = j = 0, the
-    untouched letter when i > j, position j-1 when i <= j and j > 0, and the
-    group element pi(base)^sign when j = k-1 and i = k.  Group elements are
-    then pushed into the tail.
-    """
-    k = word.degree
-    if k == 0 or not 0 <= i <= k:
-        raise IndexOutOfRange(f"face {i} undefined in degree {k}")
-    items: list = []
-    for lt in word.letters:
-        b, s, j = lt
-        if j == k - 1 and i == k:
-            g = ctx.pi[b]
-            items.append(g if s > 0 else ctx.group.inv(g))
-        elif i > j:
-            items.append(lt)
-        elif j == 0:
-            continue  # i = j = 0: the letter evaluates to the identity
-        else:
-            items.append(Letter(b, s, j - 1))
-    letters, tail = _push_group_elements(ctx, items, word.tail)
-    return _reduce(ctx, k - 1, letters, tail)
+    """Face operator on a full word (tail kept), through ``face_letters``."""
+    letters, tail = face_letters(ctx, word.degree, word.letters, word.tail, i)
+    return EnvelopeWord(ctx.mode, word.degree - 1, _as_letters(letters), tail)
 
 
 def degeneracy_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:
@@ -226,10 +254,8 @@ def degeneracy_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWor
     k = word.degree
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
-    letters = [
-        Letter(b, s, j + 1 if i <= j else j) for b, s, j in word.letters
-    ]
-    return _reduce(ctx, k + 1, letters, word.tail)
+    letters = _normal_form(ctx, word.letters, tuple(j if j < i else j + 1 for j in range(k)))
+    return EnvelopeWord(ctx.mode, k + 1, _as_letters(letters), word.tail)
 
 
 def strip_tail(ctx: WordContext, word: EnvelopeWord) -> EnvelopeWord:

@@ -1,0 +1,83 @@
+"""Reference letterwise face operator on envelope words.
+
+Deliberately separate from the package implementation: it rebuilds every
+face the slow way, by evaluating each letter to a letter or a group element,
+pushing the group elements right one at a time, and reducing letter by
+letter with ``Letter`` values.  It shares no code with ``words``, so
+agreement with the table-driven face routine is meaningful.
+"""
+
+from precrossed.homology import SparseIntMatrix
+from precrossed.words import EnvelopeWord, Letter, WordMode
+
+
+def _push(ctx, out, lt):
+    if ctx.mode is WordMode.GROUP_SYLLABLE:
+        if lt.base == ctx.x_identity:
+            return
+        if out and out[-1].position == lt.position:
+            prev = out.pop()
+            merged = ctx.x_table[prev.base][lt.base]
+            if merged != ctx.x_identity:
+                out.append(Letter(merged, 1, lt.position))
+            return
+        out.append(lt)
+    elif ctx.mode is WordMode.FREE_LETTER:
+        if out and out[-1] == Letter(lt.base, -lt.sign, lt.position):
+            out.pop()
+            return
+        out.append(lt)
+    else:
+        out.append(lt)
+
+
+def reference_face(ctx, word, i):
+    """d_i of a full word, tail kept.
+
+    A letter at position j in degree k goes to: nothing when i = j = 0, the
+    untouched letter when i > j, position j-1 when i <= j and j > 0, and the
+    group element pi(base)^sign when j = k-1 and i = k.  Each letter is then
+    twisted by the group elements before it, which end in the tail.
+    """
+    k = word.degree
+    assert k >= 1 and 0 <= i <= k
+    group = ctx.group
+    items = []
+    for b, s, j in word.letters:
+        if j == k - 1 and i == k:
+            g = ctx.pi[b]
+            items.append(g if s > 0 else group.inv(g))
+        elif i > j:
+            items.append(Letter(b, s, j))
+        elif j == 0:
+            continue
+        else:
+            items.append(Letter(b, s, j - 1))
+    g = group.identity
+    out = []
+    for item in items:
+        if isinstance(item, Letter):
+            base = ctx.action[item.base][group.inv(g)]
+            _push(ctx, out, Letter(base, item.sign, item.position))
+        else:
+            g = group.mul(g, item)
+    return EnvelopeWord(ctx.mode, k - 1, tuple(out), group.mul(g, word.tail))
+
+
+def reference_boundaries(spec, m_max, length_bound):
+    """Boundary matrices d_1..d_(m_max+1) on the ``nondegenerate`` bases, faces through
+    ``reference_face`` with the tail forgotten."""
+    ctx = spec.ctx
+    bases = [[s.payload for s in spec.nondegenerate(k, length_bound)] for k in range(m_max + 2)]
+    out = []
+    for k in range(1, m_max + 2):
+        index = {w.letters: r for r, w in enumerate(bases[k - 1])}
+        entries = {}
+        for c, w in enumerate(bases[k]):
+            for i in range(k + 1):
+                r = index.get(reference_face(ctx, w, i).letters)
+                if r is not None:
+                    entries[r, c] = entries.get((r, c), 0) + (-1) ** i
+        out.append(SparseIntMatrix(len(bases[k - 1]), len(bases[k]),
+                                   {key: v for key, v in entries.items() if v}))
+    return out

@@ -1,0 +1,130 @@
+"""The table-driven word face against the letterwise reference, and chain assembly on it."""
+
+import importlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from face_oracle import reference_boundaries, reference_face
+from precrossed.homology import chain_complex, gaussian_rank, homology
+from precrossed.simplicial import build_clauwens, build_envelope
+from precrossed.words import (
+    EnvelopeWord,
+    Letter,
+    WordMode,
+    face_letters,
+    face_word,
+    reduce,
+)
+
+
+def word_specs(registry):
+    """Every word spec the bundled registry supports."""
+    specs = []
+    for name, module in registry.precrossed.items():
+        specs.append((f"{name} group envelope", build_envelope(module, WordMode.GROUP_SYLLABLE)))
+    for name, rack in registry.augracks.items():
+        specs.append((f"{name} free envelope", build_envelope(rack, WordMode.FREE_LETTER)))
+        specs.append((f"{name} clauwens", build_clauwens(rack)))
+    return specs
+
+
+def test_face_matches_the_reference_on_desk_words(registry):
+    for label, spec in word_specs(registry):
+        ctx = spec.ctx
+        tails = sorted({ctx.group.identity, ctx.group.order - 1})  # and one other, if any
+        for bound in range(4):
+            for k in range(1, 4):
+                for s in spec.simplices(k, bound):
+                    for tail in tails:
+                        w = EnvelopeWord(ctx.mode, k, s.payload.letters, tail)
+                        for i in range(k + 1):
+                            want = reference_face(ctx, w, i)
+                            assert face_word(ctx, w, i) == want, (label, w, i)
+                            assert face_letters(ctx, k, w.letters, tail, i) == (
+                                want.letters, want.tail)
+                    for i in range(k + 1):
+                        assert spec.face_key(s, i) == spec.key(spec.face(s, i))
+
+
+def test_face_word_returns_letters(registry):
+    spec = build_envelope(registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE)
+    for s in spec.simplices(2, 2):
+        for i in range(3):
+            assert all(type(lt) is Letter for lt in face_word(spec.ctx, s.payload, i).letters)
+
+
+def test_boundaries_match_the_reference_assembly(registry):
+    for label, spec in word_specs(registry):
+        for bound in range(4):
+            comp = chain_complex(spec, 2, bound)
+            assert comp.boundaries[1:] == reference_boundaries(spec, 2, bound), (label, bound)
+
+
+def test_field_ranks_are_computed_once_per_boundary(registry, monkeypatch):
+    spec = build_envelope(registry.augracks["TRANS"], WordMode.FREE_LETTER)
+    top = 2
+    comp = chain_complex(spec, top, 3)
+    want = {
+        p: [comp.dim(m) - gaussian_rank(comp.boundaries[m], p)
+            - gaussian_rank(comp.boundaries[m + 1], p) for m in range(top + 1)]
+        for p in (None, 2, 3)
+    }
+    calls = []
+
+    def counting(mat, p=None):
+        calls.append((id(mat), p))
+        return gaussian_rank(mat, p)
+
+    # the package re-exports a function named homology, so take the module itself
+    monkeypatch.setattr(importlib.import_module("precrossed.homology"), "gaussian_rank", counting)
+    for coeff, p in (("Q", None), ("F2", 2), ("F3", 3)):
+        for _ in range(2):
+            assert [homology(comp, m, coeff).betti for m in range(top + 1)] == want[p]
+    assert sorted(calls, key=str) == sorted(
+        ((id(mat), p) for p in (None, 2, 3) for mat in comp.boundaries), key=str)
+    assert want[None] == [1, 1, 1]
+
+
+# -- generated words ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def contexts(registry):
+    trans = registry.augracks["TRANS"]
+    return {
+        "IDS3 group syllables": build_envelope(
+            registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE).ctx,
+        "TRANS free letters": build_envelope(trans, WordMode.FREE_LETTER).ctx,
+        "TRANS Clauwens letters": build_clauwens(trans).ctx,
+    }
+
+
+@st.composite
+def words(draw, ctx):
+    """A reduced word of degree 1..4 with any tail, from up to 7 raw letters."""
+    k = draw(st.integers(1, 4))
+    signs = (1, -1) if ctx.mode is WordMode.FREE_LETTER else (1,)
+    raw = draw(st.lists(
+        st.builds(Letter, st.integers(0, ctx.alphabet_size - 1), st.sampled_from(signs),
+                  st.integers(0, k - 1)),
+        max_size=7))
+    return reduce(ctx, k, raw, tail=draw(st.integers(0, ctx.group.order - 1)))
+
+
+@pytest.mark.parametrize("name", ["IDS3 group syllables", "TRANS free letters",
+                                  "TRANS Clauwens letters"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_generated_faces(contexts, name, data):
+    ctx = contexts[name]
+    w = data.draw(words(ctx))
+    k = w.degree
+    for i in range(k + 1):
+        assert face_word(ctx, w, i) == reference_face(ctx, w, i), (w, i)
+    if k >= 2:
+        for j in range(1, k + 1):
+            for i in range(j):
+                left = face_word(ctx, face_word(ctx, w, j), i)
+                assert left == face_word(ctx, face_word(ctx, w, i), j - 1), (w, i, j)
