@@ -44,7 +44,6 @@ from .homology import (
 from .oracles import group_homology, rack_complex, rack_homology, tensor_algebra_dims
 from .simplicial import (
     SimplicialMap,
-    Simplex,
     SpecKind,
     build_clauwens,
     build_coskeleton,
@@ -52,7 +51,6 @@ from .simplicial import (
     build_nerve,
     canonical_to_coskeleton,
     check_simplicial_identities,
-    envelope_pi_map,
     is_degenerate,
 )
 from .words import (

@@ -367,11 +367,8 @@ def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths
         obj, base, trivial_action(base, obj.order), [base.identity] * obj.order
     )
     spec = build_envelope(module, WordMode.GROUP_SYLLABLE)
-    generators = []
-    for m in range(1, max_degree + 1):
-        betti = group_homology(obj, m, coeff).betti
-        if betti:
-            generators.append((m, betti))
+    generators = [(m, h.betti) for m, h in enumerate(group_homology(obj, max_degree, coeff))
+                  if m and h.betti]
     expected = [tensor_algebra_dims(generators, m) for m in range(max_degree + 1)]
     table: dict[int, list[int]] = {}
     for length in lengths:

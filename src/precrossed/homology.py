@@ -355,11 +355,10 @@ class HomologyGroup:
 
 @dataclass
 class ChainComplex:
-    """Normalized chains: one ordered label basis per degree plus boundary matrices."""
+    """Normalized chains: one ordered basis of simplices per degree plus boundary matrices."""
 
-    bases: list[list[str]]
+    bases: list[list]
     boundaries: list[SparseIntMatrix]
-    simplices: list[list] | None = None
     spec: object | None = None
     _snf_cache: dict = field(default_factory=dict, repr=False)
     _rank_cache: dict = field(default_factory=dict, repr=False)
@@ -409,16 +408,14 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
                   cap: int | None = None) -> ChainComplex:
     """Normalized chain complex of a spec in degrees 0..m_max+1.
 
-    The basis in degree k is ``spec.nondegenerate(k, length_bound)``.  Each
-    face is looked up by ``spec.face_key`` among the ``spec.key`` values of
-    the basis below, so a builder need not build the face itself.  ``cap``
+    The basis in degree k is ``spec.nondegenerate(k, length_bound)``, and each
+    face ``spec.face(k, s, i)`` is looked up among the basis below.  ``cap``
     bounds both what that enumeration counts (nondegenerate words and nerve
     tuples, every coskeleton family) and the basis of each boundary matrix;
     None keeps SIMPLEX_CAP and MATRIX_CAP.
     """
     matrix_cap = MATRIX_CAP if cap is None else cap
-    bases: list[list[str]] = []
-    simps: list[list] = []
+    bases: list[list] = []
     lookups: list[dict] = []
     for k in range(m_max + 2):
         nondeg = spec.nondegenerate(k, length_bound, cap=cap)
@@ -426,16 +423,15 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
             raise ResourceBound(
                 f"degree {k} basis of size {len(nondeg)} exceeds matrix cap {matrix_cap}"
             )
-        bases.append([spec.encode(s) for s in nondeg])
-        simps.append(nondeg)
-        lookups.append({spec.key(s): i for i, s in enumerate(nondeg)})
+        bases.append(nondeg)
+        lookups.append({s: i for i, s in enumerate(nondeg)})
     boundaries = [SparseIntMatrix(0, len(bases[0]), {})]
     for k in range(1, m_max + 2):
         entries: dict[tuple[int, int], int] = {}
         lookup = lookups[k - 1]
-        for c, s in enumerate(simps[k]):
+        for c, s in enumerate(bases[k]):
             for i in range(k + 1):
-                r = lookup.get(spec.face_key(s, i))
+                r = lookup.get(spec.face(k, s, i))
                 if r is None:
                     continue  # degenerate face contributes zero
                 key = (r, c)
@@ -445,7 +441,7 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
                 elif key in entries:
                     del entries[key]
         boundaries.append(SparseIntMatrix(len(bases[k - 1]), len(bases[k]), entries))
-    return ChainComplex(bases, boundaries, simps, spec)
+    return ChainComplex(bases, boundaries, spec)
 
 
 def homology(comp: ChainComplex, m: int, coeff: str = "Z") -> HomologyGroup:
@@ -584,27 +580,26 @@ def _det(matrix: list[list[int]]) -> int:
 
 def induced_map(f, c_src: ChainComplex, c_tgt: ChainComplex, m: int) -> InducedMap:
     """Matrix of the induced map on H_m; verifies the rule commutes with faces first."""
-    if c_src.simplices is None or c_tgt.simplices is None or c_src.spec is None:
+    if c_src.spec is None or c_tgt.spec is None:
         raise NotChainMap("induced maps need spec-built complexes")
     for k in range(1, min(m + 1, c_src.max_degree) + 1):
-        for s in c_src.simplices[k]:
-            fs = f.apply(s)
+        for s in c_src.bases[k]:
+            fs = f.apply(k, s)
             for i in range(k + 1):
-                if f.apply(c_src.spec.face(s, i)) != c_tgt.spec.face(fs, i):
+                if f.apply(k - 1, c_src.spec.face(k, s, i)) != c_tgt.spec.face(k, fs, i):
                     raise NotChainMap(
                         f"rule fails d_{i} at degree-{k} simplex {c_src.spec.encode(s)}"
                     )
     b_src = homology_generators(c_src, m)
     b_tgt = homology_generators(c_tgt, m)
-    tgt_index = {s.payload: i for i, s in enumerate(c_tgt.simplices[m])}
+    tgt_index = {s: i for i, s in enumerate(c_tgt.bases[m])}
     columns = []
     for chain in b_src.chains:
         pushed = [0] * c_tgt.dim(m)
         for idx, coeff in enumerate(chain):
             if not coeff:
                 continue
-            image = f.apply(c_src.simplices[m][idx])
-            ti = tgt_index.get(image.payload)
+            ti = tgt_index.get(f.apply(m, c_src.bases[m][idx]))
             if ti is not None:
                 pushed[ti] += coeff
         columns.append(classify_cycle(b_tgt, pushed))

@@ -38,21 +38,16 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
     act = rack.action.act
     pi = rack.pi
     cap = MATRIX_CAP if cap is None else cap
-    bases: list[list[str]] = []
-    simplices: list[list[tuple[int, ...]]] = []
+    bases: list[list[tuple[int, ...]]] = []
     for n in range(n_max + 1):
         if size**n > cap:
             raise ResourceBound(
                 f"rackcomplex degree {n} basis of size {size**n} exceeds matrix cap {cap}"
             )
-        tuples = list(itertools.product(range(size), repeat=n))
-        simplices.append(tuples)
-        bases.append(
-            ["(" + ",".join(rack.carrier[x] for x in t) + ")" for t in tuples]
-        )
+        bases.append(list(itertools.product(range(size), repeat=n)))
     boundaries = [SparseIntMatrix(0, len(bases[0]), {})]
     for n in range(1, n_max + 1):
-        index = {t: i for i, t in enumerate(simplices[n - 1])}
+        index = {t: i for i, t in enumerate(bases[n - 1])}
         entries: dict[tuple[int, int], int] = {}
 
         def add(key, val):
@@ -62,7 +57,7 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
             elif key in entries:
                 del entries[key]
 
-        for c, t in enumerate(simplices[n]):
+        for c, t in enumerate(bases[n]):
             for i in range(1, n + 1):
                 sign = 1 if i % 2 == 0 else -1
                 deleted = t[: i - 1] + t[i:]
@@ -97,7 +92,7 @@ def tensor_algebra_dims(generator_dims: list[tuple[int, int]], m: int) -> int:
     return ways[m]
 
 
-def group_homology(group: FiniteGroup, m: int, coeff: str = "Z") -> HomologyGroup:
-    """Homology of the group through the normalized bar complex of its nerve."""
-    comp = chain_complex(build_nerve(group), m)
-    return homology(comp, m, coeff)
+def group_homology(group: FiniteGroup, m_max: int, coeff: str = "Z") -> list[HomologyGroup]:
+    """H_0..H_m_max of the group, from one normalized bar complex of its nerve."""
+    comp = chain_complex(build_nerve(group), m_max)
+    return [homology(comp, m, coeff) for m in range(m_max + 1)]

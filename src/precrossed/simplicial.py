@@ -10,10 +10,12 @@ Four builders share one interface:
   pre-crossed module, coset-normalized so the last vertex is the identity.
 * NERVE      -- the bar model of a finite group.
 
-Faces act letterwise on words; a letter at the top position maps to a group
-element, which is pushed into the tail, and the quotient by the right group
-action simply forgets the tail.  Degree-k truncation by total letter count
-is closed under faces, so every length bound yields a simplicial subset.
+A simplex is the builder's own hashable value -- a letter tuple, a
+``CoskeletonFamily`` or a group tuple -- and its degree k is passed next to
+it.  Faces act letterwise on words; a letter at the top position maps to a
+group element, which is pushed into the tail, and the quotient by the right
+group action simply forgets the tail.  Degree-k truncation by total letter
+count is closed under faces, so every length bound yields a simplicial subset.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule, conjugation_module
+from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from .words import (
     EnvelopeWord,
@@ -32,13 +34,10 @@ from .words import (
     WordMode,
     context_from_precrossed,
     context_from_rack,
-    degeneracy_word,
-    encode,
+    degeneracy_letters,
     face_letters,
     face_word,
-    reduce,
-    sort_key,
-    strip_tail,
+    letter_text,
 )
 
 SIMPLEX_CAP = 200_000
@@ -51,48 +50,37 @@ class SpecKind(Enum):
     NERVE = "nerve"
 
 
-@dataclass(frozen=True)
-class Simplex:
-    degree: int
-    payload: object
-
-
 class SimplicialSpec:
-    """Common contract: enumerate simplices per degree, plus face/degeneracy."""
+    """Common contract: enumerate simplices per degree, plus face/degeneracy.
+
+    A simplex is any hashable value; every operation takes its degree k too.
+    """
 
     kind: SpecKind
 
-    def simplices(self, k: int, length_bound: int | None = None, cap: int | None = None) -> list[Simplex]:
+    def simplices(self, k: int, length_bound: int | None = None, cap: int | None = None) -> list:
         raise NotImplementedError
 
     def nondegenerate(self, k: int, length_bound: int | None = None,
-                      cap: int | None = None) -> list[Simplex]:
+                      cap: int | None = None) -> list:
         """The basis of the normalized chains in degree k, in ``simplices`` order.
 
         The generic rule filters ``simplices`` through ``is_degenerate``, so
         ``cap`` counts every simplex; builders with a direct description of
         their nondegenerate simplices override it and count only those.
         """
-        return [s for s in self.simplices(k, length_bound, cap) if not is_degenerate(self, s)]
+        return [s for s in self.simplices(k, length_bound, cap) if not is_degenerate(self, k, s)]
 
-    def face(self, simplex: Simplex, i: int) -> Simplex:
+    def face(self, k: int, simplex, i: int):
         raise NotImplementedError
 
-    def key(self, simplex: Simplex):
-        """What identifies a simplex within its degree; chain assembly looks faces up by it."""
-        return simplex.payload
-
-    def face_key(self, simplex: Simplex, i: int):
-        """``key(face(simplex, i))``; builders may compute it without building the face."""
-        return self.key(self.face(simplex, i))
-
-    def degeneracy(self, simplex: Simplex, i: int) -> Simplex:
+    def degeneracy(self, k: int, simplex, i: int):
         raise NotImplementedError
 
-    def encode(self, simplex: Simplex) -> str:
+    def encode(self, simplex) -> str:
         raise NotImplementedError
 
-    def sort_key(self, simplex: Simplex):
+    def sort_key(self, simplex):
         return self.encode(simplex)
 
     def describe(self) -> str:
@@ -100,12 +88,11 @@ class SimplicialSpec:
 
 
 class WordSpec(SimplicialSpec):
-    """Envelope and Clauwens quotients: simplices are pure normal-form words."""
+    """Envelope and Clauwens quotients: a simplex is the letter tuple of a tail-free normal form."""
 
-    def __init__(self, kind: SpecKind, ctx: WordContext, source):
+    def __init__(self, kind: SpecKind, ctx: WordContext):
         self.kind = kind
         self.ctx = ctx
-        self.source = source
 
     def _alphabet(self, k: int) -> list[Letter]:
         ctx = self.ctx
@@ -171,10 +158,8 @@ class WordSpec(SimplicialSpec):
             frontier = grown
             if not frontier:
                 break
-        ident = self.ctx.group.identity
-        out = [Simplex(k, EnvelopeWord(self.ctx.mode, k, w, ident)) for w in found]
-        out.sort(key=self.sort_key)
-        return out
+        found.sort(key=self.sort_key)
+        return found
 
     def simplices(self, k, length_bound=None, cap=None):
         return self._words(k, length_bound, cap, nondegenerate=False)
@@ -182,27 +167,18 @@ class WordSpec(SimplicialSpec):
     def nondegenerate(self, k, length_bound=None, cap=None):
         return self._words(k, length_bound, cap, nondegenerate=True)
 
-    def face(self, simplex, i):
-        w = face_word(self.ctx, simplex.payload, i)
-        return Simplex(simplex.degree - 1, strip_tail(self.ctx, w))
-
-    def key(self, simplex):
-        return simplex.payload.letters
-
-    def face_key(self, simplex, i):
+    def face(self, k, simplex, i):
         """The reduced letters of d_i, tail dropped, as plain ``(base, sign, position)`` tuples."""
-        w = simplex.payload
-        return face_letters(self.ctx, w.degree, w.letters, w.tail, i)[0]
+        return face_letters(self.ctx, k, simplex, self.ctx.group.identity, i)[0]
 
-    def degeneracy(self, simplex, i):
-        w = degeneracy_word(self.ctx, simplex.payload, i)
-        return Simplex(simplex.degree + 1, strip_tail(self.ctx, w))
+    def degeneracy(self, k, simplex, i):
+        return degeneracy_letters(self.ctx, k, simplex, i)
 
     def encode(self, simplex):
-        return encode(self.ctx, simplex.payload)
+        return letter_text(self.ctx, simplex)
 
     def sort_key(self, simplex):
-        return sort_key(self.ctx, simplex.payload)
+        return (len(simplex), letter_text(self.ctx, simplex))
 
     def describe(self):
         return f"{self.kind.value}[{self.ctx.mode.value}]"
@@ -255,17 +231,15 @@ class CoskeletonSpec(SimplicialSpec):
             if not ok:
                 continue
             for edges in itertools.product(*choices):
-                out.append(Simplex(k, CoskeletonFamily(vertices, edges)))
+                out.append(CoskeletonFamily(vertices, edges))
                 if len(out) > cap:
                     raise ResourceBound(f"coskeleton degree {k} exceeds {cap} simplices")
         out.sort(key=self.sort_key)
         return out
 
-    def face(self, simplex, i):
-        k = simplex.degree
+    def face(self, k, fam, i):
         if k == 0 or not 0 <= i <= k:
             raise IndexOutOfRange(f"face {i} undefined in degree {k}")
-        fam = simplex.payload
         g = self.module.group
         old_index = {p: n for n, p in enumerate(_pairs(k))}
 
@@ -277,13 +251,11 @@ class CoskeletonSpec(SimplicialSpec):
         if i == k and vertices[-1] != g.identity:
             tinv = g.inv(vertices[-1])
             vertices = tuple(g.mul(v, tinv) for v in vertices)
-        return Simplex(k - 1, CoskeletonFamily(vertices, edges))
+        return CoskeletonFamily(vertices, edges)
 
-    def degeneracy(self, simplex, i):
-        k = simplex.degree
+    def degeneracy(self, k, fam, i):
         if not 0 <= i <= k:
             raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
-        fam = simplex.payload
         old_index = {p: n for n, p in enumerate(_pairs(k))}
         vertices = fam.vertices[: i + 1] + fam.vertices[i:]
 
@@ -297,10 +269,9 @@ class CoskeletonSpec(SimplicialSpec):
                 edges.append(self.module.x_group.identity)
             else:
                 edges.append(fam.edges[old_index[(sa, sb)]])
-        return Simplex(k + 1, CoskeletonFamily(vertices, tuple(edges)))
+        return CoskeletonFamily(vertices, tuple(edges))
 
-    def encode(self, simplex):
-        fam = simplex.payload
+    def encode(self, fam):
         g = self.module.group
         x = self.module.x_group
         verts = ",".join(g.label(v) for v in fam.vertices)
@@ -320,7 +291,7 @@ class NerveSpec(SimplicialSpec):
         cap = SIMPLEX_CAP if cap is None else cap
         if self.group.order**k > cap:
             raise ResourceBound(f"nerve degree {k} exceeds {cap} simplices")
-        out = [Simplex(k, t) for t in itertools.product(range(self.group.order), repeat=k)]
+        out = list(itertools.product(range(self.group.order), repeat=k))
         out.sort(key=self.sort_key)
         return out
 
@@ -331,32 +302,26 @@ class NerveSpec(SimplicialSpec):
         if (g.order - 1) ** k > cap:
             raise ResourceBound(f"nerve degree {k} exceeds {cap} nondegenerate simplices")
         others = [v for v in range(g.order) if v != g.identity]
-        out = [Simplex(k, t) for t in itertools.product(others, repeat=k)]
+        out = list(itertools.product(others, repeat=k))
         out.sort(key=self.sort_key)
         return out
 
-    def face(self, simplex, i):
-        k = simplex.degree
+    def face(self, k, t, i):
         if k == 0 or not 0 <= i <= k:
             raise IndexOutOfRange(f"face {i} undefined in degree {k}")
-        t = simplex.payload
         if i == 0:
-            new = t[1:]
-        elif i == k:
-            new = t[:-1]
-        else:
-            new = t[: i - 1] + (self.group.mul(t[i - 1], t[i]),) + t[i + 1 :]
-        return Simplex(k - 1, new)
+            return t[1:]
+        if i == k:
+            return t[:-1]
+        return t[: i - 1] + (self.group.mul(t[i - 1], t[i]),) + t[i + 1 :]
 
-    def degeneracy(self, simplex, i):
-        k = simplex.degree
+    def degeneracy(self, k, t, i):
         if not 0 <= i <= k:
             raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
-        t = simplex.payload
-        return Simplex(k + 1, t[:i] + (self.group.identity,) + t[i:])
+        return t[:i] + (self.group.identity,) + t[i:]
 
-    def encode(self, simplex):
-        return "(" + ",".join(self.group.label(v) for v in simplex.payload) + ")"
+    def encode(self, t):
+        return "(" + ",".join(self.group.label(v) for v in t) + ")"
 
 
 def build_envelope(obj, mode: WordMode) -> WordSpec:
@@ -364,12 +329,12 @@ def build_envelope(obj, mode: WordMode) -> WordSpec:
     if mode is WordMode.GROUP_SYLLABLE:
         if not isinstance(obj, PreCrossedModule):
             raise ModeMismatch("GROUP_SYLLABLE envelope requires a pre-crossed module")
-        return WordSpec(SpecKind.ENVELOPE, context_from_precrossed(obj), obj)
+        return WordSpec(SpecKind.ENVELOPE, context_from_precrossed(obj))
     if mode is WordMode.FREE_LETTER:
         rack = obj.as_augmented_rack() if isinstance(obj, PreCrossedModule) else obj
         if not isinstance(rack, AugmentedRack):
             raise ModeMismatch("FREE_LETTER envelope requires an augmented rack")
-        return WordSpec(SpecKind.ENVELOPE, context_from_rack(rack, mode), rack)
+        return WordSpec(SpecKind.ENVELOPE, context_from_rack(rack, mode))
     raise ModeMismatch("monoid words belong to the Clauwens builder")
 
 
@@ -378,7 +343,7 @@ def build_clauwens(obj) -> WordSpec:
     rack = obj.as_augmented_rack() if isinstance(obj, PreCrossedModule) else obj
     if not isinstance(rack, AugmentedRack):
         raise ModeMismatch("the Clauwens builder requires an augmented rack")
-    return WordSpec(SpecKind.CLAUWENS, context_from_rack(rack, WordMode.MONOID_LETTER), rack)
+    return WordSpec(SpecKind.CLAUWENS, context_from_rack(rack, WordMode.MONOID_LETTER))
 
 
 def build_coskeleton(module: PreCrossedModule) -> CoskeletonSpec:
@@ -389,12 +354,10 @@ def build_nerve(group: FiniteGroup) -> NerveSpec:
     return NerveSpec(group)
 
 
-def is_degenerate(spec: SimplicialSpec, simplex: Simplex) -> bool:
-    """True iff the simplex equals s_i(d_i simplex) for some i (degree >= 1)."""
-    if simplex.degree == 0:
-        return False
-    for i in range(simplex.degree):
-        if spec.degeneracy(spec.face(simplex, i), i) == simplex:
+def is_degenerate(spec: SimplicialSpec, k: int, simplex) -> bool:
+    """True iff the degree-k simplex equals s_i(d_i simplex) for some i (k >= 1)."""
+    for i in range(k):
+        if spec.degeneracy(k - 1, spec.face(k, simplex, i), i) == simplex:
             return True
     return False
 
@@ -407,47 +370,41 @@ class IdentityReport:
     violation: str | None = None
 
 
-def _subsample(items, sample_size):
-    if sample_size is None or len(items) <= sample_size:
-        return items
-    step = (len(items) + sample_size - 1) // sample_size
-    return items[::step]
-
-
-def check_simplicial_identities(spec: SimplicialSpec, k_max: int, length_bound: int | None = None,
-                                sample_size: int | None = None) -> IdentityReport:
+def check_simplicial_identities(spec: SimplicialSpec, k_max: int,
+                                length_bound: int | None = None) -> IdentityReport:
     """Verify the five simplicial identity families on enumerated simplices."""
     simplices_checked = 0
     identities = 0
+    face, degeneracy = spec.face, spec.degeneracy
     for k in range(k_max + 1):
-        for s in _subsample(spec.simplices(k, length_bound), sample_size):
+        for s in spec.simplices(k, length_bound):
             simplices_checked += 1
             label = f"{spec.describe()} degree {k} simplex {spec.encode(s)}"
             if k >= 2:
                 for j in range(1, k + 1):
-                    dj = spec.face(s, j)
+                    dj = face(k, s, j)
                     for i in range(j):
                         identities += 1
-                        if spec.face(dj, i) != spec.face(spec.face(s, i), j - 1):
+                        if face(k - 1, dj, i) != face(k - 1, face(k, s, i), j - 1):
                             return IdentityReport(False, simplices_checked, identities,
                                                   f"d_{i} d_{j} != d_{j-1} d_{i} on {label}")
             for j in range(k + 1):
-                sj = spec.degeneracy(s, j)
+                sj = degeneracy(k, s, j)
                 for i in range(k + 2):
                     identities += 1
-                    got = spec.face(sj, i)
+                    got = face(k + 1, sj, i)
                     if i < j:
-                        want = spec.degeneracy(spec.face(s, i), j - 1)
+                        want = degeneracy(k - 1, face(k, s, i), j - 1)
                     elif i in (j, j + 1):
                         want = s
                     else:
-                        want = spec.degeneracy(spec.face(s, i - 1), j)
+                        want = degeneracy(k - 1, face(k, s, i - 1), j)
                     if got != want:
                         return IdentityReport(False, simplices_checked, identities,
                                               f"d_{i} s_{j} mismatch on {label}")
                 for i in range(j + 1):
                     identities += 1
-                    if spec.degeneracy(sj, i) != spec.degeneracy(spec.degeneracy(s, i), j + 1):
+                    if degeneracy(k + 1, sj, i) != degeneracy(k + 1, degeneracy(k, s, i), j + 1):
                         return IdentityReport(False, simplices_checked, identities,
                                               f"s_{i} s_{j} != s_{j+1} s_{i} on {label}")
     return IdentityReport(True, simplices_checked, identities)
@@ -455,35 +412,32 @@ def check_simplicial_identities(spec: SimplicialSpec, k_max: int, length_bound: 
 
 @dataclass
 class SimplicialMap:
-    """A per-simplex rule between two specs, expected to commute with structure maps."""
+    """A per-simplex rule ``rule(k, s)`` between two specs, expected to commute with structure maps."""
 
     source: SimplicialSpec
     target: SimplicialSpec
-    rule: Callable[[Simplex], Simplex]
+    rule: Callable[[int, object], object]
 
-    def apply(self, simplex: Simplex) -> Simplex:
-        return self.rule(simplex)
+    def apply(self, k: int, simplex):
+        return self.rule(k, simplex)
 
-    def then(self, other: "SimplicialMap") -> "SimplicialMap":
-        return SimplicialMap(self.source, other.target, lambda s: other.rule(self.rule(s)))
-
-    def check_commutes(self, k_max: int, length_bound: int | None = None,
-                       sample_size: int | None = None) -> IdentityReport:
+    def check_commutes(self, k_max: int, length_bound: int | None = None) -> IdentityReport:
         checked = 0
         identities = 0
+        source, target = self.source, self.target
         for k in range(k_max + 1):
-            for s in _subsample(self.source.simplices(k, length_bound), sample_size):
+            for s in source.simplices(k, length_bound):
                 checked += 1
-                fs = self.apply(s)
-                label = f"degree {k} simplex {self.source.encode(s)}"
+                fs = self.apply(k, s)
+                label = f"degree {k} simplex {source.encode(s)}"
                 for i in range(k + 1):
                     if k >= 1:
                         identities += 1
-                        if self.apply(self.source.face(s, i)) != self.target.face(fs, i):
+                        if self.apply(k - 1, source.face(k, s, i)) != target.face(k, fs, i):
                             return IdentityReport(False, checked, identities,
                                                   f"map fails d_{i} on {label}")
                     identities += 1
-                    if self.apply(self.source.degeneracy(s, i)) != self.target.degeneracy(fs, i):
+                    if self.apply(k + 1, source.degeneracy(k, s, i)) != target.degeneracy(k, fs, i):
                         return IdentityReport(False, checked, identities,
                                               f"map fails s_{i} on {label}")
         return IdentityReport(True, checked, identities)
@@ -508,14 +462,14 @@ def canonical_to_coskeleton(module: PreCrossedModule) -> SimplicialMap:
                 w = face_word(ctx, w, idx)
         return w
 
-    def rule(simplex: Simplex) -> Simplex:
-        k = simplex.degree
-        word = simplex.payload
+    def rule(k: int, letters: tuple) -> CoskeletonFamily:
+        word = EnvelopeWord(ctx.mode, k, letters, g.identity)
         verts = [evaluate(word, (a,)).tail for a in range(k + 1)]
         edges = []
         for a, b in _pairs(k):
             w = evaluate(word, (a, b))
-            x = w.letters[0].base if w.letters else module.x_group.identity
+            # the base of the one letter left; a face hands letters on as plain tuples
+            x = w.letters[0][0] if w.letters else module.x_group.identity
             if w.tail != verts[b] or g.mul(module.pi[x], w.tail) != verts[a]:
                 raise AssertionError("vertex/edge evaluations do not match")
             edges.append(x)
@@ -523,37 +477,6 @@ def canonical_to_coskeleton(module: PreCrossedModule) -> SimplicialMap:
         if t != g.identity:
             tinv = g.inv(t)
             verts = [g.mul(v, tinv) for v in verts]
-        return Simplex(k, CoskeletonFamily(tuple(verts), tuple(edges)))
-
-    return SimplicialMap(source, target, rule)
-
-
-def envelope_pi_map(obj) -> SimplicialMap:
-    """Push envelope letters through pi into the conjugation module of the base group.
-
-    For an augmented rack this realizes the natural comparison from the free
-    envelope to the envelope of id: G -> G; composing with
-    canonical_to_coskeleton lands in a finite coskeleton model.
-    """
-    if isinstance(obj, PreCrossedModule):
-        source = build_envelope(obj, WordMode.GROUP_SYLLABLE)
-        pi = obj.pi
-        group = obj.group
-    elif isinstance(obj, AugmentedRack):
-        source = build_envelope(obj, WordMode.FREE_LETTER)
-        pi = obj.pi
-        group = obj.group
-    else:
-        raise ModeMismatch("envelope_pi_map requires a module or augmented rack")
-    target_module = conjugation_module(group)
-    target = build_envelope(target_module, WordMode.GROUP_SYLLABLE)
-    tctx = target.ctx
-
-    def rule(simplex: Simplex) -> Simplex:
-        letters = []
-        for b, s, j in simplex.payload.letters:
-            base = pi[b] if s > 0 else group.inv(pi[b])
-            letters.append(Letter(base, 1, j))
-        return Simplex(simplex.degree, reduce(tctx, simplex.degree, letters))
+        return CoskeletonFamily(tuple(verts), tuple(edges))
 
     return SimplicialMap(source, target, rule)

@@ -249,31 +249,24 @@ def face_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:
     return EnvelopeWord(ctx.mode, word.degree - 1, _as_letters(letters), tail)
 
 
-def degeneracy_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:
-    """Letterwise degeneracy: position j becomes j+1 when i <= j, else stays."""
-    k = word.degree
+def degeneracy_letters(ctx: WordContext, degree: int, letters: tuple, i: int) -> tuple:
+    """Letterwise degeneracy s_i: position j becomes j+1 when i <= j, else stays."""
+    k = degree
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
-    letters = _normal_form(ctx, word.letters, tuple(j if j < i else j + 1 for j in range(k)))
-    return EnvelopeWord(ctx.mode, k + 1, _as_letters(letters), word.tail)
+    return _normal_form(ctx, letters, tuple(j if j < i else j + 1 for j in range(k)))
 
 
-def strip_tail(ctx: WordContext, word: EnvelopeWord) -> EnvelopeWord:
-    """Coset representative under the free right G-action: forget the tail."""
-    if word.tail == ctx.group.identity:
-        return word
-    return EnvelopeWord(word.mode, word.degree, word.letters, ctx.group.identity)
+def letter_text(ctx: WordContext, letters: tuple) -> str:
+    """The letters as text: `(x@j)`, `(x^-1@j)` for inverses, `1` if there are none."""
+    labels = ctx.labels
+    return "".join([f"({labels[b]}@{j})" if s >= 0 else f"({labels[b]}^-1@{j})"
+                    for b, s, j in letters]) or "1"
 
 
 def encode(ctx: WordContext, word: EnvelopeWord) -> str:
-    """Canonical text form: `(x@j)` letters, `(x^-1@j)` for inverses, `|g` tail, `1` if empty."""
-    parts = []
-    for lt in word.letters:
-        if lt.sign >= 0:
-            parts.append(f"({ctx.labels[lt.base]}@{lt.position})")
-        else:
-            parts.append(f"({ctx.labels[lt.base]}^-1@{lt.position})")
-    text = "".join(parts) or "1"
+    """Canonical text form: ``letter_text``, then `|g` for a tail other than the identity."""
+    text = letter_text(ctx, word.letters)
     if word.tail != ctx.group.identity:
         text += f"|{ctx.group.label(word.tail)}"
     return text

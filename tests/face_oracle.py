@@ -68,12 +68,13 @@ def reference_boundaries(spec, m_max, length_bound):
     """Boundary matrices d_1..d_(m_max+1) on the ``nondegenerate`` bases, faces through
     ``reference_face`` with the tail forgotten."""
     ctx = spec.ctx
-    bases = [[s.payload for s in spec.nondegenerate(k, length_bound)] for k in range(m_max + 2)]
+    bases = [spec.nondegenerate(k, length_bound) for k in range(m_max + 2)]
     out = []
     for k in range(1, m_max + 2):
-        index = {w.letters: r for r, w in enumerate(bases[k - 1])}
+        index = {letters: r for r, letters in enumerate(bases[k - 1])}
         entries = {}
-        for c, w in enumerate(bases[k]):
+        for c, letters in enumerate(bases[k]):
+            w = EnvelopeWord(ctx.mode, k, letters, ctx.group.identity)
             for i in range(k + 1):
                 r = index.get(reference_face(ctx, w, i).letters)
                 if r is not None:

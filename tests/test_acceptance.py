@@ -215,8 +215,8 @@ def test_criterion_6d_independence_of_base_group(registry):
             for sa, sb in zip(left, right):
                 for i in range(k + 1):
                     if k >= 1:
-                        assert a.encode(a.face(sa, i)) == b.encode(b.face(sb, i))
-                    assert a.encode(a.degeneracy(sa, i)) == b.encode(b.degeneracy(sb, i))
+                        assert a.encode(a.face(k, sa, i)) == b.encode(b.face(k, sb, i))
+                    assert a.encode(a.degeneracy(k, sa, i)) == b.encode(b.degeneracy(k, sb, i))
     elapsed = time.perf_counter() - start
     _passed(6, "(d) envelope of a module and of its self-action reduction coincide", elapsed)
 

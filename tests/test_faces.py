@@ -38,21 +38,23 @@ def test_face_matches_the_reference_on_desk_words(registry):
             for k in range(1, 4):
                 for s in spec.simplices(k, bound):
                     for tail in tails:
-                        w = EnvelopeWord(ctx.mode, k, s.payload.letters, tail)
+                        w = EnvelopeWord(ctx.mode, k, s, tail)
                         for i in range(k + 1):
                             want = reference_face(ctx, w, i)
                             assert face_word(ctx, w, i) == want, (label, w, i)
                             assert face_letters(ctx, k, w.letters, tail, i) == (
                                 want.letters, want.tail)
+                    w = EnvelopeWord(ctx.mode, k, s, ctx.group.identity)
                     for i in range(k + 1):
-                        assert spec.face_key(s, i) == spec.key(spec.face(s, i))
+                        assert spec.face(k, s, i) == face_word(ctx, w, i).letters
 
 
 def test_face_word_returns_letters(registry):
     spec = build_envelope(registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE)
     for s in spec.simplices(2, 2):
+        w = EnvelopeWord(spec.ctx.mode, 2, s, spec.ctx.group.identity)
         for i in range(3):
-            assert all(type(lt) is Letter for lt in face_word(spec.ctx, s.payload, i).letters)
+            assert all(type(lt) is Letter for lt in face_word(spec.ctx, w, i).letters)
 
 
 def test_boundaries_match_the_reference_assembly(registry):

@@ -24,6 +24,7 @@ from precrossed.homology import (
     induced_map,
     smith_normal_form,
 )
+from precrossed.oracles import rack_complex
 from precrossed.simplicial import (
     SimplicialMap,
     build_coskeleton,
@@ -194,7 +195,7 @@ def test_homology_invariant_under_basis_shuffle():
             SparseIntMatrix(len(comp.bases[k - 1]), len(comp.bases[k]), entries)
         )
     shuffled = ChainComplex(
-        [sorted(b) for b in comp.bases],  # labels are irrelevant to the math
+        [sorted(b) for b in comp.bases],  # the basis order is irrelevant to the math
         shuffled_boundaries,
     )
     for m in range(2):
@@ -264,10 +265,10 @@ def test_induced_map_rejects_non_chain_rule():
     env = chain_complex(good.source, 1, 2)
     cosk = chain_complex(build_coskeleton(module), 1)
 
-    def scramble(simplex):
-        image = good.apply(simplex)
-        if simplex.degree == 1 and simplex.payload.letters:
-            return good.target.degeneracy(good.target.face(image, 0), 0)
+    def scramble(k, simplex):
+        image = good.apply(k, simplex)
+        if k == 1 and simplex:
+            return good.target.degeneracy(0, good.target.face(1, image, 0), 0)
         return image
 
     bad = SimplicialMap(good.source, good.target, scramble)
@@ -275,24 +276,16 @@ def test_induced_map_rejects_non_chain_rule():
         induced_map(bad, env, cosk, 1)
 
 
-def test_induced_map_from_rack_envelope_to_base_coskeleton():
-    # the comparison map out of the free envelope of the one-element rack,
-    # composed into the coskeleton of id: Z/2 -> Z/2; the degree-one matrix
-    # is whatever the run produces, pinned here once computed: the free
-    # generator of PH_1 hits the order-two class exactly once
-    from precrossed.algebra import validate_augmented_rack
-    from precrossed.simplicial import envelope_pi_map
-
-    z2 = cyclic_group(2)
-    rack = validate_augmented_rack(["a"], z2, [[0, 0]], [1])
-    module = conjugation_module(z2)
-    comparison = envelope_pi_map(rack).then(canonical_to_coskeleton(module))
-    env = chain_complex(comparison.source, 1, 2)
+def test_induced_map_needs_spec_built_complexes():
+    module = conjugation_module(cyclic_group(2))
+    cmap = canonical_to_coskeleton(module)
+    env = chain_complex(cmap.source, 1, 2)
     cosk = chain_complex(build_coskeleton(module), 1)
-    imap = induced_map(comparison, env, cosk, 1)
-    assert imap.source_orders == [0]  # PH_1 of the rack is Z
-    assert imap.target_orders == [2]  # H_1(Z/2) is Z/2
-    assert [[v % 2 for v in row] for row in imap.matrix] == [[1]]
+    racks = rack_complex(module, 2)
+    with pytest.raises(NotChainMap, match="spec-built"):
+        induced_map(cmap, racks, cosk, 1)
+    with pytest.raises(NotChainMap, match="spec-built"):
+        induced_map(cmap, env, racks, 1)
 
 
 def test_field_characteristic_parsing():

@@ -118,11 +118,27 @@ def test_tensor_algebra_dims_rejects_degree_zero_generators():
 
 def test_group_homology_cyclic_groups():
     z2, z3 = cyclic_group(2), cyclic_group(3)
-    assert group_homology(z2, 1).render() == "Z/2"
-    assert group_homology(z3, 1).render() == "Z/3"
-    assert group_homology(z3, 2).render() == "0"
-    for m in range(1, 3):
-        assert group_homology(trivial_group(), m).render() == "0"
+    assert [h.render() for h in group_homology(z2, 1)] == ["Z", "Z/2"]
+    assert [h.render() for h in group_homology(z3, 2)] == ["Z", "Z/3", "0"]
+    assert [h.render() for h in group_homology(trivial_group(), 2)] == ["Z", "0", "0"]
+
+
+def test_check_tri_builds_one_nerve_complex(desk_path, monkeypatch, capsys):
+    import precrossed.oracles as oracles
+    from precrossed.cli import main
+    from precrossed.simplicial import NerveSpec
+
+    built = []
+
+    def counting(spec, *args, **kwargs):
+        built.append(type(spec))
+        return chain_complex(spec, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "chain_complex", counting)
+    code = main(["check-tri", desk_path, "--object", "Z3", "--coeff", "F3",
+                 "--max-degree", "4", "--lengths", "1..5"])
+    assert code == 0 and "verdict: AGREE" in capsys.readouterr().out
+    assert built == [NerveSpec]
 
 
 def test_trivial_two_element_rack_links_to_tensor_algebra():

@@ -15,17 +15,15 @@ from precrossed.errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from precrossed.simplicial import (
     CoskeletonFamily,
     NerveSpec,
-    Simplex,
     build_clauwens,
     build_coskeleton,
     build_envelope,
     build_nerve,
     canonical_to_coskeleton,
     check_simplicial_identities,
-    envelope_pi_map,
     is_degenerate,
 )
-from precrossed.words import EnvelopeWord, Letter, WordMode, reduce
+from precrossed.words import Letter, WordMode, reduce
 
 
 def z2_trivial_module():
@@ -50,7 +48,7 @@ def nondegenerate_encodings(spec, k, length):
     return [
         spec.encode(s)
         for s in spec.simplices(k, length)
-        if not is_degenerate(spec, s)
+        if not is_degenerate(spec, k, s)
     ]
 
 
@@ -65,7 +63,7 @@ def test_envelope_trivial_carrier_is_a_point():
     spec = build_envelope(module, WordMode.GROUP_SYLLABLE)
     for k in range(1, 4):
         sims = spec.simplices(k, 3)
-        assert len(sims) == 1 and is_degenerate(spec, sims[0])
+        assert len(sims) == 1 and is_degenerate(spec, k, sims[0])
 
 
 def test_free_letter_degree_one_enumeration():
@@ -99,14 +97,14 @@ def test_clauwens_empty_carrier_is_a_point():
 
 def test_face_of_degree_one_word_is_basepoint():
     spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
-    w = Simplex(1, reduce(spec.ctx, 1, [Letter(1, 1, 0)]))
-    assert spec.encode(spec.face(w, 0)) == "1"
+    w = reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters
+    assert spec.encode(spec.face(1, w, 0)) == "1"
 
 
 def test_face_merges_positions_to_basepoint():
     spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
-    w = Simplex(2, reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]))
-    assert spec.encode(spec.face(w, 1)) == "1"
+    w = reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters
+    assert spec.encode(spec.face(2, w, 1)) == "1"
 
 
 def test_top_face_applies_pi_and_twists():
@@ -114,34 +112,32 @@ def test_top_face_applies_pi_and_twists():
     g = spec.ctx.group
     for y in range(1, 6):
         for x in range(1, 6):
-            w = Simplex(2, reduce(spec.ctx, 2, [Letter(y, 1, 1), Letter(x, 1, 0)]))
-            result = spec.face(w, 2)
+            w = reduce(spec.ctx, 2, [Letter(y, 1, 1), Letter(x, 1, 0)]).letters
+            result = spec.face(2, w, 2)
             expected = spec.ctx.action[x][g.inv(spec.ctx.pi[y])]
             want = reduce(spec.ctx, 1, [Letter(expected, 1, 0)])
-            assert result.payload == want
+            assert result == want.letters
 
 
 def test_degeneracies_shift_positions():
     spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
-    w = Simplex(1, reduce(spec.ctx, 1, [Letter(1, 1, 0)]))
-    assert spec.encode(spec.degeneracy(w, 0)) == "(1@1)"
-    assert spec.encode(spec.degeneracy(w, 1)) == "(1@0)"
+    w = reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters
+    assert spec.encode(spec.degeneracy(1, w, 0)) == "(1@1)"
+    assert spec.encode(spec.degeneracy(1, w, 1)) == "(1@0)"
 
 
 def test_degeneracy_of_basepoint_is_basepoint():
     spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
-    point = Simplex(1, EnvelopeWord(WordMode.GROUP_SYLLABLE, 1, (), 0))
-    assert spec.encode(spec.degeneracy(point, 0)) == "1"
+    assert spec.encode(spec.degeneracy(1, (), 0)) == "1"
 
 
 def test_is_degenerate_cases():
     spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
-    single = Simplex(2, reduce(spec.ctx, 2, [Letter(1, 1, 1)]))
-    assert is_degenerate(spec, single)
-    mixed = Simplex(2, reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]))
-    assert not is_degenerate(spec, mixed)
-    point = Simplex(3, EnvelopeWord(WordMode.GROUP_SYLLABLE, 3, (), 0))
-    assert is_degenerate(spec, point)
+    single = reduce(spec.ctx, 2, [Letter(1, 1, 1)]).letters
+    assert is_degenerate(spec, 2, single)
+    mixed = reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters
+    assert not is_degenerate(spec, 2, mixed)
+    assert is_degenerate(spec, 3, ())
 
 
 def test_enumeration_counts():
@@ -150,7 +146,7 @@ def test_enumeration_counts():
     nerve = build_nerve(cyclic_group(2))
     tuples = nerve.simplices(2)
     assert len(tuples) == 4
-    assert sum(not is_degenerate(nerve, s) for s in tuples) == 1
+    assert sum(not is_degenerate(nerve, 2, s) for s in tuples) == 1
     cosk = build_coskeleton(conjugation_module(cyclic_group(2)))
     assert len(cosk.simplices(2)) == 4
 
@@ -200,8 +196,18 @@ def test_nondegenerate_matches_the_degeneracy_filter(registry):
     for label, spec, top in desk_specs(registry):
         for bound in [None] if top is None else range(top + 1):
             for k in range(4):
-                want = [s for s in spec.simplices(k, bound) if not is_degenerate(spec, s)]
+                want = [s for s in spec.simplices(k, bound) if not is_degenerate(spec, k, s)]
                 assert spec.nondegenerate(k, bound) == want, (label, k, bound)
+
+
+def test_chain_complex_basis_is_the_nondegenerate_simplices(registry):
+    from precrossed.homology import chain_complex
+
+    for label, spec, top in desk_specs(registry):
+        bound = None if top is None else 2
+        comp = chain_complex(spec, 2, bound)
+        for k in range(4):
+            assert comp.bases[k] == spec.nondegenerate(k, bound), (label, k)
 
 
 def test_envelope_requires_matching_mode():
@@ -213,19 +219,18 @@ def test_envelope_requires_matching_mode():
 
 def test_face_index_out_of_range():
     spec = build_nerve(cyclic_group(2))
-    s = Simplex(1, (1,))
     with pytest.raises(IndexOutOfRange):
-        spec.face(s, 2)
+        spec.face(1, (1,), 2)
     with pytest.raises(IndexOutOfRange):
-        spec.face(Simplex(0, ()), 0)
+        spec.face(0, (), 0)
 
 
 def test_nerve_bar_face_multiplies():
     nerve = build_nerve(cyclic_group(3))
-    s = Simplex(2, (1, 2))
-    assert nerve.face(s, 1).payload == (0,)
-    assert nerve.face(s, 0).payload == (2,)
-    assert nerve.face(s, 2).payload == (1,)
+    s = (1, 2)
+    assert nerve.face(2, s, 1) == (0,)
+    assert nerve.face(2, s, 0) == (2,)
+    assert nerve.face(2, s, 2) == (1,)
 
 
 def test_nerve_of_trivial_group_is_a_point():
@@ -257,9 +262,8 @@ def test_coskeleton_trivial_carrier_collapses():
 def test_coskeleton_faces_renormalize_last_vertex():
     cosk = build_coskeleton(conjugation_module(cyclic_group(2)))
     fam = CoskeletonFamily((0, 1, 0), (1, 0, 1))  # vertices (e,t,e), edges x01,x02,x12
-    s = Simplex(2, fam)
-    top = cosk.face(s, 2)  # drops the normalized vertex, renormalizes by t
-    assert top.payload == CoskeletonFamily((1, 0), (1,))
+    top = cosk.face(2, fam, 2)  # drops the normalized vertex, renormalizes by t
+    assert top == CoskeletonFamily((1, 0), (1,))
 
 
 def test_identities_hold_on_all_builders():
@@ -277,10 +281,10 @@ def test_identities_hold_on_all_builders():
 
 def test_identity_checker_reports_a_corrupted_face():
     class BrokenNerve(NerveSpec):
-        def face(self, simplex, i):
-            good = super().face(simplex, i)
-            if simplex.degree == 2 and i == 1:
-                return super().face(simplex, 0)  # wrong case on purpose
+        def face(self, k, simplex, i):
+            good = super().face(k, simplex, i)
+            if k == 2 and i == 1:
+                return super().face(k, simplex, 0)  # wrong case on purpose
             return good
 
     broken = BrokenNerve(cyclic_group(3))
@@ -298,9 +302,9 @@ def test_face_never_lengthens_and_degeneracy_preserves_length():
         for k in range(1, 4):
             for s in spec.simplices(k, bound):
                 for i in range(k + 1):
-                    assert spec.face(s, i).payload.length <= s.payload.length
+                    assert len(spec.face(k, s, i)) <= len(s)
                 for i in range(k + 1):
-                    assert spec.degeneracy(s, i).payload.length == s.payload.length
+                    assert len(spec.degeneracy(k, s, i)) == len(s)
 
 
 def test_independence_of_base_group():
@@ -320,18 +324,16 @@ def test_independence_of_base_group():
             for sa, sb in zip(left, right):
                 for i in range(k + 1):
                     if k >= 1:
-                        assert a.encode(a.face(sa, i)) == b.encode(b.face(sb, i))
-                    assert a.encode(a.degeneracy(sa, i)) == b.encode(b.degeneracy(sb, i))
+                        assert a.encode(a.face(k, sa, i)) == b.encode(b.face(k, sb, i))
+                    assert a.encode(a.degeneracy(k, sa, i)) == b.encode(b.degeneracy(k, sb, i))
 
 
 def test_canonical_map_values():
     module = conjugation_module(cyclic_group(2))
     cmap = canonical_to_coskeleton(module)
-    point = Simplex(2, EnvelopeWord(WordMode.GROUP_SYLLABLE, 2, (), 0))
-    image = cmap.apply(point)
-    assert image.payload == CoskeletonFamily((0, 0, 0), (0, 0, 0))
-    edge = Simplex(1, reduce(cmap.source.ctx, 1, [Letter(1, 1, 0)]))
-    assert cmap.apply(edge).payload == CoskeletonFamily((1, 0), (1,))
+    assert cmap.apply(2, ()) == CoskeletonFamily((0, 0, 0), (0, 0, 0))
+    edge = reduce(cmap.source.ctx, 1, [Letter(1, 1, 0)]).letters
+    assert cmap.apply(1, edge) == CoskeletonFamily((1, 0), (1,))
 
 
 def test_canonical_map_commutes():
@@ -339,13 +341,6 @@ def test_canonical_map_commutes():
         cmap = canonical_to_coskeleton(conjugation_module(group))
         report = cmap.check_commutes(3, 2)
         assert report.passed, report.violation
-
-
-def test_pi_map_commutes_for_rack():
-    pmap = envelope_pi_map(one_rack())
-    assert pmap.check_commutes(3, 2).passed
-    composed = pmap.then(canonical_to_coskeleton(conjugation_module(cyclic_group(2))))
-    assert composed.check_commutes(3, 2).passed
 
 
 def test_word_spec_requires_length_bound():
