@@ -1,9 +1,13 @@
 """Exact homology of finite chain complexes over Z, Q, and prime fields.
 
 Integer homology runs through a sparse Smith normal form on arbitrary
-precision integers, pivoting on the smallest nonzero magnitude with a
-row/column fill tie-break.  Field Betti numbers use direct sparse Gaussian
-ranks instead, so the two coefficient routes stay independent.
+precision integers, in two phases.  The unit phase goes column by column and
+eliminates each +-1 pivot exactly, taking the shortest row among the column's
++-1 holders.  The residual phase reduces what is left, pivoting on the
+smallest nonzero magnitude with a row/column fill tie-break, with Euclid steps
+and a divisibility fix-up.  Transforms are tracked as sparse vectors.  Field
+Betti numbers use direct sparse Gaussian ranks instead, so the two coefficient
+routes stay independent.
 """
 
 from __future__ import annotations
@@ -33,13 +37,18 @@ class SparseIntMatrix:
 
 @dataclass
 class SNFResult:
-    """Diagonal d_1 | d_2 | ... plus optional unimodular transforms U M V = D."""
+    """Diagonal d_1 | d_2 | ... plus optional unimodular transforms U M V = D.
+
+    Tracked transforms are kept sparse, as {index: value} vectors: the rows of U
+    and V^-1 and the columns of U^-1 and V.  ``u``, ``uinv``, ``v`` and ``vinv``
+    build dense copies on demand and are None when the side was not tracked.
+    """
 
     diag: tuple[int, ...]
-    u: list[list[int]] | None = None
-    uinv: list[list[int]] | None = None
-    v: list[list[int]] | None = None
-    vinv: list[list[int]] | None = None
+    u_rows: list[dict[int, int]] | None = None
+    uinv_cols: list[dict[int, int]] | None = None
+    v_cols: list[dict[int, int]] | None = None
+    vinv_rows: list[dict[int, int]] | None = None
 
     @property
     def rank(self) -> int:
@@ -49,23 +58,57 @@ class SNFResult:
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.diag if d > 1)
 
+    @property
+    def u(self) -> list[list[int]] | None:
+        return _dense(self.u_rows)
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    @property
+    def uinv(self) -> list[list[int]] | None:
+        return _transpose(_dense(self.uinv_cols))
+
+    @property
+    def v(self) -> list[list[int]] | None:
+        return _transpose(_dense(self.v_cols))
+
+    @property
+    def vinv(self) -> list[list[int]] | None:
+        return _dense(self.vinv_rows)
 
 
-def _add_multiple(x: list[int], q: int, y: list[int]) -> list[int]:
-    """x + q * y, entrywise"""
-    return [a + q * b for a, b in zip(x, y)]
+def _dense(vectors: list[dict[int, int]] | None) -> list[list[int]] | None:
+    if vectors is None:
+        return None
+    n = len(vectors)
+    return [[vec.get(j, 0) for j in range(n)] for vec in vectors]
+
+
+def _transpose(matrix: list[list[int]] | None) -> list[list[int]] | None:
+    return None if matrix is None else [list(c) for c in zip(*matrix)]
+
+
+def _axpy(x: dict[int, int], q: int, y: dict[int, int]) -> None:
+    """x += q * y in place, on sparse vectors; q is nonzero."""
+    for k, v in y.items():
+        nv = x.get(k, 0) + q * v
+        if nv:
+            x[k] = nv
+        else:
+            del x[k]
 
 
 class _Smith:
-    """Sparse elimination state.  Row operations act on U (rows) and U^-1
-    (columns), column operations on V (columns) and V^-1 (rows); U^-1 and V
-    are stored transposed, so every tracked update is a row update."""
+    """Sparse elimination state, in two phases of one algorithm.
+
+    The unit phase eliminates every +-1 pivot in column order; the residual
+    phase runs smallest-|v| pivoting with Euclid steps and a divisibility
+    fix-up on what is left.  Nothing is swapped: each pivot is recorded as a
+    (row, col) pair, and the pivot permutation is applied to the transforms at
+    the end.  Row operations act on U (rows) and U^-1 (columns), column
+    operations on V (columns) and V^-1 (rows), so every tracked update is a
+    sparse vector update.
+    """
 
     def __init__(self, mat: SparseIntMatrix, rows: bool, cols: bool):
-        self.nrows = mat.rows
         self.ncols = mat.cols
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
@@ -75,9 +118,13 @@ class _Smith:
                 self.cols.setdefault(c, set()).add(r)
         self.track_rows, self.track_cols = rows, cols
         if rows:
-            self.u, self.uinv_t = _identity(self.nrows), _identity(self.nrows)
+            self.u = [{i: 1} for i in range(mat.rows)]
+            self.uinv_t = [{i: 1} for i in range(mat.rows)]
         if cols:
-            self.v_t, self.vinv = _identity(self.ncols), _identity(self.ncols)
+            self.v_t = [{j: 1} for j in range(self.ncols)]
+            self.vinv = [{j: 1} for j in range(self.ncols)]
+        self.pivots: list[tuple[int, int]] = []
+        self.diag: list[int] = []
 
     # -- elementary operations (mirrored on the tracked transforms) ------------
 
@@ -87,7 +134,7 @@ class _Smith:
         row_i = self.rows.get(i)
         if row_i is None:
             row_i = self.rows[i] = {}
-        for c, v in list(row_t.items()):
+        for c, v in row_t.items():
             nv = row_i.get(c, 0) - q * v
             if nv:
                 row_i[c] = nv
@@ -98,8 +145,8 @@ class _Smith:
         if not row_i:
             del self.rows[i]
         if self.track_rows:
-            self.u[i] = _add_multiple(self.u[i], -q, self.u[t])
-            self.uinv_t[t] = _add_multiple(self.uinv_t[t], q, self.uinv_t[i])
+            _axpy(self.u[i], -q, self.u[t])
+            _axpy(self.uinv_t[t], q, self.uinv_t[i])
 
     def col_sub(self, j: int, t: int, q: int) -> None:
         """col_j -= q * col_t"""
@@ -113,50 +160,8 @@ class _Smith:
                 del row[j]
                 self.cols[j].discard(r)
         if self.track_cols:
-            self.v_t[j] = _add_multiple(self.v_t[j], -q, self.v_t[t])
-            self.vinv[t] = _add_multiple(self.vinv[t], q, self.vinv[j])
-
-    def swap_rows(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        ra = self.rows.pop(a, None)
-        rb = self.rows.pop(b, None)
-        if ra is not None:
-            self.rows[b] = ra
-        if rb is not None:
-            self.rows[a] = rb
-        for c in set(ra or ()) | set(rb or ()):
-            s = self.cols[c]
-            s.discard(a)
-            s.discard(b)
-            if ra and c in ra:
-                s.add(b)
-            if rb and c in rb:
-                s.add(a)
-        if self.track_rows:
-            for m in (self.u, self.uinv_t):
-                m[a], m[b] = m[b], m[a]
-
-    def swap_cols(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        for r in self.cols.get(a, set()) | self.cols.get(b, set()):
-            row = self.rows[r]
-            va = row.pop(a, None)
-            vb = row.pop(b, None)
-            if va is not None:
-                row[b] = va
-            if vb is not None:
-                row[a] = vb
-        sa = self.cols.pop(a, None)
-        sb = self.cols.pop(b, None)
-        if sa:
-            self.cols[b] = sa
-        if sb:
-            self.cols[a] = sb
-        if self.track_cols:
-            for m in (self.v_t, self.vinv):
-                m[a], m[b] = m[b], m[a]
+            _axpy(self.v_t[j], -q, self.v_t[t])
+            _axpy(self.vinv[t], q, self.vinv[j])
 
     def negate_row(self, t: int) -> None:
         row = self.rows[t]
@@ -164,85 +169,104 @@ class _Smith:
             row[c] = -row[c]
         if self.track_rows:
             for m in (self.u, self.uinv_t):
-                m[t] = [-v for v in m[t]]
+                m[t] = {k: -v for k, v in m[t].items()}
 
-    # -- pivoting -------------------------------------------------------------
+    def retire(self, i: int, j: int) -> None:
+        """Record the positive pivot (i, j) and drop its row and column.
+
+        Column j holds only the pivot.  Clearing the rest of row i with column
+        operations would change no other entry, so only V and V^-1 see them.
+        """
+        row = self.rows.pop(i)
+        for c in row:
+            self.cols[c].discard(i)
+        del self.cols[j]
+        d = row.pop(j)
+        if self.track_cols:
+            for c, v in row.items():
+                q = v // d
+                _axpy(self.v_t[c], -q, self.v_t[j])
+                _axpy(self.vinv[j], q, self.vinv[c])
+        self.pivots.append((i, j))
+        self.diag.append(d)
+
+    # -- unit phase -----------------------------------------------------------
+
+    def eliminate_units(self) -> None:
+        """Pivot on a +-1 in each column that has one, the shortest row first."""
+        rows = self.rows
+        for j in range(self.ncols):
+            units = [r for r in self.cols.get(j, ()) if rows[r][j] in (1, -1)]
+            if not units:
+                continue
+            i = min(units, key=lambda r: (len(rows[r]), r))
+            if rows[i][j] < 0:
+                self.negate_row(i)
+            for r in sorted(self.cols[j]):
+                if r != i:
+                    self.row_sub(r, i, rows[r][j])
+            self.retire(i, j)
+
+    # -- residual phase -------------------------------------------------------
 
     def pick(self) -> tuple[int, int]:
-        best = None
-        best_key = None
-        for i, row in self.rows.items():
-            li = len(row) - 1
-            for j, v in row.items():
-                key = (abs(v), li * (len(self.cols[j]) - 1), i, j)
-                if best_key is None or key < best_key:
-                    best_key, best = key, (i, j)
-                    if key[0] == 1 and key[1] == 0:
-                        return best
-        return best
+        """Smallest |v| in the residual, then the smallest fill (Markowitz) count."""
+        cols = self.cols
+        return min(
+            ((abs(v), (len(row) - 1) * (len(cols[j]) - 1), i, j)
+             for i, row in self.rows.items() for j, v in row.items())
+        )[2:]
 
-    def clear(self, t: int) -> None:
+    def clear(self, t: int, s: int) -> tuple[int, int]:
+        """Reduce row t and column s to the pivot at (t, s), which then divides
+        every entry left; Euclid steps move the pivot.  Returns where it ends."""
         while True:
-            if self.rows[t][t] < 0:
+            if self.rows[t][s] < 0:
                 self.negate_row(t)
-            restart = False
-            for i in sorted(r for r in self.cols.get(t, ()) if r != t):
-                v = self.rows.get(i, {}).get(t)
-                if not v:
-                    continue
-                q = v // self.rows[t][t]
+            moved = False
+            for i in sorted(r for r in self.cols[s] if r != t):
+                q = self.rows[i][s] // self.rows[t][s]
                 if q:
                     self.row_sub(i, t, q)
-                if self.rows.get(i, {}).get(t, 0):
-                    # remainder smaller than the pivot: promote it (Euclid)
-                    self.swap_rows(t, i)
-                    restart = True
+                if self.rows.get(i, {}).get(s, 0):
+                    # remainder smaller than the pivot: it becomes the pivot (Euclid)
+                    t, moved = i, True
                     break
-            if restart:
+            if moved:
                 continue
-            for j in sorted(c for c in self.rows[t] if c != t):
-                v = self.rows[t].get(j)
-                if not v:
-                    continue
-                q = v // self.rows[t][t]
+            for j in sorted(c for c in self.rows[t] if c != s):
+                q = self.rows[t][j] // self.rows[t][s]
                 if q:
-                    self.col_sub(j, t, q)
+                    self.col_sub(j, s, q)
                 if self.rows[t].get(j, 0):
-                    self.swap_cols(t, j)
-                    restart = True
+                    s, moved = j, True
                     break
-            if restart:
+            if moved:
                 continue
-            d = self.rows[t][t]
-            if d < 0:
-                self.negate_row(t)
-                d = -d
+            d = self.rows[t][s]
             if d != 1:
-                culprit = None
-                for i, row in self.rows.items():
-                    if i == t:
-                        continue
-                    if any(v % d for v in row.values()):
-                        culprit = i
-                        break
+                culprit = next(
+                    (i for i, row in self.rows.items()
+                     if i != t and any(v % d for v in row.values())),
+                    None,
+                )
                 if culprit is not None:
                     self.row_sub(t, culprit, -1)  # row_t += row_culprit
                     continue
-            return
+            return t, s
 
     def run(self) -> tuple[int, ...]:
-        diag = []
-        t = 0
+        self.eliminate_units()
         while self.rows:
-            i, j = self.pick()
-            self.swap_rows(t, i)
-            self.swap_cols(t, j)
-            self.clear(t)
-            diag.append(self.rows[t][t])
-            del self.rows[t]
-            self.cols.pop(t, None)
-            t += 1
-        return tuple(diag)
+            self.retire(*self.clear(*self.pick()))
+        return tuple(self.diag)
+
+    def ordered(self, vectors: list[dict[int, int]], side: int) -> list[dict[int, int]]:
+        """Transform vectors in pivot order, then the unpivoted ones ascending;
+        ``side`` 0 indexes them by row of M, 1 by column."""
+        order = [p[side] for p in self.pivots]
+        used = set(order)
+        return [vectors[k] for k in order + [k for k in range(len(vectors)) if k not in used]]
 
 
 def smith_normal_form(mat: SparseIntMatrix, transforms: str | None = None) -> SNFResult:
@@ -264,9 +288,11 @@ def smith_normal_form(mat: SparseIntMatrix, transforms: str | None = None) -> SN
             raise AssertionError(f"invariant factors {a}, {b} break the divisibility chain")
     out = SNFResult(diag)
     if rows:
-        out.u, out.uinv = state.u, [list(c) for c in zip(*state.uinv_t)]
+        out.u_rows = state.ordered(state.u, 0)
+        out.uinv_cols = state.ordered(state.uinv_t, 0)
     if cols:
-        out.v, out.vinv = [list(c) for c in zip(*state.v_t)], state.vinv
+        out.v_cols = state.ordered(state.v_t, 1)
+        out.vinv_rows = state.ordered(state.vinv, 1)
     return out
 
 
@@ -458,16 +484,17 @@ def homology(comp: ChainComplex, m: int, coeff: str = "Z") -> HomologyGroup:
 
 @dataclass
 class HomologyBasis:
-    """Integral generators of H_m plus the data needed to classify any cycle."""
+    """Integral generators of H_m plus the data needed to classify any cycle.
+
+    Vectors are sparse {index: value} dicts, except the generator chains."""
 
     degree: int
     orders: list[int]  # 0 marks a free generator, d > 1 torsion of order d
     chains: list[list[int]]
-    kernel: list[list[int]]  # columns r.. of V from the Smith form U d_m V = D
-    vinv_cols: list[tuple[int, ...]]  # columns of V^-1
+    kernel: list[dict[int, int]]  # columns r.. of V from the Smith form U d_m V = D
+    vinv_cols: list[dict[int, int]]  # columns of V^-1
     rank: int  # r, the rank of d_m
-    ua: list[list[int]]
-    kept: list[int]
+    ua: list[dict[int, int]]  # the rows of U (U A V' = D') for the generators
 
     @property
     def group(self) -> tuple[int, tuple[int, ...]]:
@@ -476,15 +503,15 @@ class HomologyBasis:
         return betti, torsion
 
 
-def _kernel_coords(vinv_cols, r: int, support) -> list[int]:
+def _kernel_coords(vinv_cols, r: int, support) -> dict[int, int]:
     """Coordinates (V^-1 b)[r:] in the kernel basis V[:, r:] of b, given as (row, value)
     pairs.  V is unimodular, so they are unique; b is a cycle iff (V^-1 b)[:r] = 0."""
-    y = [0] * len(vinv_cols)
+    y: dict[int, int] = {}
     for i, val in support:
-        y = _add_multiple(y, val, vinv_cols[i])
-    if any(y[:r]):
+        _axpy(y, val, vinv_cols[i])
+    if any(k < r for k in y):
         raise AssertionError("vector lies outside the kernel")
-    return y[r:]
+    return {k - r: v for k, v in y.items()}
 
 
 def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
@@ -495,39 +522,41 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
     sm = smith_normal_form(comp.boundaries[m], transforms="cols")
     r = sm.rank
     kappa = dim - r
-    kernel = [[sm.v[i][r + c] for i in range(dim)] for c in range(kappa)]
-    vinv_cols = list(zip(*sm.vinv))
+    kernel = sm.v_cols[r:]
+    vinv_cols: list[dict[int, int]] = [{} for _ in range(dim)]
+    for k, row in enumerate(sm.vinv_rows):
+        for i, val in row.items():
+            vinv_cols[i][k] = val
     bnd = comp.boundaries[m + 1]
     a_entries: dict[tuple[int, int], int] = {}
     bycol = bnd.by_columns()
     for j in range(bnd.cols):
-        for i, val in enumerate(_kernel_coords(vinv_cols, r, bycol.get(j, ()))):
-            if val:
-                a_entries[(i, j)] = val
+        for i, val in _kernel_coords(vinv_cols, r, bycol.get(j, ())).items():
+            a_entries[(i, j)] = val
     asnf = smith_normal_form(SparseIntMatrix(kappa, bnd.cols, a_entries), transforms="rows")
-    orders: list[int] = []
-    chains: list[list[int]] = []
-    kept: list[int] = []
+    gens = []
     for i in range(kappa):
         d = asnf.diag[i] if i < asnf.rank else 0
         if d == 1:
             continue
-        kept.append(i)
-        orders.append(d)
-        chain = [0] * dim
-        for c in range(kappa):
-            chain = _add_multiple(chain, asnf.uinv[c][i], kernel[c])
-        chains.append(chain)
-    return HomologyBasis(m, orders, chains, kernel, vinv_cols, r, asnf.u, kept)
+        chain: dict[int, int] = {}
+        for c, coeff in asnf.uinv_cols[i].items():
+            _axpy(chain, coeff, kernel[c])
+        gens.append((d, chain, asnf.u_rows[i]))
+    # torsion orders ascending, free generators last; generators of one order
+    # are listed shortest chain first, then by support
+    gens.sort(key=lambda g: (g[0] == 0, g[0], len(g[1]), sorted(g[1])))
+    orders = [d for d, _, _ in gens]
+    chains = [[chain.get(k, 0) for k in range(dim)] for _, chain, _ in gens]
+    ua = [row for _, _, row in gens]
+    return HomologyBasis(m, orders, chains, kernel, vinv_cols, r, ua)
 
 
 def classify_cycle(basis: HomologyBasis, vec: list[int]) -> tuple[int, ...]:
     """Coordinates of a cycle's homology class in the generator presentation."""
     y = _kernel_coords(basis.vinv_cols, basis.rank, [(i, v) for i, v in enumerate(vec) if v])
-    w = [sum(a * b for a, b in zip(row, y)) for row in basis.ua]
-    return tuple(
-        w[i] % d if d else w[i] for i, d in zip(basis.kept, basis.orders)
-    )
+    w = [sum(v * y.get(c, 0) for c, v in row.items()) for row in basis.ua]
+    return tuple(x % d if d else x for x, d in zip(w, basis.orders))
 
 
 @dataclass

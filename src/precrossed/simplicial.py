@@ -21,7 +21,7 @@ count is closed under faces, so every length bound yields a simplicial subset.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -412,14 +412,21 @@ def check_simplicial_identities(spec: SimplicialSpec, k_max: int,
 
 @dataclass
 class SimplicialMap:
-    """A per-simplex rule ``rule(k, s)`` between two specs, expected to commute with structure maps."""
+    """A per-simplex rule ``rule(k, s)`` between two specs, expected to commute with structure maps.
+
+    The rule is a function of (k, s), so ``apply`` evaluates it once per simplex
+    and keeps the image for the life of the map."""
 
     source: SimplicialSpec
     target: SimplicialSpec
     rule: Callable[[int, object], object]
+    _images: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply(self, k: int, simplex):
-        return self.rule(k, simplex)
+        key = (k, simplex)
+        if key not in self._images:
+            self._images[key] = self.rule(k, simplex)
+        return self._images[key]
 
     def check_commutes(self, k_max: int, length_bound: int | None = None) -> IdentityReport:
         checked = 0

@@ -123,3 +123,17 @@ def matmul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
+
+
+def unit_heavy_matrix(rng, max_dim=14):
+    """A sparse boundary-like test input: mostly +-1 entries, where most pivots
+    are units, with a few planted 2s and 3s that leave a residual block."""
+    rows = rng.randint(1, max_dim)
+    cols = rng.randint(1, max_dim)
+    dense = [
+        [rng.choice((1, -1)) if rng.random() < 0.25 else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for _ in range(rng.randint(0, 3)):
+        dense[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((2, -2, 3, -3))
+    return dense

@@ -25,7 +25,7 @@ from precrossed.simplicial import (
 )
 from precrossed.words import WordMode
 
-from snf_oracle import dense_det, dense_smith, matmul
+from snf_oracle import dense_det, dense_smith, matmul, unit_heavy_matrix
 
 COMPARE_RA_TRANS_2_3 = """\
 command: compare-ra
@@ -176,13 +176,18 @@ def test_criterion_6b_boundary_squares_to_zero(registry):
 def test_criterion_6c_smith_contracts_against_dense_oracle():
     rng = random.Random(20240811)
     start = time.perf_counter()
+    inputs = []
     for _ in range(1000):
         rows = rng.randint(1, 20)
         cols = rng.randint(1, 20)
-        dense = [
+        inputs.append([
             [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(cols)]
             for _ in range(rows)
-        ]
+        ])
+    unit_rng = random.Random(20240812)
+    inputs += [unit_heavy_matrix(unit_rng, max_dim=20) for _ in range(300)]
+    for dense in inputs:
+        rows, cols = len(dense), len(dense[0])
         entries = {
             (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v
         }
@@ -198,7 +203,8 @@ def test_criterion_6c_smith_contracts_against_dense_oracle():
         assert abs(dense_det(snf.u)) == 1
         assert abs(dense_det(snf.v)) == 1
     elapsed = time.perf_counter() - start
-    _passed(6, "(c) Smith normal form contracts on 1000 random matrices vs dense oracle", elapsed)
+    _passed(6, "(c) Smith normal form contracts on 1000 random and 300 unit-heavy matrices"
+               " vs dense oracle", elapsed)
 
 
 def test_criterion_6d_independence_of_base_group(registry):

@@ -346,6 +346,31 @@ def test_check_coskeleton_s3_report_is_pinned(desk_path, capsys):
     assert out == COSKELETON_IDS3_2
 
 
+def test_canonical_map_evaluates_each_simplex_once(desk_path, capsys, monkeypatch):
+    import precrossed.cli as cli
+    from precrossed.simplicial import SimplicialMap
+
+    evaluated = []
+
+    def counted(module):
+        cmap = canonical_to_coskeleton(module)
+
+        def rule(k, s):
+            evaluated.append((k, s))
+            return cmap.rule(k, s)
+
+        return SimplicialMap(cmap.source, cmap.target, rule)
+
+    canonical_to_coskeleton = cli.canonical_to_coskeleton
+    monkeypatch.setattr(cli, "canonical_to_coskeleton", counted)
+    code, out = run(
+        ["check-coskeleton", desk_path, "--object", "IDS3", "--max-degree", "2"], capsys
+    )
+    assert (code, out) == (0, COSKELETON_IDS3_2)
+    # one map serves the three induced maps; uncached, the rule ran 6200 times
+    assert len(evaluated) == len(set(evaluated)) == 1067
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-tri", "--help"])
@@ -450,6 +475,29 @@ m expected L=1 L=2 L=3 L=4 L=5
 3 4 0 0 27 4 4
 4 8 0 0 0 105 8
 compared: m=0@L=1, m=1@L=2, m=2@L=3, m=3@L=4, m=4@L=5
+verdict: AGREE
+""",
+    ),
+    # three Z/2 generators on the envelope side, so the matrix pins their choice
+    "check-coskeleton IDZ2": (
+        ["check-coskeleton", "--object", "IDZ2", "--max-degree", "3"],
+        """\
+command: check-coskeleton
+object: IDZ2
+max-degree: 3
+max-length: 4
+pi-surjective: yes
+cap: 200000
+degree coskeleton nerve
+0 Z Z
+1 Z/2 Z/2
+2 0 0
+3 Z/2 Z/2
+induced H_0 matrix: [[1]]
+induced H_1 matrix: [[1]]
+induced H_2 matrix: []
+induced H_3 matrix: [[1, 1, 0]]
+induced H_0 isomorphism: yes
 verdict: AGREE
 """,
     ),

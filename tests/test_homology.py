@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from precrossed.algebra import (
     validate_augmented_rack,
     validate_precrossed,
 )
+from precrossed.cli import parse_input
 from precrossed.errors import DegreeOutOfRange, NotChainMap
 from precrossed.homology import (
     ChainComplex,
@@ -27,6 +29,7 @@ from precrossed.homology import (
 from precrossed.oracles import rack_complex
 from precrossed.simplicial import (
     SimplicialMap,
+    build_clauwens,
     build_coskeleton,
     build_envelope,
     build_nerve,
@@ -34,7 +37,7 @@ from precrossed.simplicial import (
 )
 from precrossed.words import WordMode
 
-from snf_oracle import dense_det, dense_rank, dense_smith, matmul
+from snf_oracle import dense_det, dense_rank, dense_smith, matmul, unit_heavy_matrix
 
 
 def sparse(rows, cols, dense):
@@ -108,12 +111,19 @@ def test_smith_matches_dense_oracle_on_random_matrices():
         dense = random_matrix(rng, max_dim=8)
         got = smith_normal_form(sparse(len(dense), len(dense[0]), dense)).diag
         assert list(got) == dense_smith(dense)
+    rng = random.Random(2025)
+    for _ in range(150):
+        dense = unit_heavy_matrix(rng)
+        got = smith_normal_form(sparse(len(dense), len(dense[0]), dense)).diag
+        assert list(got) == dense_smith(dense)
 
 
 def test_smith_transforms_are_unimodular_and_exact():
     rng = random.Random(99)
-    for _ in range(60):
-        dense = random_matrix(rng, max_dim=7)
+    unit_rng = random.Random(100)
+    inputs = [random_matrix(rng, max_dim=7) for _ in range(60)]
+    inputs += [unit_heavy_matrix(unit_rng) for _ in range(60)]
+    for dense in inputs:
         rows, cols = len(dense), len(dense[0])
         snf = smith_normal_form(sparse(rows, cols, dense), transforms="both")
         product = matmul(matmul(snf.u, dense), snf.v)
@@ -134,8 +144,10 @@ def test_smith_transforms_are_unimodular_and_exact():
 
 def test_one_sided_smith_matches_two_sided():
     rng = random.Random(31)
-    for _ in range(60):
-        dense = random_matrix(rng, max_dim=9)
+    unit_rng = random.Random(32)
+    inputs = [random_matrix(rng, max_dim=9) for _ in range(60)]
+    inputs += [unit_heavy_matrix(unit_rng) for _ in range(60)]
+    for dense in inputs:
         mat = sparse(len(dense), len(dense[0]), dense)
         both = smith_normal_form(mat, transforms="both")
         rows = smith_normal_form(mat, transforms="rows")
@@ -144,6 +156,23 @@ def test_one_sided_smith_matches_two_sided():
         assert (rows.u, rows.uinv) == (both.u, both.uinv)
         assert (cols.v, cols.vinv) == (both.v, both.vinv)
         assert rows.v is rows.vinv is cols.u is cols.uinv is None
+
+
+def test_smith_unit_block_beside_torsion():
+    # a unimodular +-1 block coupled to [[2, 0], [0, 3]]: units first, then 2 and 3 merge into 6
+    dense = [
+        [1, -1, 0, 0, 1],
+        [0, 1, 1, 2, 0],
+        [1, 0, 0, 0, 0],
+        [0, 0, 0, 2, 0],
+        [0, 0, 0, 0, 3],
+    ]
+    snf = smith_normal_form(sparse(5, 5, dense), transforms="both")
+    assert snf.diag == (1, 1, 1, 1, 6) and list(snf.diag) == dense_smith(dense)
+    product = matmul(matmul(snf.u, dense), snf.v)
+    assert product == [[snf.diag[i] if i == j else 0 for j in range(5)] for i in range(5)]
+    eye = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert matmul(snf.u, snf.uinv) == eye and matmul(snf.v, snf.vinv) == eye
 
 
 def test_smith_without_transforms_tracks_none():
@@ -159,8 +188,10 @@ def test_smith_rejects_unknown_side():
 
 def test_divisibility_chain_on_random_matrices():
     rng = random.Random(5)
-    for _ in range(100):
-        dense = random_matrix(rng, max_dim=10)
+    unit_rng = random.Random(6)
+    inputs = [random_matrix(rng, max_dim=10) for _ in range(100)]
+    inputs += [unit_heavy_matrix(unit_rng) for _ in range(100)]
+    for dense in inputs:
         diag = smith_normal_form(sparse(len(dense), len(dense[0]), dense)).diag
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
@@ -203,12 +234,23 @@ def test_homology_invariant_under_basis_shuffle():
         assert (a.betti, a.torsion) == (b.betti, b.torsion)
 
 
+DESK = pathlib.Path(__file__).parent / "data" / "desk.txt"
+
+
 def fixture_complexes():
+    """Small complexes; the last two have boundaries that leave a block for the
+    residual phase of the Smith form once the +-1 pivots are gone: the IDZ3
+    envelope at L = 4 (H_3 = Z/3 + Z/3 + Z/3) and the TRANS Clauwens complex at
+    L = 4 (H_3 = Z + Z/3, the torsion of the dihedral quandle R3)."""
+    idz3 = build_envelope(conjugation_module(cyclic_group(3)), WordMode.GROUP_SYLLABLE)
+    trans = parse_input(str(DESK)).augracks["TRANS"]
     return [
         z2_trivial_complex(length=3, m_max=1),
         chain_complex(build_coskeleton(conjugation_module(cyclic_group(2))), 2),
         chain_complex(build_coskeleton(conjugation_module(cyclic_group(3))), 2),
         chain_complex(build_nerve(cyclic_group(3)), 2),
+        chain_complex(idz3, 3, 4),
+        chain_complex(build_clauwens(trans), 3, 4),
     ]
 
 
@@ -324,9 +366,9 @@ def test_kernel_coordinates_rebuild_every_boundary_column():
                 column = by_col.get(j, [])
                 coords = _kernel_coords(basis.vinv_cols, basis.rank, column)
                 rebuilt = [0] * comp.dim(m)
-                for coeff, kernel_col in zip(coords, basis.kernel):
-                    if coeff:
-                        rebuilt = [a + coeff * b for a, b in zip(rebuilt, kernel_col)]
+                for c, coeff in coords.items():
+                    for r, v in basis.kernel[c].items():
+                        rebuilt[r] += coeff * v
                 want = [0] * comp.dim(m)
                 for r, v in column:
                     want[r] = v
