@@ -41,7 +41,13 @@ from .homology import (
     induced_map,
     smith_normal_form,
 )
-from .oracles import group_homology, rack_complex, rack_homology, tensor_algebra_dims
+from .oracles import (
+    etingof_grana_betti,
+    group_homology,
+    rack_complex,
+    rack_homology,
+    tensor_algebra_dims,
+)
 from .simplicial import (
     SimplicialMap,
     SpecKind,

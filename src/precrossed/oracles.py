@@ -1,8 +1,9 @@
 """Independent reference computations.
 
 The classical rack chain complex, group homology through the bar model of
-the nerve, graded dimensions of free tensor algebras, and the closed forms
-they imply for trivial racks.  These never touch the envelope machinery, so
+the nerve, graded dimensions of free tensor algebras, the closed forms
+they imply for trivial racks, and the Etingof-Grana count of rational rack
+homology.  These never touch the envelope machinery, so
 agreement with it is meaningful.
 """
 
@@ -71,6 +72,29 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
 
 def rack_homology(rack: AugmentedRack, m: int, coeff: str = "Z") -> HomologyGroup:
     return homology(rack_complex(rack, m + 1), m, coeff)
+
+
+def etingof_grana_betti(rack: AugmentedRack, n: int) -> int:
+    """Q-Betti number of rack homology in degree n, from a closed form that builds no complex.
+
+    It is (number of orbits)^n, the orbits being those of the carrier under
+    the moves x -> x^(pi y), counted here by union-find (Etingof and Grana,
+    "On rack cohomology", J. Pure Appl. Algebra 177 (2003)).
+    """
+    if isinstance(rack, PreCrossedModule):
+        rack = rack.as_augmented_rack()
+    parent = list(range(rack.size))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, row in enumerate(rack.induced.op):
+        for moved in row:
+            parent[root(x)] = root(moved)
+    return sum(1 for x in range(rack.size) if root(x) == x) ** n
 
 
 def tensor_algebra_dims(generator_dims: list[tuple[int, int]], m: int) -> int:

@@ -20,6 +20,7 @@ count is closed under faces, so every length bound yields a simplicial subset.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,7 +29,6 @@ from typing import Callable
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from .words import (
-    EnvelopeWord,
     Letter,
     WordContext,
     WordMode,
@@ -36,7 +36,6 @@ from .words import (
     context_from_rack,
     degeneracy_letters,
     face_letters,
-    face_word,
     letter_text,
 )
 
@@ -192,8 +191,33 @@ class CoskeletonFamily:
     edges: tuple[int, ...]  # x_{ab} in lexicographic pair order
 
 
-def _pairs(k: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(k + 1) for b in range(a + 1, k + 1)]
+@functools.cache
+def _pairs(k: int) -> tuple[tuple[int, int], ...]:
+    return tuple((a, b) for a in range(k + 1) for b in range(a + 1, k + 1))
+
+
+@functools.cache
+def _face_edges(k: int, i: int) -> tuple[int, ...]:
+    """For d_i in degree k: where each degree-(k-1) edge sits among the degree-k edges."""
+    old_index = {p: n for n, p in enumerate(_pairs(k))}
+
+    def delta(a):
+        return a if a < i else a + 1
+
+    return tuple(old_index[delta(a), delta(b)] for a, b in _pairs(k - 1))
+
+
+@functools.cache
+def _degeneracy_edges(k: int, i: int) -> tuple[int, ...]:
+    """For s_i in degree k: where each degree-(k+1) edge sits among the degree-k
+    edges; -1 marks the identity edge over the repeated vertex."""
+    old_index = {p: n for n, p in enumerate(_pairs(k))}
+
+    def sigma(a):
+        return a if a <= i else a - 1
+
+    return tuple(-1 if sigma(a) == sigma(b) else old_index[sigma(a), sigma(b)]
+                 for a, b in _pairs(k + 1))
 
 
 class CoskeletonSpec(SimplicialSpec):
@@ -241,35 +265,19 @@ class CoskeletonSpec(SimplicialSpec):
         if k == 0 or not 0 <= i <= k:
             raise IndexOutOfRange(f"face {i} undefined in degree {k}")
         g = self.module.group
-        old_index = {p: n for n, p in enumerate(_pairs(k))}
-
-        def delta(a):
-            return a if a < i else a + 1
-
-        edges = tuple(fam.edges[old_index[(delta(a), delta(b))]] for a, b in _pairs(k - 1))
-        vertices = tuple(v for n, v in enumerate(fam.vertices) if n != i)
+        edges = tuple([fam.edges[n] for n in _face_edges(k, i)])
+        vertices = fam.vertices[:i] + fam.vertices[i + 1:]
         if i == k and vertices[-1] != g.identity:
             tinv = g.inv(vertices[-1])
-            vertices = tuple(g.mul(v, tinv) for v in vertices)
+            vertices = tuple([g.mul(v, tinv) for v in vertices])
         return CoskeletonFamily(vertices, edges)
 
     def degeneracy(self, k, fam, i):
         if not 0 <= i <= k:
             raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
-        old_index = {p: n for n, p in enumerate(_pairs(k))}
-        vertices = fam.vertices[: i + 1] + fam.vertices[i:]
-
-        def sigma(a):
-            return a if a <= i else a - 1
-
-        edges = []
-        for a, b in _pairs(k + 1):
-            sa, sb = sigma(a), sigma(b)
-            if sa == sb:
-                edges.append(self.module.x_group.identity)
-            else:
-                edges.append(fam.edges[old_index[(sa, sb)]])
-        return CoskeletonFamily(vertices, tuple(edges))
+        old, e = fam.edges, self.module.x_group.identity
+        edges = tuple([e if n < 0 else old[n] for n in _degeneracy_edges(k, i)])
+        return CoskeletonFamily(fam.vertices[: i + 1] + fam.vertices[i:], edges)
 
     def encode(self, fam):
         g = self.module.group
@@ -451,39 +459,41 @@ class SimplicialMap:
 
 
 def canonical_to_coskeleton(module: PreCrossedModule) -> SimplicialMap:
-    """Evaluate each envelope word on the vertices and edges of its simplex.
+    """Read each envelope word's vertices and edges off its letters in one sweep.
 
-    Vertex a is the iterated face keeping only vertex a; the edge over a < b
-    is the iterated face keeping the pair.  Evaluations are taken with tails
-    (before the group quotient) so the family matches, then coset-normalized.
+    For a degree-k word with letters (x, 1, j) in word order, vertex v_a is
+    the product in G, in word order, of pi(x) over the letters with j >= a;
+    the edge x_ab (a < b) is the product in X, in word order, of the letters
+    with a <= j < b, each twisted to x^(t^-1), where t is the pi-product of
+    the letters with j >= b before it.  These are the iterated faces keeping
+    vertex a or the pair a, b: since pi(x^g) = g^-1 pi(x) g, the pi-values of
+    twisted letters telescope.  No letter sits at position k, so v_k is the
+    identity and the family is already coset-normalized.
     """
     source = build_envelope(module, WordMode.GROUP_SYLLABLE)
     target = build_coskeleton(module)
-    ctx = source.ctx
     g = module.group
-
-    def evaluate(word: EnvelopeWord, keep: tuple[int, ...]) -> EnvelopeWord:
-        w = word
-        for idx in range(word.degree, -1, -1):
-            if idx not in keep:
-                w = face_word(ctx, w, idx)
-        return w
+    mul, inv, e = g.table, g.inverse, g.identity
+    pi, act = module.pi, module.action.table
+    xmul, xe = module.x_group.table, module.x_group.identity
 
     def rule(k: int, letters: tuple) -> CoskeletonFamily:
-        word = EnvelopeWord(ctx.mode, k, letters, g.identity)
-        verts = [evaluate(word, (a,)).tail for a in range(k + 1)]
-        edges = []
+        verts = [e] * (k + 1)  # verts[b]: pi-product of the letters so far with j >= b
+        edges = [[xe] * (k + 1) for _ in range(k)]  # edges[a][b]: x_ab so far
+        for x, _, j in letters:
+            for b in range(j + 1, k + 1):
+                twisted = act[x][inv[verts[b]]]
+                for a in range(j + 1):
+                    edges[a][b] = xmul[edges[a][b]][twisted]
+            p = pi[x]
+            for b in range(j + 1):
+                verts[b] = mul[verts[b]][p]
+        out = []
         for a, b in _pairs(k):
-            w = evaluate(word, (a, b))
-            # the base of the one letter left; a face hands letters on as plain tuples
-            x = w.letters[0][0] if w.letters else module.x_group.identity
-            if w.tail != verts[b] or g.mul(module.pi[x], w.tail) != verts[a]:
+            x = edges[a][b]
+            if mul[pi[x]][verts[b]] != verts[a]:
                 raise AssertionError("vertex/edge evaluations do not match")
-            edges.append(x)
-        t = verts[k]
-        if t != g.identity:
-            tinv = g.inv(t)
-            verts = [g.mul(v, tinv) for v in verts]
-        return CoskeletonFamily(tuple(verts), tuple(edges))
+            out.append(x)
+        return CoskeletonFamily(tuple(verts), tuple(out))
 
     return SimplicialMap(source, target, rule)

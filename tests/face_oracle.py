@@ -1,10 +1,13 @@
-"""Reference letterwise face operator on envelope words.
+"""Reference letterwise face operator on envelope words, and what is built on it.
 
 Deliberately separate from the package implementation: it rebuilds every
 face the slow way, by evaluating each letter to a letter or a group element,
 pushing the group elements right one at a time, and reducing letter by
 letter with ``Letter`` values.  It shares no code with ``words``, so
-agreement with the table-driven face routine is meaningful.
+agreement with the table-driven face routine is meaningful.  The canonical
+map to the coskeleton is rebuilt here by iterated faces, and coskeleton
+faces and degeneracies through a pair index built on every call, so they
+check the one-sweep map and the cached edge tables of ``simplicial``.
 """
 
 from precrossed.homology import SparseIntMatrix
@@ -82,3 +85,69 @@ def reference_boundaries(spec, m_max, length_bound):
         out.append(SparseIntMatrix(len(bases[k - 1]), len(bases[k]),
                                    {key: v for key, v in entries.items() if v}))
     return out
+
+
+def _pairs(k):
+    return [(a, b) for a in range(k + 1) for b in range(a + 1, k + 1)]
+
+
+def reference_canonical_rule(module, ctx):
+    """The canonical map to the coskeleton by iterated faces, one chain per vertex and edge.
+
+    Vertex a is the tail of the word after every face but d_a (highest
+    first); the edge over a < b is the one letter left after every face but
+    d_a and d_b, whose tail must be vertex b.  The family is then
+    coset-normalized so the last vertex is the identity.  Returns
+    ``(vertices, edges)``, to compare with a ``CoskeletonFamily``.
+    """
+    g = module.group
+
+    def evaluate(word, keep):
+        for idx in range(word.degree, -1, -1):
+            if idx not in keep:
+                word = reference_face(ctx, word, idx)
+        return word
+
+    def rule(k, letters):
+        word = EnvelopeWord(ctx.mode, k, tuple(Letter(*lt) for lt in letters), g.identity)
+        verts = [evaluate(word, (a,)).tail for a in range(k + 1)]
+        edges = []
+        for a, b in _pairs(k):
+            w = evaluate(word, (a, b))
+            assert len(w.letters) <= 1 and w.tail == verts[b]
+            x = w.letters[0].base if w.letters else module.x_group.identity
+            assert g.mul(module.pi[x], w.tail) == verts[a]
+            edges.append(x)
+        tinv = g.inv(verts[k])
+        return tuple(g.mul(v, tinv) for v in verts), tuple(edges)
+
+    return rule
+
+
+def reference_coskeleton_face(module, k, vertices, edges, i):
+    """d_i of a coskeleton family: drop vertex i and its edges through a pair index,
+    then renormalize by the new last vertex."""
+    g = module.group
+    old_index = {p: n for n, p in enumerate(_pairs(k))}
+
+    def delta(a):
+        return a if a < i else a + 1
+
+    new_edges = tuple(edges[old_index[(delta(a), delta(b))]] for a, b in _pairs(k - 1))
+    verts = [v for n, v in enumerate(vertices) if n != i]
+    tinv = g.inv(verts[-1])
+    return tuple(g.mul(v, tinv) for v in verts), new_edges
+
+
+def reference_coskeleton_degeneracy(module, k, vertices, edges, i):
+    """s_i of a coskeleton family: repeat vertex i, with the identity edge between the copies."""
+    old_index = {p: n for n, p in enumerate(_pairs(k))}
+
+    def sigma(a):
+        return a if a <= i else a - 1
+
+    new_edges = []
+    for a, b in _pairs(k + 1):
+        sa, sb = sigma(a), sigma(b)
+        new_edges.append(module.x_group.identity if sa == sb else edges[old_index[(sa, sb)]])
+    return tuple(vertices[: i + 1] + vertices[i:]), tuple(new_edges)

@@ -12,6 +12,7 @@ from precrossed.algebra import (
 from precrossed.errors import ResourceBound
 from precrossed.homology import chain_complex, homology
 from precrossed.oracles import (
+    etingof_grana_betti,
     group_homology,
     rack_complex,
     rack_homology,
@@ -146,3 +147,18 @@ def test_trivial_two_element_rack_links_to_tensor_algebra():
     rack = trivial_rack(2)
     for m in range(3):
         assert rack_homology(rack, m, "Q").betti == tensor_algebra_dims([(1, 2)], m)
+
+
+def test_etingof_grana_matches_rational_rack_homology(registry):
+    cases = [(registry.augracks[name], 3) for name in ("ONE", "TRANS", "TR1", "TR2")]
+    cases += [(registry.precrossed[name], 3) for name in ("Z2TRIV", "IDZ2", "IDZ3")]
+    cases.append((registry.precrossed["IDS3"], 2))
+    found = []
+    for rack, top in cases:
+        row = [etingof_grana_betti(rack, n) for n in range(top + 1)]
+        assert row == [rack_homology(rack, n, "Q").betti for n in range(top + 1)]
+        found.append(row)
+    assert found == [
+        [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 2, 4, 8],
+        [1, 2, 4, 8], [1, 2, 4, 8], [1, 3, 9, 27], [1, 3, 9],
+    ]

@@ -272,6 +272,7 @@ def test_identities_hold_on_all_builders():
         (build_envelope(one_rack(), WordMode.FREE_LETTER), 3, 2),
         (build_clauwens(one_rack()), 3, 2),
         (build_coskeleton(conjugation_module(cyclic_group(2))), 3, None),
+        (build_coskeleton(conjugation_module(symmetric_group(3))), 3, None),  # IDS3
         (build_nerve(symmetric_group(3)), 3, None),
     ]
     for spec, k_max, bound in cases:
