@@ -6,8 +6,9 @@ eliminates each +-1 pivot exactly, taking the shortest row among the column's
 +-1 holders.  The residual phase reduces what is left, pivoting on the
 smallest nonzero magnitude with a row/column fill tie-break, with Euclid steps
 and a divisibility fix-up.  Transforms are tracked as sparse vectors.  Field
-Betti numbers use direct sparse Gaussian ranks instead, so the two coefficient
-routes stay independent.
+Betti numbers use sparse Gaussian ranks instead, computed bottom-up with the
+rows that the pivots one degree down account for dropped, so the two
+coefficient routes stay independent.
 """
 
 from __future__ import annotations
@@ -296,18 +297,27 @@ def smith_normal_form(mat: SparseIntMatrix, transforms: str | None = None) -> SN
     return out
 
 
-def gaussian_rank(mat: SparseIntMatrix, p: int | None = None) -> int:
-    """Rank by sparse Gaussian elimination over GF(p), or over Q when p is None."""
+def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
+                  drop_rows=(), with_pivots: bool = False) -> int | tuple[int, list[int]]:
+    """Rank by sparse Gaussian elimination over GF(p), or over Q when p is None.
+
+    Columns are eliminated left to right, so the pivot columns are the first
+    column basis in index order.  ``drop_rows`` names rows to leave out of the
+    elimination; ``with_pivots`` returns (rank, pivot columns) instead of the rank.
+    """
+    drop = frozenset(drop_rows)
     rows: dict[int, dict[int, object]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in mat.entries.items():
+        if r in drop:
+            continue
         if p is not None:
             v = v % p
             if not v:
                 continue
         rows.setdefault(r, {})[c] = v if p is not None else Fraction(v)
         cols.setdefault(c, set()).add(r)
-    rank = 0
+    pivots: list[int] = []
     for j in range(mat.cols):
         holders = cols.get(j)
         if not holders:
@@ -316,7 +326,7 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None) -> int:
         pivot_row = rows.pop(i)
         for c in pivot_row:
             cols[c].discard(i)
-        rank += 1
+        pivots.append(j)
         piv = pivot_row[j]
         inv = pow(piv, -1, p) if p is not None else 1 / piv
         for r in sorted(cols.get(j, set())):
@@ -336,7 +346,7 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None) -> int:
                     cols[c].discard(r)
             if not row:
                 del rows[r]
-    return rank
+    return (len(pivots), pivots) if with_pivots else len(pivots)
 
 
 def field_characteristic(coeff: str) -> int | None:
@@ -388,6 +398,7 @@ class ChainComplex:
     spec: object | None = None
     _snf_cache: dict = field(default_factory=dict, repr=False)
     _rank_cache: dict = field(default_factory=dict, repr=False)
+    _faces_checked: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if len(self.boundaries) != len(self.bases):
@@ -412,10 +423,20 @@ class ChainComplex:
         return self._snf_cache[k]
 
     def field_rank(self, k: int, p: int | None) -> int:
-        """Rank of d_k over GF(p), or over Q when p is None; kept apart from the Smith cache."""
-        if (k, p) not in self._rank_cache:
-            self._rank_cache[k, p] = gaussian_rank(self.boundaries[k], p)
-        return self._rank_cache[k, p]
+        """Rank of d_k over GF(p), or over Q when p is None; kept apart from the Smith cache.
+
+        Ranks are computed bottom-up with compression: the rows of d_k indexed
+        by the pivot columns Q of d_(k-1) are dropped first.  Q is a column
+        basis of d_(k-1), and d_(k-1) d_k = 0, so a column of d_k that vanishes
+        off Q is zero: dropping Q is injective on im d_k, and the pivot columns
+        of the compressed d_k are again a column basis of d_k.
+        """
+        for j in range(k + 1):
+            if (j, p) not in self._rank_cache:
+                below = self._rank_cache[j - 1, p][1] if j else ()
+                self._rank_cache[j, p] = gaussian_rank(
+                    self.boundaries[j], p, drop_rows=below, with_pivots=True)
+        return self._rank_cache[k, p][0]
 
 
 def _assert_composes_to_zero(a: SparseIntMatrix, b: SparseIntMatrix, k: int) -> None:
@@ -611,7 +632,12 @@ def induced_map(f, c_src: ChainComplex, c_tgt: ChainComplex, m: int) -> InducedM
     """Matrix of the induced map on H_m; verifies the rule commutes with faces first."""
     if c_src.spec is None or c_tgt.spec is None:
         raise NotChainMap("induced maps need spec-built complexes")
-    for k in range(1, min(m + 1, c_src.max_degree) + 1):
+    # degrees already checked for this (map, target); the map and the target are
+    # kept with the count so their ids are not reused while the entry lives
+    key = (id(f), id(c_tgt))
+    _, _, checked = c_src._faces_checked.get(key, (f, c_tgt, 0))
+    top = min(m + 1, c_src.max_degree)
+    for k in range(checked + 1, top + 1):
         for s in c_src.bases[k]:
             fs = f.apply(k, s)
             for i in range(k + 1):
@@ -619,6 +645,7 @@ def induced_map(f, c_src: ChainComplex, c_tgt: ChainComplex, m: int) -> InducedM
                     raise NotChainMap(
                         f"rule fails d_{i} at degree-{k} simplex {c_src.spec.encode(s)}"
                     )
+        c_src._faces_checked[key] = (f, c_tgt, k)
     b_src = homology_generators(c_src, m)
     b_tgt = homology_generators(c_tgt, m)
     tgt_index = {s: i for i, s in enumerate(c_tgt.bases[m])}

@@ -268,6 +268,35 @@ def test_field_betti_relations_on_fixtures():
                 assert got == hz.betti + jump_below + jump_above
 
 
+def tri_z3_complex():
+    """The check-tri Z3 envelope at L = 5: Z/3 over the trivial group, degrees 0..5."""
+    z3 = cyclic_group(3)
+    base = trivial_group()
+    module = validate_precrossed(z3, base, trivial_action(base, 3), [base.identity] * 3)
+    return chain_complex(build_envelope(module, WordMode.GROUP_SYLLABLE), 4, 5)
+
+
+def columns(mat: SparseIntMatrix, keep) -> SparseIntMatrix:
+    keep = set(keep)
+    return SparseIntMatrix(
+        mat.rows, mat.cols, {(r, c): v for (r, c), v in mat.entries.items() if c in keep})
+
+
+def test_compressed_field_ranks_match_plain_ranks():
+    tri = tri_z3_complex()
+    for comp in fixture_complexes() + [tri]:
+        for p in (None, 2, 3, 5):
+            for k, mat in enumerate(comp.boundaries):
+                rank = comp.field_rank(k, p)
+                assert rank == gaussian_rank(mat, p), (comp.spec, k, p)
+                # the recorded pivot columns are a column basis of the whole d_k
+                _, pivots = comp._rank_cache[k, p]
+                assert len(pivots) == rank
+                assert gaussian_rank(columns(mat, pivots), p) == rank, (comp.spec, k, p)
+    assert [tri.dim(k) for k in range(6)] == [1, 2, 120, 1680, 4992, 3840]
+    assert [tri.field_rank(k, 3) for k in range(6)] == [0, 0, 1, 117, 1559, 3425]
+
+
 def test_homology_generators_match_group():
     comp = chain_complex(build_coskeleton(conjugation_module(cyclic_group(2))), 2)
     basis = homology_generators(comp, 1)
@@ -316,6 +345,50 @@ def test_induced_map_rejects_non_chain_rule():
     bad = SimplicialMap(good.source, good.target, scramble)
     with pytest.raises(NotChainMap):
         induced_map(bad, env, cosk, 1)
+
+
+def test_induced_map_checks_each_face_once(registry, monkeypatch):
+    from precrossed.simplicial import CoskeletonSpec
+
+    module = registry.precrossed["IDS3"]
+    cmap = canonical_to_coskeleton(module)
+    env = chain_complex(cmap.source, 2, 3)
+    cosk = chain_complex(build_coskeleton(module), 2)
+    compared = []
+    face = CoskeletonSpec.face
+
+    def counted(self, k, s, i):
+        compared.append((k, s, i))
+        return face(self, k, s, i)
+
+    monkeypatch.setattr(CoskeletonSpec, "face", counted)
+    for m in range(3):  # as check-coskeleton IDS3 --max-degree 2 calls it
+        induced_map(cmap, env, cosk, m)
+    # every (k, s, i) of degrees 1..3 once; checking every degree on each call ran 4830
+    assert len(compared) == sum((k + 1) * env.dim(k) for k in range(1, 4)) == 3910
+    induced_map(cmap, env, cosk, 2)
+    assert len(compared) == 3910
+
+
+def test_induced_map_checks_the_degree_above_on_every_call():
+    module = conjugation_module(cyclic_group(3))
+    good = canonical_to_coskeleton(module)
+    env = chain_complex(good.source, 2, 3)
+    cosk = chain_complex(build_coskeleton(module), 2)
+
+    def break_degree_3(k, simplex):
+        image = good.apply(k, simplex)
+        if k == 3:
+            return good.target.degeneracy(2, good.target.face(3, image, 0), 0)
+        return image
+
+    bad = SimplicialMap(good.source, good.target, break_degree_3)
+    induced_map(bad, env, cosk, 0)
+    induced_map(bad, env, cosk, 1)  # faces of degrees 1 and 2 pass, and are not checked again
+    with pytest.raises(NotChainMap, match="degree-3"):
+        induced_map(bad, env, cosk, 2)
+    with pytest.raises(NotChainMap, match="degree-3"):
+        induced_map(bad, env, cosk, 2)
 
 
 def test_induced_map_needs_spec_built_complexes():

@@ -18,7 +18,8 @@ from precrossed.oracles import (
     rack_homology,
     tensor_algebra_dims,
 )
-from precrossed.simplicial import build_clauwens
+from precrossed.simplicial import build_clauwens, build_envelope
+from precrossed.words import WordMode
 
 
 def one_element_rack():
@@ -162,3 +163,16 @@ def test_etingof_grana_matches_rational_rack_homology(registry):
         [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 2, 4, 8],
         [1, 2, 4, 8], [1, 2, 4, 8], [1, 3, 9, 27], [1, 3, 9],
     ]
+
+
+def test_etingof_grana_matches_the_envelope_and_clauwens_over_q(registry):
+    found = []
+    for name in ("ONE", "TRANS", "TR1", "TR2"):
+        rack = registry.augracks[name]
+        row = [etingof_grana_betti(rack, m) for m in range(3)]
+        for spec in (build_envelope(rack, WordMode.FREE_LETTER), build_clauwens(rack)):
+            # H_m has stabilized at L = m + 1
+            assert row == [homology(chain_complex(spec, m, m + 1), m, "Q").betti
+                           for m in range(3)], (name, spec)
+        found.append(row)
+    assert found == [[1, 1, 1], [1, 1, 1], [1, 1, 1], [1, 2, 4]]
