@@ -221,42 +221,6 @@ def parse_text(text: str) -> Registry:
     return _Parser(text).registry
 
 
-def render_registry(reg: Registry) -> str:
-    """Serialize back to the input schema (tables in canonical index form)."""
-    out = []
-    for name, group in reg.groups.items():
-        out.append(f"group {name}")
-        out.append("  table: " + " / ".join(",".join(map(str, row)) for row in group.table))
-        out.append("")
-    for name, rack in reg.racks.items():
-        out.append(f"rack {name}")
-        out.append("  table: " + " / ".join(",".join(map(str, row)) for row in rack.op))
-        out.append("")
-    group_names = {id(g): n for n, g in reg.groups.items()}
-    for name, ar in reg.augracks.items():
-        gname = group_names.get(id(ar.group))
-        if gname is None:
-            raise ValidationError(f"augrack {name} references an unregistered group")
-        out.append(f"augrack {name}")
-        out.append(f"  group: {gname}")
-        out.append(f"  size: {ar.size}")
-        out.append("  pi: " + ",".join(map(str, ar.pi)))
-        out.append("  action: " + " / ".join(",".join(map(str, row)) for row in ar.action.table))
-        out.append("")
-    for name, pm in reg.precrossed.items():
-        xname = group_names.get(id(pm.x_group))
-        gname = group_names.get(id(pm.group))
-        if xname is None or gname is None:
-            raise ValidationError(f"precrossed {name} references an unregistered group")
-        out.append(f"precrossed {name}")
-        out.append(f"  x: {xname}")
-        out.append(f"  g: {gname}")
-        out.append("  pi: " + ",".join(map(str, pm.pi)))
-        out.append("  action: " + " / ".join(",".join(map(str, row)) for row in pm.action.table))
-        out.append("")
-    return "\n".join(out)
-
-
 @dataclass
 class Report:
     command: str

@@ -41,8 +41,7 @@ class SNFResult:
     """Diagonal d_1 | d_2 | ... plus optional unimodular transforms U M V = D.
 
     Tracked transforms are kept sparse, as {index: value} vectors: the rows of U
-    and V^-1 and the columns of U^-1 and V.  ``u``, ``uinv``, ``v`` and ``vinv``
-    build dense copies on demand and are None when the side was not tracked.
+    and V^-1 and the columns of U^-1 and V; a side not tracked is None.
     """
 
     diag: tuple[int, ...]
@@ -58,33 +57,6 @@ class SNFResult:
     @property
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.diag if d > 1)
-
-    @property
-    def u(self) -> list[list[int]] | None:
-        return _dense(self.u_rows)
-
-    @property
-    def uinv(self) -> list[list[int]] | None:
-        return _transpose(_dense(self.uinv_cols))
-
-    @property
-    def v(self) -> list[list[int]] | None:
-        return _transpose(_dense(self.v_cols))
-
-    @property
-    def vinv(self) -> list[list[int]] | None:
-        return _dense(self.vinv_rows)
-
-
-def _dense(vectors: list[dict[int, int]] | None) -> list[list[int]] | None:
-    if vectors is None:
-        return None
-    n = len(vectors)
-    return [[vec.get(j, 0) for j in range(n)] for vec in vectors]
-
-
-def _transpose(matrix: list[list[int]] | None) -> list[list[int]] | None:
-    return None if matrix is None else [list(c) for c in zip(*matrix)]
 
 
 def _axpy(x: dict[int, int], q: int, y: dict[int, int]) -> None:
@@ -457,9 +429,8 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
 
     The basis in degree k is ``spec.nondegenerate(k, length_bound)``, and each
     face ``spec.face(k, s, i)`` is looked up among the basis below.  ``cap``
-    bounds both what that enumeration counts (nondegenerate words and nerve
-    tuples, every coskeleton family) and the basis of each boundary matrix;
-    None keeps SIMPLEX_CAP and MATRIX_CAP.
+    bounds both the nondegenerate simplices that enumeration counts and the
+    basis of each boundary matrix; None keeps SIMPLEX_CAP and MATRIX_CAP.
     """
     matrix_cap = MATRIX_CAP if cap is None else cap
     bases: list[list] = []
@@ -590,42 +561,23 @@ class InducedMap:
     target_orders: list[int]
 
     def is_isomorphism(self) -> bool:
-        """Exact for free homology and for a single cyclic factor; otherwise False."""
-        import math
+        """Exact: f is an isomorphism iff the orders agree and f is onto.
 
+        Finitely generated abelian groups are Hopfian, so an onto map between
+        isomorphic ones is injective.  f is onto iff the Smith form of
+        [M | diag(target torsion orders)] has rank n_target and every factor 1.
+        """
         if self.source_orders != self.target_orders:
             return False
-        n = len(self.source_orders)
-        if n == 0:
-            return True
-        if not any(self.source_orders):
-            return abs(_det(self.matrix)) == 1
-        if n == 1:
-            return math.gcd(self.matrix[0][0], self.source_orders[0]) == 1
-        return False
-
-
-def _det(matrix: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a small integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        entries = {(r, c): v for r, row in enumerate(self.matrix) for c, v in enumerate(row) if v}
+        width = len(self.source_orders)
+        for r, d in enumerate(self.target_orders):
+            if d:
+                entries[r, width] = d
+                width += 1
+        n = len(self.target_orders)
+        diag = smith_normal_form(SparseIntMatrix(n, width, entries)).diag
+        return len(diag) == n and all(d == 1 for d in diag)
 
 
 def induced_map(f, c_src: ChainComplex, c_tgt: ChainComplex, m: int) -> InducedMap:

@@ -64,11 +64,10 @@ class SimplicialSpec:
                       cap: int | None = None) -> list:
         """The basis of the normalized chains in degree k, in ``simplices`` order.
 
-        The generic rule filters ``simplices`` through ``is_degenerate``, so
-        ``cap`` counts every simplex; builders with a direct description of
-        their nondegenerate simplices override it and count only those.
+        Each builder describes its nondegenerate simplices directly, and
+        ``cap`` counts only those.
         """
-        return [s for s in self.simplices(k, length_bound, cap) if not is_degenerate(self, k, s)]
+        raise NotImplementedError
 
     def face(self, k: int, simplex, i: int):
         raise NotImplementedError
@@ -220,6 +219,16 @@ def _degeneracy_edges(k: int, i: int) -> tuple[int, ...]:
                  for a, b in _pairs(k + 1))
 
 
+@functools.cache
+def _degenerate_edges(k: int, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """For s_i d_i in degree k: the index of x_(i,i+1), and the index pairs of
+    the edges x_(a,i), x_(a,i+1) (a < i) and x_(i,b), x_(i+1,b) (b > i+1)."""
+    index = {p: n for n, p in enumerate(_pairs(k))}
+    same = [(index[a, i], index[a, i + 1]) for a in range(i)]
+    same += [(index[i, b], index[i + 1, b]) for b in range(i + 2, k + 1)]
+    return index[i, i + 1], tuple(same)
+
+
 class CoskeletonSpec(SimplicialSpec):
     """Matching families for the degree-one truncation of a pre-crossed module.
 
@@ -237,29 +246,40 @@ class CoskeletonSpec(SimplicialSpec):
         for x, v in enumerate(module.pi):
             self.preimages[v].append(x)
 
-    def simplices(self, k, length_bound=None, cap=None):
+    def _families(self, k, cap, nondegenerate):
+        """Matching families in degree k, sorted; ``cap`` is checked per kept family.
+
+        With ``nondegenerate`` a family F is dropped when F = s_i d_i F for
+        some i < k, that is when x_(i,i+1) = e (which forces v_i = v_(i+1)),
+        x_(a,i) = x_(a,i+1) for every a < i and x_(i,b) = x_(i+1,b) for every
+        b > i+1.
+        """
         cap = SIMPLEX_CAP if cap is None else cap
-        g = self.module.group
+        what = "nondegenerate simplices" if nondegenerate else "simplices"
+        g, xe = self.module.group, self.module.x_group.identity
         pairs = _pairs(k)
+        rules = [_degenerate_edges(k, i) for i in range(k)] if nondegenerate else []
         out = []
         for base in itertools.product(range(g.order), repeat=k):
             vertices = base + (g.identity,)
-            choices = []
-            ok = True
-            for a, b in pairs:
-                pre = self.preimages[g.mul(vertices[a], g.inv(vertices[b]))]
-                if not pre:
-                    ok = False
-                    break
-                choices.append(pre)
-            if not ok:
+            choices = [self.preimages[g.mul(vertices[a], g.inv(vertices[b]))] for a, b in pairs]
+            if not all(choices):
                 continue
             for edges in itertools.product(*choices):
+                if any(edges[unit] == xe and all(edges[p] == edges[q] for p, q in same)
+                       for unit, same in rules):
+                    continue
                 out.append(CoskeletonFamily(vertices, edges))
                 if len(out) > cap:
-                    raise ResourceBound(f"coskeleton degree {k} exceeds {cap} simplices")
+                    raise ResourceBound(f"coskeleton degree {k} exceeds {cap} {what}")
         out.sort(key=self.sort_key)
         return out
+
+    def simplices(self, k, length_bound=None, cap=None):
+        return self._families(k, cap, nondegenerate=False)
+
+    def nondegenerate(self, k, length_bound=None, cap=None):
+        return self._families(k, cap, nondegenerate=True)
 
     def face(self, k, fam, i):
         if k == 0 or not 0 <= i <= k:

@@ -117,6 +117,23 @@ def dense_det(matrix):
     return det
 
 
+def dense_transforms(snf):
+    """Dense U, U^-1, V, V^-1 of a Smith form, each None where the side was not tracked.
+
+    A Smith result keeps U and V^-1 by rows and U^-1 and V by columns, as
+    sparse {index: value} vectors; they are copied here entry by entry.
+    """
+    def square(vectors, by_columns):
+        if vectors is None:
+            return None
+        n = len(vectors)
+        m = [[vec.get(j, 0) for j in range(n)] for vec in vectors]
+        return [list(c) for c in zip(*m)] if by_columns else m
+
+    return (square(snf.u_rows, False), square(snf.uinv_cols, True),
+            square(snf.v_cols, True), square(snf.vinv_rows, False))
+
+
 def matmul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     return [

@@ -6,7 +6,6 @@ from precrossed.cli import (
     EXIT_RESOURCE,
     main,
     parse_text,
-    render_registry,
 )
 from precrossed.errors import ParseError
 
@@ -84,22 +83,41 @@ def test_empty_permutation_exits_one(capsys, tmp_path):
     assert captured.err == "error: line 1: group 'G' has an empty permutation\n"
 
 
-def test_round_trip_preserves_tables(registry):
-    text = render_registry(registry)
-    reparsed = parse_text(text)
-    for name, group in registry.groups.items():
-        assert reparsed.groups[name].table == group.table
-    for name, rack in registry.racks.items():
-        assert reparsed.racks[name].op == rack.op
-    for name, ar in registry.augracks.items():
-        other = reparsed.augracks[name]
-        assert other.pi == ar.pi
-        assert other.action.table == ar.action.table
-        assert other.induced.op == ar.induced.op
-    for name, pm in registry.precrossed.items():
-        other = reparsed.precrossed[name]
-        assert other.pi == pm.pi
-        assert other.action.table == pm.action.table
+# the desk's S3, R3, TRANS and IDS3 spelled out with a group table and with
+# explicit pi and action rows, where the desk writes perms, a subset, 'id' and
+# 'conjugation'
+SPELLED = """
+group S3
+  table: 0,1,2,3,4,5 / 1,0,3,2,5,4 / 2,4,0,5,1,3 / 3,5,1,4,0,2 / 4,2,5,0,3,1 / 5,3,4,1,2,0
+
+rack R3
+  table: 0,2,1 / 2,1,0 / 1,0,2
+
+augrack TRANS
+  group: S3
+  size: 3
+  pi: 1,2,5
+  action: 0,0,2,2,1,1 / 1,2,1,0,2,0 / 2,1,0,1,0,2
+
+precrossed IDS3
+  x: S3
+  g: S3
+  pi: 0,1,2,3,4,5
+  action: 0,0,0,0,0,0 / 1,1,5,5,2,2 / 2,5,2,1,5,1 / 3,4,4,3,3,4 / 4,3,3,4,4,3 / 5,2,1,2,1,5
+"""
+
+
+def test_spelled_tables_parse_to_the_desk_objects(registry):
+    spelled = parse_text(SPELLED)
+    assert spelled.groups["S3"].table == registry.groups["S3"].table
+    assert spelled.racks["R3"].op == registry.racks["R3"].op
+    got, want = spelled.augracks["TRANS"], registry.augracks["TRANS"]
+    assert got.pi == want.pi
+    assert got.action.table == want.action.table
+    assert got.induced.op == want.induced.op
+    got, want = spelled.precrossed["IDS3"], registry.precrossed["IDS3"]
+    assert got.pi == want.pi
+    assert got.action.table == want.action.table
 
 
 def test_validate_command(desk_path, capsys):

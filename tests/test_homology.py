@@ -1,3 +1,4 @@
+import math
 import pathlib
 import random
 
@@ -16,6 +17,7 @@ from precrossed.cli import parse_input
 from precrossed.errors import DegreeOutOfRange, NotChainMap
 from precrossed.homology import (
     ChainComplex,
+    InducedMap,
     _kernel_coords,
     SparseIntMatrix,
     chain_complex,
@@ -37,7 +39,14 @@ from precrossed.simplicial import (
 )
 from precrossed.words import WordMode
 
-from snf_oracle import dense_det, dense_rank, dense_smith, matmul, unit_heavy_matrix
+from snf_oracle import (
+    dense_det,
+    dense_rank,
+    dense_smith,
+    dense_transforms,
+    matmul,
+    unit_heavy_matrix,
+)
 
 
 def sparse(rows, cols, dense):
@@ -126,18 +135,19 @@ def test_smith_transforms_are_unimodular_and_exact():
     for dense in inputs:
         rows, cols = len(dense), len(dense[0])
         snf = smith_normal_form(sparse(rows, cols, dense), transforms="both")
-        product = matmul(matmul(snf.u, dense), snf.v)
+        u, uinv, v, vinv = dense_transforms(snf)
+        product = matmul(matmul(u, dense), v)
         for i in range(rows):
             for j in range(cols):
                 want = snf.diag[i] if i == j and i < len(snf.diag) else 0
                 assert product[i][j] == want
-        assert abs(dense_det(snf.u)) == 1
-        assert abs(dense_det(snf.v)) == 1
+        assert abs(dense_det(u)) == 1
+        assert abs(dense_det(v)) == 1
         # the tracked inverses really invert
-        assert matmul(snf.u, snf.uinv) == [
+        assert matmul(u, uinv) == [
             [int(i == j) for j in range(rows)] for i in range(rows)
         ]
-        assert matmul(snf.v, snf.vinv) == [
+        assert matmul(v, vinv) == [
             [int(i == j) for j in range(cols)] for i in range(cols)
         ]
 
@@ -153,9 +163,9 @@ def test_one_sided_smith_matches_two_sided():
         rows = smith_normal_form(mat, transforms="rows")
         cols = smith_normal_form(mat, transforms="cols")
         assert rows.diag == cols.diag == both.diag
-        assert (rows.u, rows.uinv) == (both.u, both.uinv)
-        assert (cols.v, cols.vinv) == (both.v, both.vinv)
-        assert rows.v is rows.vinv is cols.u is cols.uinv is None
+        (u, uinv, v, vinv), r, c = (dense_transforms(s) for s in (both, rows, cols))
+        assert r == (u, uinv, None, None)
+        assert c == (None, None, v, vinv)
 
 
 def test_smith_unit_block_beside_torsion():
@@ -169,16 +179,17 @@ def test_smith_unit_block_beside_torsion():
     ]
     snf = smith_normal_form(sparse(5, 5, dense), transforms="both")
     assert snf.diag == (1, 1, 1, 1, 6) and list(snf.diag) == dense_smith(dense)
-    product = matmul(matmul(snf.u, dense), snf.v)
+    u, uinv, v, vinv = dense_transforms(snf)
+    product = matmul(matmul(u, dense), v)
     assert product == [[snf.diag[i] if i == j else 0 for j in range(5)] for i in range(5)]
     eye = [[int(i == j) for j in range(5)] for i in range(5)]
-    assert matmul(snf.u, snf.uinv) == eye and matmul(snf.v, snf.vinv) == eye
+    assert matmul(u, uinv) == eye and matmul(v, vinv) == eye
 
 
 def test_smith_without_transforms_tracks_none():
     snf = smith_normal_form(sparse(2, 2, [[2, 0], [0, 3]]))
     assert snf.diag == (1, 6)
-    assert snf.u is snf.uinv is snf.v is snf.vinv is None
+    assert dense_transforms(snf) == (None, None, None, None)
 
 
 def test_smith_rejects_unknown_side():
@@ -316,6 +327,39 @@ def test_induced_map_h0_identity():
     imap = induced_map(cmap, env, cosk, 0)
     assert imap.matrix == [[1]]
     assert imap.is_isomorphism()
+
+
+@pytest.mark.parametrize("matrix, orders, want", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [3, 3, 3], True),  # the identity on (Z/3)^3
+    ([[1, 0], [0, 1]], [2, 0], True),  # the identity on Z + Z/2
+    ([[1, 1], [0, 1]], [2, 2], True),
+    ([[1, 1], [1, 1]], [2, 2], False),
+    ([[1, 0], [0, 2]], [2, 0], False),
+])
+def test_is_isomorphism_with_several_factors(matrix, orders, want):
+    assert InducedMap(0, matrix, orders, orders).is_isomorphism() is want
+
+
+def test_is_isomorphism_needs_equal_orders():
+    assert not InducedMap(0, [[1]], [2], [3]).is_isomorphism()
+    assert not InducedMap(0, [[1, 0]], [0, 0], [0]).is_isomorphism()
+    assert InducedMap(0, [], [], []).is_isomorphism()
+
+
+def test_is_isomorphism_keeps_the_free_and_single_cyclic_answers():
+    # there the former rule was exact: |det M| = 1 on Z^n, gcd(a, d) = 1 on Z/d
+    rng = random.Random(11)
+    answers = []
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        want = abs(dense_det(matrix)) == 1
+        assert InducedMap(0, matrix, [0] * n, [0] * n).is_isomorphism() is want, matrix
+        answers.append(want)
+    assert any(answers) and not all(answers)
+    for d in range(2, 13):
+        for a in range(-d, 2 * d):
+            assert InducedMap(0, [[a]], [d], [d]).is_isomorphism() is (math.gcd(a, d) == 1)
 
 
 def test_induced_map_trivial_carrier_all_degrees():

@@ -176,3 +176,15 @@ def test_etingof_grana_matches_the_envelope_and_clauwens_over_q(registry):
                            for m in range(3)], (name, spec)
         found.append(row)
     assert found == [[1, 1, 1], [1, 1, 1], [1, 1, 1], [1, 2, 4]]
+
+
+def test_transposition_rack_homology_in_degrees_four_and_five(registry):
+    # R3, the dihedral quandle on three elements, one degree past compare-ra's reach:
+    # the torsion is pinned on the rack complex alone, and its Q-Betti numbers
+    # against the Etingof-Grana closed form
+    rack = registry.augracks["TRANS"]
+    comp = rack_complex(rack, 6)
+    assert [homology(comp, m).render() for m in (4, 5)] == [
+        "Z + Z/3 + Z/3", "Z + Z/3 + Z/3 + Z/3 + Z/3"]
+    for m in (4, 5):
+        assert etingof_grana_betti(rack, m) == homology(comp, m, "Q").betti == 1
