@@ -379,8 +379,13 @@ class ChainComplex:
             want_rows = 0 if k == 0 else len(self.bases[k - 1])
             if mat.rows != want_rows or mat.cols != len(self.bases[k]):
                 raise AssertionError(f"boundary {k} has shape {mat.rows}x{mat.cols}")
+        # each boundary is turned into columns once; the degree below is let go
+        # before the next is built, so two degrees at most are held
+        cols = self.boundaries[1].by_columns() if len(self.boundaries) > 2 else None
         for k in range(2, len(self.boundaries)):
-            _assert_composes_to_zero(self.boundaries[k - 1], self.boundaries[k], k)
+            below = cols
+            cols = self.boundaries[k].by_columns()
+            _assert_composes_to_zero(below, cols, k)
 
     @property
     def max_degree(self) -> int:
@@ -411,9 +416,9 @@ class ChainComplex:
         return self._rank_cache[k, p][0]
 
 
-def _assert_composes_to_zero(a: SparseIntMatrix, b: SparseIntMatrix, k: int) -> None:
-    acols = a.by_columns()
-    bcols = b.by_columns()
+def _assert_composes_to_zero(acols: dict[int, list[tuple[int, int]]],
+                             bcols: dict[int, list[tuple[int, int]]], k: int) -> None:
+    """Raise unless d_(k-1) d_k = 0, both given by ``SparseIntMatrix.by_columns``."""
     for j, col in bcols.items():
         acc: dict[int, int] = {}
         for mid, v in col:
@@ -427,8 +432,9 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
                   cap: int | None = None) -> ChainComplex:
     """Normalized chain complex of a spec in degrees 0..m_max+1.
 
-    The basis in degree k is ``spec.nondegenerate(k, length_bound)``, and each
-    face ``spec.face(k, s, i)`` is looked up among the basis below.  ``cap``
+    The basis in degree k is ``spec.nondegenerate(k, length_bound)``, and the
+    faces from ``spec.faces(k, basis)`` are looked up among the basis below,
+    one simplex at a time, so no degree's faces are kept.  ``cap``
     bounds both the nondegenerate simplices that enumeration counts and the
     basis of each boundary matrix; None keeps SIMPLEX_CAP and MATRIX_CAP.
     """
@@ -447,9 +453,9 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
     for k in range(1, m_max + 2):
         entries: dict[tuple[int, int], int] = {}
         lookup = lookups[k - 1]
-        for c, s in enumerate(bases[k]):
-            for i in range(k + 1):
-                r = lookup.get(spec.face(k, s, i))
+        for c, faces in enumerate(spec.faces(k, bases[k])):
+            for i, face in enumerate(faces):
+                r = lookup.get(face)
                 if r is None:
                     continue  # degenerate face contributes zero
                 key = (r, c)
@@ -590,10 +596,11 @@ def induced_map(f, c_src: ChainComplex, c_tgt: ChainComplex, m: int) -> InducedM
     _, _, checked = c_src._faces_checked.get(key, (f, c_tgt, 0))
     top = min(m + 1, c_src.max_degree)
     for k in range(checked + 1, top + 1):
-        for s in c_src.bases[k]:
+        basis = c_src.bases[k]
+        for s, faces in zip(basis, c_src.spec.faces(k, basis)):
             fs = f.apply(k, s)
-            for i in range(k + 1):
-                if f.apply(k - 1, c_src.spec.face(k, s, i)) != c_tgt.spec.face(k, fs, i):
+            for i, face in enumerate(faces):
+                if f.apply(k - 1, face) != c_tgt.spec.face(k, fs, i):
                     raise NotChainMap(
                         f"rule fails d_{i} at degree-{k} simplex {c_src.spec.encode(s)}"
                     )

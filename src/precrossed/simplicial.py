@@ -37,6 +37,7 @@ from .words import (
     degeneracy_letters,
     face_letters,
     letter_text,
+    word_faces,
 )
 
 SIMPLEX_CAP = 200_000
@@ -71,6 +72,12 @@ class SimplicialSpec:
 
     def face(self, k: int, simplex, i: int):
         raise NotImplementedError
+
+    def faces(self, k: int, simplices):
+        """``(d_0 s, ..., d_k s)`` for each degree-k simplex, in input order."""
+        face = self.face
+        for s in simplices:
+            yield tuple([face(k, s, i) for i in range(k + 1)])
 
     def degeneracy(self, k: int, simplex, i: int):
         raise NotImplementedError
@@ -168,6 +175,10 @@ class WordSpec(SimplicialSpec):
     def face(self, k, simplex, i):
         """The reduced letters of d_i, tail dropped, as plain ``(base, sign, position)`` tuples."""
         return face_letters(self.ctx, k, simplex, self.ctx.group.identity, i)[0]
+
+    def faces(self, k, simplices):
+        """All faces of each word along shared prefixes, as ``word_faces`` walks them."""
+        return word_faces(self.ctx, k, simplices)
 
     def degeneracy(self, k, simplex, i):
         return degeneracy_letters(self.ctx, k, simplex, i)

@@ -12,9 +12,12 @@ a single group element (the tail).  Three modes share the machinery:
 The tail sits rightmost; pushing a group element g left-to-right past a
 letter twists the letter base, g * (x)_j = (x^(g^-1))_j * g.
 
-Faces, degeneracies and ``reduce`` share one routine on plain
-``(base, sign, position)`` tuples: re-index positions through a cached map,
-then reduce on a stack.  Only the top face d_k evaluates pi and twists.
+Each mode's merge/cancel rule is written once, as ``WordContext.push``,
+which adds one plain ``(base, sign, position)`` tuple to a reduced tuple.
+Faces, degeneracies and ``reduce`` fold letters through it after
+re-indexing positions through a cached map; ``word_faces`` pushes letters
+through it along the prefixes that consecutive words share.  Only the top
+face d_k evaluates pi and twists.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import DegreeMismatch, IndexOutOfRange, ModeMismatch
@@ -72,6 +75,36 @@ class WordContext:
     def alphabet_size(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def push(self) -> Callable[[tuple, int, int, int], tuple]:
+        """The reduction rule of the mode, one letter at a time.
+
+        ``push(stack, base, sign, position)`` returns the reduced letter tuple
+        ``stack`` with the letter added on the right: group syllables at one
+        position merge through the X table and identities vanish, free letters
+        cancel against an adjacent exact inverse, monoid letters never reduce.
+        """
+        if self.mode is WordMode.GROUP_SYLLABLE:
+            table, e = self.x_table, self.x_identity
+
+            def push(stack, b, s, j):
+                if b == e:
+                    return stack
+                if stack and stack[-1][2] == j:
+                    # the new top has a different position, so one merge suffices
+                    merged = table[stack[-1][0]][b]
+                    return stack[:-1] + ((merged, 1, j),) if merged != e else stack[:-1]
+                return stack + ((b, s, j),)
+        elif self.mode is WordMode.FREE_LETTER:
+            def push(stack, b, s, j):
+                if stack and stack[-1] == (b, -s, j):
+                    return stack[:-1]
+                return stack + ((b, s, j),)
+        else:
+            def push(stack, b, s, j):
+                return stack + ((b, s, j),)
+        return push
+
 
 def context_from_precrossed(module: PreCrossedModule) -> WordContext:
     return WordContext(
@@ -111,36 +144,14 @@ def _normal_form(ctx: WordContext, letters: Iterable[tuple[int, int, int]],
     """Re-index letter positions through ``move`` (-1 drops a letter), then reduce.
 
     Letters are ``(base, sign, position)`` tuples and come back as plain
-    tuples.  The reduction runs on a stack: group syllables at one position
-    merge through the X table and identities vanish, free letters cancel
-    against an adjacent exact inverse, monoid letters never reduce.
+    tuples, folded one at a time through the mode's ``push`` rule.
     """
-    if ctx.mode is WordMode.MONOID_LETTER:
-        return tuple([(b, s, m) for b, s, j in letters if (m := move[j]) >= 0])
-    out: list = []
-    if ctx.mode is WordMode.GROUP_SYLLABLE:
-        table, e = ctx.x_table, ctx.x_identity
-        for b, s, j in letters:
-            j = move[j]
-            if j < 0 or b == e:
-                continue
-            if out and out[-1][2] == j:
-                # the new top has a different position, so one merge suffices
-                merged = table[out.pop()[0]][b]
-                if merged != e:
-                    out.append((merged, 1, j))
-            else:
-                out.append((b, s, j))
-    else:
-        for b, s, j in letters:
-            j = move[j]
-            if j < 0:
-                continue
-            if out and out[-1] == (b, -s, j):
-                out.pop()
-            else:
-                out.append((b, s, j))
-    return tuple(out)
+    push = ctx.push
+    out: tuple = ()
+    for b, s, j in letters:
+        if (j := move[j]) >= 0:
+            out = push(out, b, s, j)
+    return out
 
 
 def _as_letters(letters: tuple) -> tuple[Letter, ...]:
@@ -241,6 +252,50 @@ def face_letters(ctx: WordContext, degree: int, letters: tuple, tail: int,
         else:
             kept.append((action[b][inv[g]], s, j))
     return _normal_form(ctx, kept, _face_map(k, k)), mul[g][tail]
+
+
+def word_faces(ctx: WordContext, degree: int, words: Iterable[tuple]) -> Iterator[tuple]:
+    """``(d_0 w, ..., d_k w)`` for each tail-free word w, in input order, tails dropped.
+
+    The faces equal those of ``face_letters``, computed along shared prefixes.
+    For each prefix length n of the previous word the walk keeps the reduced
+    letters of d_0..d_(k-1) on its first n letters, and the reduced letters
+    and the group element g of d_k.  A word resumes from the state of its
+    longest common prefix with the previous word and pushes only the letters
+    after it: d_i with i < k pushes the letter re-indexed through its face
+    map, d_k multiplies a top letter's pi(base)^sign into g and pushes any
+    other letter twisted by g^-1.  Any input order is correct; sorted input
+    shares the most.
+    """
+    k = degree
+    if k == 0:
+        raise IndexOutOfRange(f"face 0 undefined in degree {k}")
+    push = ctx.push
+    group = ctx.group
+    mul, inv = group.table, group.inverse
+    pi, action = ctx.pi, ctx.action
+    top = k - 1
+    # moves[j][i]: where d_i (i < k) sends position j; -1 drops the letter
+    moves = [tuple(_face_map(k, i)[j] for i in range(k)) for j in range(k)]
+    # states[n]: (lower faces, top face, g) on the first n letters of prev
+    states = [(((),) * k, (), group.identity)]
+    prev: tuple = ()
+    for word in words:
+        p, n = 0, min(len(word), len(prev))
+        while p < n and word[p] == prev[p]:
+            p += 1
+        del states[p + 1:]
+        lower, upper, g = states[p]
+        for b, s, j in word[p:]:
+            lower = tuple([push(st, b, s, m) if m >= 0 else st
+                           for st, m in zip(lower, moves[j])])
+            if j == top:
+                g = mul[g][pi[b] if s > 0 else inv[pi[b]]]
+            else:
+                upper = push(upper, action[b][inv[g]], s, j)
+            states.append((lower, upper, g))
+        prev = word
+        yield lower + (upper,)
 
 
 def face_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precrossed.cli import (
     EXIT_DISAGREE,
@@ -7,7 +9,7 @@ from precrossed.cli import (
     main,
     parse_text,
 )
-from precrossed.errors import ParseError
+from precrossed.errors import ParseError, PrecrossedError
 
 
 def run(argv, capsys):
@@ -118,6 +120,34 @@ def test_spelled_tables_parse_to_the_desk_objects(registry):
     got, want = spelled.precrossed["IDS3"], registry.precrossed["IDS3"]
     assert got.pi == want.pi
     assert got.action.table == want.action.table
+
+
+# pieces of the registry grammar, so that edits reach past the header check
+FRAGMENTS = ["0", "1", "2", "5", "-1", ",", " / ", "/", ":", " ", "  ", "\n", "\n  ", "#",
+             "id", "trivial", "conjugation", "table", "perms", "subset", "size", "pi",
+             "action", "group", "x", "g", "group S3", "augrack", "precrossed", "rack"]
+
+
+@st.composite
+def edited_desk(draw, text):
+    """The desk registry after one to four deletions, insertions or replacements."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 6))
+        new = draw(st.sampled_from(FRAGMENTS)) if draw(st.booleans()) else ""
+        text = text[:at] + new + text[at + cut:]
+    return text
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_edited_registries_raise_only_package_errors(desk_path, data):
+    with open(desk_path, encoding="utf-8") as handle:
+        text = data.draw(edited_desk(handle.read()))
+    try:
+        parse_text(text)
+    except PrecrossedError:
+        pass
 
 
 def test_validate_command(desk_path, capsys):

@@ -1,14 +1,16 @@
 """The table-driven word face against the letterwise reference, and chain assembly on it."""
 
 import importlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from face_oracle import reference_boundaries, reference_face
+from precrossed.errors import IndexOutOfRange, ResourceBound
 from precrossed.homology import chain_complex, gaussian_rank, homology
-from precrossed.simplicial import build_clauwens, build_envelope
+from precrossed.simplicial import build_clauwens, build_coskeleton, build_envelope, build_nerve
 from precrossed.words import (
     EnvelopeWord,
     Letter,
@@ -16,6 +18,7 @@ from precrossed.words import (
     face_letters,
     face_word,
     reduce,
+    word_faces,
 )
 
 
@@ -47,6 +50,76 @@ def test_face_matches_the_reference_on_desk_words(registry):
                     w = EnvelopeWord(ctx.mode, k, s, ctx.group.identity)
                     for i in range(k + 1):
                         assert spec.face(k, s, i) == face_word(ctx, w, i).letters
+
+
+def walk_words(spec, k):
+    """Every degree-k word of length <= 4 where there are at most 5,000 of them,
+    else every word of length <= 3 (the free envelope of TRANS has 305,281
+    words of length <= 4 in degree 4)."""
+    try:
+        return spec.simplices(k, 4, cap=5000)
+    except ResourceBound:
+        return spec.simplices(k, 3)
+
+
+def test_walk_matches_the_single_faces_in_any_order(registry):
+    shuffle = random.Random(12)
+    for label, spec in word_specs(registry):
+        ctx = spec.ctx
+        for k in range(1, 5):
+            words = walk_words(spec, k)
+            want = {}
+            for s in words:
+                w = EnvelopeWord(ctx.mode, k, s, ctx.group.identity)
+                want[s] = tuple(face_letters(ctx, k, s, ctx.group.identity, i)[0]
+                                for i in range(k + 1))
+                assert want[s] == tuple(reference_face(ctx, w, i).letters
+                                        for i in range(k + 1)), (label, s)
+            mixed = list(words)
+            shuffle.shuffle(mixed)
+            for order in (words, words[::-1], mixed):
+                got = list(spec.faces(k, order))
+                assert len(got) == len(order), (label, k)
+                for s, faces in zip(order, got):
+                    assert faces == want[s], (label, s)
+
+
+def test_walk_repeats_and_restarts(registry):
+    spec = build_envelope(registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE)
+    words = spec.simplices(2, 3)
+    single = {s: next(word_faces(spec.ctx, 2, [s])) for s in words}
+    # each word twice in a row, then the empty word, then everything again
+    order = [s for s in words for _ in range(2)] + [()] + words
+    assert list(word_faces(spec.ctx, 2, order)) == [single[s] for s in order]
+    assert list(word_faces(spec.ctx, 2, [])) == []
+    with pytest.raises(IndexOutOfRange):
+        list(word_faces(spec.ctx, 0, [()]))
+
+
+def test_default_faces_call_face(registry):
+    for spec, top in ((build_coskeleton(registry.precrossed["IDS3"]), 3),
+                      (build_nerve(registry.groups["S3"]), 3)):
+        for k in range(1, top + 1):
+            simplices = spec.nondegenerate(k)
+            assert list(spec.faces(k, simplices)) == [
+                tuple(spec.face(k, s, i) for i in range(k + 1)) for s in simplices]
+
+
+def test_assembly_walks_each_degree_once(registry, monkeypatch):
+    spec = build_envelope(registry.augracks["TRANS"], WordMode.FREE_LETTER)
+    calls = []
+    walk = spec.faces
+
+    def recording(k, simplices):
+        calls.append((k, len(simplices)))
+        return walk(k, simplices)
+
+    monkeypatch.setattr(spec, "faces", recording)
+    monkeypatch.setattr(spec, "face", None)  # assembly takes no single face
+    comp = chain_complex(spec, 2, 3)
+    assert calls == [(k, comp.dim(k)) for k in range(1, 4)]
+    monkeypatch.undo()
+    assert comp.boundaries[1:] == reference_boundaries(spec, 2, 3)
 
 
 def test_face_word_returns_letters(registry):

@@ -392,7 +392,7 @@ def test_induced_map_rejects_non_chain_rule():
 
 
 def test_induced_map_checks_each_face_once(registry, monkeypatch):
-    from precrossed.simplicial import CoskeletonSpec
+    from precrossed.simplicial import CoskeletonSpec, WordSpec
 
     module = registry.precrossed["IDS3"]
     cmap = canonical_to_coskeleton(module)
@@ -405,13 +405,24 @@ def test_induced_map_checks_each_face_once(registry, monkeypatch):
         compared.append((k, s, i))
         return face(self, k, s, i)
 
+    walked = []
+    faces = WordSpec.faces
+
+    def walk(self, k, simplices):
+        walked.append((k, len(simplices)))
+        return faces(self, k, simplices)
+
     monkeypatch.setattr(CoskeletonSpec, "face", counted)
+    monkeypatch.setattr(WordSpec, "faces", walk)
+    monkeypatch.setattr(WordSpec, "face", None)  # the source side takes no single face
     for m in range(3):  # as check-coskeleton IDS3 --max-degree 2 calls it
         induced_map(cmap, env, cosk, m)
     # every (k, s, i) of degrees 1..3 once; checking every degree on each call ran 4830
     assert len(compared) == sum((k + 1) * env.dim(k) for k in range(1, 4)) == 3910
+    assert walked == [(k, env.dim(k)) for k in range(1, 4)]
     induced_map(cmap, env, cosk, 2)
     assert len(compared) == 3910
+    assert len(walked) == 3
 
 
 def test_induced_map_checks_the_degree_above_on_every_call():
@@ -466,6 +477,29 @@ def test_chain_complex_rejects_broken_boundaries():
             good.bases,
             [good.boundaries[0], SparseIntMatrix(1, 1, tampered), good.boundaries[2]],
         )
+
+
+def test_composition_check_converts_each_boundary_once(registry, monkeypatch):
+    spec = build_envelope(registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE)
+    env = chain_complex(spec, 2, 3)
+    calls = []
+    by_columns = SparseIntMatrix.by_columns
+
+    def counted(self):
+        calls.append(id(self))
+        return by_columns(self)
+
+    monkeypatch.setattr(SparseIntMatrix, "by_columns", counted)
+    ChainComplex(env.bases, env.boundaries)
+    assert sorted(calls) == sorted(id(mat) for mat in env.boundaries[1:])
+    calls.clear()
+    racks = rack_complex(registry.augracks["TRANS"], 3)
+    assert sorted(calls) == sorted(id(mat) for mat in racks.boundaries[1:])
+    # d_3 sending basis element 0 to a simplex with a nonzero boundary breaks d_2 d_3
+    r = next(c for _, c in env.boundaries[2].entries)
+    broken = env.boundaries[:3] + [SparseIntMatrix(env.dim(2), env.dim(3), {(r, 0): 1})]
+    with pytest.raises(AssertionError, match="degree 3 is nonzero"):
+        ChainComplex(env.bases, broken)
 
 
 def generator_complexes():
