@@ -31,7 +31,7 @@ from .algebra import (
     validate_rack,
 )
 from .errors import Incompatible, ParseError, PrecrossedError, ResourceBound, ValidationError
-from .homology import chain_complex, homology, induced_map
+from .homology import HomologyGroup, chain_complex, homology, induced_map
 from .oracles import group_homology, rack_complex, tensor_algebra_dims
 from .simplicial import (
     SIMPLEX_CAP,
@@ -334,10 +334,7 @@ def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths
     generators = [(m, h.betti) for m, h in enumerate(group_homology(obj, max_degree, coeff))
                   if m and h.betti]
     expected = [tensor_algebra_dims(generators, m) for m in range(max_degree + 1)]
-    table: dict[int, list[int]] = {}
-    for length in lengths:
-        comp = chain_complex(spec, max_degree, length, cap=cap)
-        table[length] = [homology(comp, m, coeff).betti for m in range(max_degree + 1)]
+    table = {length: _betti_row(spec, max_degree, length, coeff, cap) for length in lengths}
     compare_at = {m: (m + 1 if m + 1 in lengths else max(lengths)) for m in range(max_degree + 1)}
     agree = all(table[compare_at[m]][m] == expected[m] for m in range(max_degree + 1))
     report = Report(
@@ -362,6 +359,12 @@ def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths
     )
     report.verdict = "AGREE" if agree else "DISAGREE"
     return report
+
+
+def _betti_row(spec, max_degree: int, length: int, coeff: str, cap: int | None) -> list[int]:
+    """Betti numbers of one length's complex; it is let go on return, before the next is built."""
+    comp = chain_complex(spec, max_degree, length, cap=cap)
+    return [homology(comp, m, coeff).betti for m in range(max_degree + 1)]
 
 
 def cmd_check_coskeleton(reg: Registry, name: str, max_degree: int,
@@ -403,11 +406,8 @@ def cmd_check_coskeleton(reg: Registry, name: str, max_degree: int,
 def cmd_sweep(reg: Registry, name: str, pipeline: str, degree: int, lengths: list[int],
               cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
-    values = []
-    for length in lengths:
-        comp = _pipeline_complex(kind, obj, pipeline, degree, length, cap)
-        h = homology(comp, degree)
-        values.append((length, h, comp.dim(degree)))
+    values = [(length, *_sweep_cell(kind, obj, pipeline, degree, length, cap))
+              for length in lengths]
     stabilized = None
     for (l1, h1, n1), (_, h2, n2) in zip(values, values[1:]):
         if n1 and n2 and h1.same_group(h2):  # an empty basis shows nothing yet
@@ -430,6 +430,12 @@ def cmd_sweep(reg: Registry, name: str, pipeline: str, degree: int, lengths: lis
         f"stabilized-at: L={stabilized}" if stabilized is not None else "stabilized-at: none"
     )
     return report
+
+
+def _sweep_cell(kind, obj, pipeline, degree, length, cap) -> tuple[HomologyGroup, int]:
+    """H_degree and the degree's basis size at one length; the complex is let go on return."""
+    comp = _pipeline_complex(kind, obj, pipeline, degree, length, cap)
+    return homology(comp, degree), comp.dim(degree)
 
 
 def cmd_validate(reg: Registry) -> Report:

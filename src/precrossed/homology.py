@@ -9,6 +9,11 @@ and a divisibility fix-up.  Transforms are tracked as sparse vectors.  Field
 Betti numbers use sparse Gaussian ranks instead, computed bottom-up with the
 rows that the pivots one degree down account for dropped, so the two
 coefficient routes stay independent.
+
+Boundary matrices are stored column-major, one {row: value} dict per simplex,
+as the faces of each simplex produce them.  The d o d check reads those
+columns directly, and the Smith form and the field ranks each build their own
+row and column structures from them.
 """
 
 from __future__ import annotations
@@ -23,17 +28,20 @@ MATRIX_CAP = 5_000
 
 @dataclass(frozen=True)
 class SparseIntMatrix:
-    """Integer matrix stored as {(row, col): nonzero value}."""
+    """Integer matrix stored column-major: ``columns[c]`` is {row: nonzero value}.
+
+    There are exactly ``cols`` column dicts, none holds a zero, and every row
+    lies in range(rows).  ``entries`` is a read-only {(row, col): value} view
+    built on each access, for inspection only.
+    """
 
     rows: int
     cols: int
-    entries: dict[tuple[int, int], int]
+    columns: list[dict[int, int]]
 
-    def by_columns(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(c, []).append((r, v))
-        return out
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
 
 
 @dataclass
@@ -85,10 +93,11 @@ class _Smith:
         self.ncols = mat.cols
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-        for (r, c), v in mat.entries.items():
-            if v:
-                self.rows.setdefault(r, {})[c] = v
-                self.cols.setdefault(c, set()).add(r)
+        for c, col in enumerate(mat.columns):
+            if col:
+                self.cols[c] = set(col)
+                for r, v in col.items():
+                    self.rows.setdefault(r, {})[c] = v
         self.track_rows, self.track_cols = rows, cols
         if rows:
             self.u = [{i: 1} for i in range(mat.rows)]
@@ -280,15 +289,16 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
     drop = frozenset(drop_rows)
     rows: dict[int, dict[int, object]] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in mat.entries.items():
-        if r in drop:
-            continue
-        if p is not None:
-            v = v % p
-            if not v:
+    for c, col in enumerate(mat.columns):
+        for r, v in col.items():
+            if r in drop:
                 continue
-        rows.setdefault(r, {})[c] = v if p is not None else Fraction(v)
-        cols.setdefault(c, set()).add(r)
+            if p is not None:
+                v = v % p
+                if not v:
+                    continue
+            rows.setdefault(r, {})[c] = v if p is not None else Fraction(v)
+            cols.setdefault(c, set()).add(r)
     pivots: list[int] = []
     for j in range(mat.cols):
         holders = cols.get(j)
@@ -377,15 +387,12 @@ class ChainComplex:
             raise AssertionError("one boundary matrix per degree expected")
         for k, mat in enumerate(self.boundaries):
             want_rows = 0 if k == 0 else len(self.bases[k - 1])
-            if mat.rows != want_rows or mat.cols != len(self.bases[k]):
+            shape = (mat.rows, mat.cols, len(mat.columns))
+            if shape != (want_rows, len(self.bases[k]), mat.cols):
                 raise AssertionError(f"boundary {k} has shape {mat.rows}x{mat.cols}")
-        # each boundary is turned into columns once; the degree below is let go
-        # before the next is built, so two degrees at most are held
-        cols = self.boundaries[1].by_columns() if len(self.boundaries) > 2 else None
         for k in range(2, len(self.boundaries)):
-            below = cols
-            cols = self.boundaries[k].by_columns()
-            _assert_composes_to_zero(below, cols, k)
+            _assert_composes_to_zero(self.boundaries[k - 1].columns,
+                                     self.boundaries[k].columns, k)
 
     @property
     def max_degree(self) -> int:
@@ -416,13 +423,13 @@ class ChainComplex:
         return self._rank_cache[k, p][0]
 
 
-def _assert_composes_to_zero(acols: dict[int, list[tuple[int, int]]],
-                             bcols: dict[int, list[tuple[int, int]]], k: int) -> None:
-    """Raise unless d_(k-1) d_k = 0, both given by ``SparseIntMatrix.by_columns``."""
-    for j, col in bcols.items():
+def _assert_composes_to_zero(acols: list[dict[int, int]], bcols: list[dict[int, int]],
+                             k: int) -> None:
+    """Raise unless d_(k-1) d_k = 0, both given by their stored columns."""
+    for col in bcols:
         acc: dict[int, int] = {}
-        for mid, v in col:
-            for r, w in acols.get(mid, ()):
+        for mid, v in col.items():
+            for r, w in acols[mid].items():
                 acc[r] = acc.get(r, 0) + v * w
         if any(acc.values()):
             raise AssertionError(f"boundary composition in degree {k} is nonzero")
@@ -445,26 +452,29 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
         nondeg = spec.nondegenerate(k, length_bound, cap=cap)
         if len(nondeg) > matrix_cap:
             raise ResourceBound(
-                f"degree {k} basis of size {len(nondeg)} exceeds matrix cap {matrix_cap}"
+                f"{spec.describe()} degree {k} basis of size {len(nondeg)} "
+                f"exceeds matrix cap {matrix_cap}"
             )
         bases.append(nondeg)
         lookups.append({s: i for i, s in enumerate(nondeg)})
-    boundaries = [SparseIntMatrix(0, len(bases[0]), {})]
+    boundaries = [SparseIntMatrix(0, len(bases[0]), [{} for _ in bases[0]])]
     for k in range(1, m_max + 2):
-        entries: dict[tuple[int, int], int] = {}
+        columns: list[dict[int, int]] = []
         lookup = lookups[k - 1]
-        for c, faces in enumerate(spec.faces(k, bases[k])):
-            for i, face in enumerate(faces):
+        for faces in spec.faces(k, bases[k]):
+            col: dict[int, int] = {}
+            sign = 1
+            for face in faces:
                 r = lookup.get(face)
-                if r is None:
-                    continue  # degenerate face contributes zero
-                key = (r, c)
-                val = entries.get(key, 0) + (1 if i % 2 == 0 else -1)
-                if val:
-                    entries[key] = val
-                elif key in entries:
-                    del entries[key]
-        boundaries.append(SparseIntMatrix(len(bases[k - 1]), len(bases[k]), entries))
+                if r is not None:  # a degenerate face contributes zero
+                    val = col.get(r, 0) + sign
+                    if val:
+                        col[r] = val
+                    else:
+                        del col[r]
+                sign = -sign
+            columns.append(col)
+        boundaries.append(SparseIntMatrix(len(bases[k - 1]), len(bases[k]), columns))
     return ChainComplex(bases, boundaries, spec)
 
 
@@ -526,12 +536,8 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
         for i, val in row.items():
             vinv_cols[i][k] = val
     bnd = comp.boundaries[m + 1]
-    a_entries: dict[tuple[int, int], int] = {}
-    bycol = bnd.by_columns()
-    for j in range(bnd.cols):
-        for i, val in _kernel_coords(vinv_cols, r, bycol.get(j, ())).items():
-            a_entries[(i, j)] = val
-    asnf = smith_normal_form(SparseIntMatrix(kappa, bnd.cols, a_entries), transforms="rows")
+    a_columns = [_kernel_coords(vinv_cols, r, col.items()) for col in bnd.columns]
+    asnf = smith_normal_form(SparseIntMatrix(kappa, bnd.cols, a_columns), transforms="rows")
     gens = []
     for i in range(kappa):
         d = asnf.diag[i] if i < asnf.rank else 0
@@ -575,14 +581,11 @@ class InducedMap:
         """
         if self.source_orders != self.target_orders:
             return False
-        entries = {(r, c): v for r, row in enumerate(self.matrix) for c, v in enumerate(row) if v}
-        width = len(self.source_orders)
-        for r, d in enumerate(self.target_orders):
-            if d:
-                entries[r, width] = d
-                width += 1
+        columns = [{r: row[c] for r, row in enumerate(self.matrix) if row[c]}
+                   for c in range(len(self.source_orders))]
+        columns += [{r: d} for r, d in enumerate(self.target_orders) if d]
         n = len(self.target_orders)
-        diag = smith_normal_form(SparseIntMatrix(n, width, entries)).diag
+        diag = smith_normal_form(SparseIntMatrix(n, len(columns), columns)).diag
         return len(diag) == n and all(d == 1 for d in diag)
 
 

@@ -46,27 +46,25 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
                 f"rackcomplex degree {n} basis of size {size**n} exceeds matrix cap {cap}"
             )
         bases.append(list(itertools.product(range(size), repeat=n)))
-    boundaries = [SparseIntMatrix(0, len(bases[0]), {})]
+    boundaries = [SparseIntMatrix(0, len(bases[0]), [{}])]
     for n in range(1, n_max + 1):
         index = {t: i for i, t in enumerate(bases[n - 1])}
-        entries: dict[tuple[int, int], int] = {}
-
-        def add(key, val):
-            new = entries.get(key, 0) + val
-            if new:
-                entries[key] = new
-            elif key in entries:
-                del entries[key]
-
-        for c, t in enumerate(bases[n]):
+        columns: list[dict[int, int]] = []
+        for t in bases[n]:
+            col: dict[int, int] = {}
             for i in range(1, n + 1):
                 sign = 1 if i % 2 == 0 else -1
                 deleted = t[: i - 1] + t[i:]
                 g = pi[t[i - 1]]
                 acted = tuple(act(x, g) for x in t[: i - 1]) + t[i:]
-                add((index[deleted], c), sign)
-                add((index[acted], c), -sign)
-        boundaries.append(SparseIntMatrix(len(bases[n - 1]), len(bases[n]), entries))
+                for r, val in ((index[deleted], sign), (index[acted], -sign)):
+                    new = col.get(r, 0) + val
+                    if new:
+                        col[r] = new
+                    else:
+                        del col[r]
+            columns.append(col)
+        boundaries.append(SparseIntMatrix(len(bases[n - 1]), len(bases[n]), columns))
     return ChainComplex(bases, boundaries)
 
 

@@ -10,8 +10,9 @@ faces and degeneracies through a pair index built on every call, so they
 check the one-sweep map and the cached edge tables of ``simplicial``.
 """
 
-from precrossed.homology import SparseIntMatrix
 from precrossed.words import EnvelopeWord, Letter, WordMode
+
+from snf_oracle import from_entries
 
 
 def _push(ctx, out, lt):
@@ -82,8 +83,7 @@ def reference_boundaries(spec, m_max, length_bound):
                 r = index.get(reference_face(ctx, w, i).letters)
                 if r is not None:
                     entries[r, c] = entries.get((r, c), 0) + (-1) ** i
-        out.append(SparseIntMatrix(len(bases[k - 1]), len(bases[k]),
-                                   {key: v for key, v in entries.items() if v}))
+        out.append(from_entries(len(bases[k - 1]), len(bases[k]), entries))
     return out
 
 

@@ -2,10 +2,28 @@
 
 Deliberately separate from the package implementation: dense list-of-lists
 storage, corner-first pivoting, and Fraction Gaussian elimination, so that
-agreement with the sparse production code is meaningful.
+agreement with the sparse production code is meaningful.  ``from_entries``
+and ``from_dense`` build the package's column-major matrices for the tests.
 """
 
 from fractions import Fraction
+
+from precrossed.homology import SparseIntMatrix
+
+
+def from_entries(rows, cols, entries):
+    """The SparseIntMatrix of a {(row, col): value} dict; zeros are left out."""
+    columns = [{} for _ in range(cols)]
+    for (r, c), v in entries.items():
+        if v:
+            columns[c][r] = v
+    return SparseIntMatrix(rows, cols, columns)
+
+
+def from_dense(rows, cols, dense):
+    """The SparseIntMatrix of a list of rows."""
+    return from_entries(rows, cols, {
+        (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)})
 
 
 def dense_smith(matrix):
@@ -154,3 +172,59 @@ def unit_heavy_matrix(rng, max_dim=14):
     for _ in range(rng.randint(0, 3)):
         dense[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((2, -2, 3, -3))
     return dense
+
+
+def _lattice_basis(vectors, n):
+    """An echelon basis of the Z-span of integer vectors of length n, as
+    (pivot coordinate, vector) pairs, by Euclid steps coordinate by coordinate."""
+    vecs = [list(v) for v in vectors if any(v)]
+    basis = []
+    for i in range(n):
+        while True:
+            holders = [v for v in vecs if v[i]]
+            if len(holders) <= 1:
+                break
+            p = min(holders, key=lambda v: abs(v[i]))
+            for v in holders:
+                if v is not p:
+                    q = v[i] // p[i]
+                    v[:] = [a - q * b for a, b in zip(v, p)]
+            vecs = [v for v in vecs if any(v)]
+        if holders:
+            basis.append((i, holders[0]))
+            vecs = [v for v in vecs if v is not holders[0]]
+    return basis
+
+
+def _group(diag, n):
+    """(free rank, torsion orders) of Z^n modulo a lattice with invariant factors diag."""
+    return n - len(diag), [d for d in diag if d > 1]
+
+
+def cokernel_invariants(matrix, orders):
+    """The group Z^n / (columns of M + orders), n = len(orders), as (free rank, torsion):
+    the cokernel of M into the group with these cyclic orders (0 for Z)."""
+    n = len(orders)
+    relations = [[int(r == c) * d for c, d in enumerate(orders) if d] for r in range(n)]
+    return _group(dense_smith([row + rel for row, rel in zip(matrix, relations)]), n)
+
+
+def image_invariants(matrix, orders):
+    """The image of M in Z^n / (orders), as (free rank, torsion): the lattice L spanned
+    by M's columns and the relations, modulo the relations, written in a basis of L."""
+    n = len(orders)
+    relations = [[int(r == c) * d for r in range(n)] for c, d in enumerate(orders) if d]
+    columns = [list(c) for c in zip(*matrix)] if matrix and matrix[0] else []
+    basis = _lattice_basis(columns + relations, n)
+    coords = []  # the relations in the basis of L, one column each
+    for w in relations:
+        w, c = list(w), []
+        for i, b in basis:
+            q, rem = divmod(w[i], b[i])
+            assert rem == 0
+            c.append(q)
+            w = [a - q * v for a, v in zip(w, b)]
+        assert not any(w)
+        coords.append(c)
+    rows = [list(r) for r in zip(*coords)] if coords else [[] for _ in basis]
+    return _group(dense_smith(rows), len(basis))

@@ -15,7 +15,7 @@ from precrossed.cli import (
     cmd_compare_ra,
     cmd_homology,
 )
-from precrossed.homology import SparseIntMatrix, chain_complex, homology, smith_normal_form
+from precrossed.homology import chain_complex, homology, smith_normal_form
 from precrossed.simplicial import (
     build_clauwens,
     build_coskeleton,
@@ -25,7 +25,14 @@ from precrossed.simplicial import (
 )
 from precrossed.words import WordMode
 
-from snf_oracle import dense_det, dense_smith, dense_transforms, matmul, unit_heavy_matrix
+from snf_oracle import (
+    dense_det,
+    dense_smith,
+    dense_transforms,
+    from_dense,
+    matmul,
+    unit_heavy_matrix,
+)
 
 COMPARE_RA_TRANS_2_3 = """\
 command: compare-ra
@@ -162,14 +169,15 @@ def test_criterion_6b_boundary_squares_to_zero(registry):
     ]
     for comp in built:
         for k in range(2, comp.max_degree + 1):
-            upper = comp.boundaries[k].by_columns()
-            lower = comp.boundaries[k - 1].by_columns()
-            for j, col in upper.items():
-                acc = {}
-                for mid, v in col:
-                    for r, w in lower.get(mid, ()):
-                        acc[r] = acc.get(r, 0) + v * w
-                assert not any(acc.values())
+            # through the (row, col) view, apart from the stored columns the check reads
+            lower = {}
+            for (r, mid), w in comp.boundaries[k - 1].entries.items():
+                lower.setdefault(mid, []).append((r, w))
+            acc = {}
+            for (mid, j), v in comp.boundaries[k].entries.items():
+                for r, w in lower.get(mid, ()):
+                    acc[r, j] = acc.get((r, j), 0) + v * w
+            assert not any(acc.values())
     _passed(6, "(b) boundary composites vanish on every constructed complex")
 
 
@@ -188,10 +196,7 @@ def test_criterion_6c_smith_contracts_against_dense_oracle():
     inputs += [unit_heavy_matrix(unit_rng, max_dim=20) for _ in range(300)]
     for dense in inputs:
         rows, cols = len(dense), len(dense[0])
-        entries = {
-            (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v
-        }
-        snf = smith_normal_form(SparseIntMatrix(rows, cols, entries), transforms="both")
+        snf = smith_normal_form(from_dense(rows, cols, dense), transforms="both")
         assert list(snf.diag) == dense_smith(dense)
         for a, b in zip(snf.diag, snf.diag[1:]):
             assert b % a == 0

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +251,23 @@ def test_cap_counts_nondegenerate_words(desk_path, capsys):
     code = main(argv + ["--cap", "47"])
     assert code == EXIT_RESOURCE
     assert "envelope degree 3 exceeds 47 nondegenerate simplices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj, pipeline, builder, degree, size", [
+    ("IDZ3", "envelope", "envelope[group]", 3, 48),
+    ("IDS3", "coskeleton", "coskeleton", 3, 125),
+])
+def test_matrix_cap_names_builder_and_degree(desk_path, capsys, monkeypatch,
+                                             obj, pipeline, builder, degree, size):
+    # without --cap the enumeration allows SIMPLEX_CAP simplices and the matrix cap trips first
+    monkeypatch.setattr(importlib.import_module("precrossed.homology"), "MATRIX_CAP", size - 1)
+    code = main(["homology", desk_path, "--object", obj, "--pipeline", pipeline,
+                 "--max-degree", "2", "--max-length", "3"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err == (f"error: resource bound exceeded: {builder} degree {degree} basis of size "
+                   f"{size} exceeds matrix cap {size - 1}\n")
 
 
 def test_rack_complex_resource_bound_exits_three(desk_path, capsys):

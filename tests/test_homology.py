@@ -7,6 +7,7 @@ import pytest
 from precrossed.algebra import (
     conjugation_module,
     cyclic_group,
+    restrict_to_image,
     symmetric_group,
     trivial_action,
     trivial_group,
@@ -43,24 +44,14 @@ from snf_oracle import (
     dense_det,
     dense_rank,
     dense_smith,
+    cokernel_invariants,
     dense_transforms,
+    from_dense,
+    from_entries,
+    image_invariants,
     matmul,
     unit_heavy_matrix,
 )
-
-
-def sparse(rows, cols, dense):
-    entries = {
-        (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v
-    }
-    return SparseIntMatrix(rows, cols, entries)
-
-
-def to_dense(mat):
-    out = [[0] * mat.cols for _ in range(mat.rows)]
-    for (i, j), v in mat.entries.items():
-        out[i][j] = v
-    return out
 
 
 def random_matrix(rng, max_dim=20, bound=9):
@@ -103,27 +94,27 @@ def test_homology_degree_out_of_range():
 
 
 def test_smith_example_matrix():
-    snf = smith_normal_form(sparse(2, 2, [[2, 4], [6, 8]]))
+    snf = smith_normal_form(from_dense(2, 2, [[2, 4], [6, 8]]))
     assert snf.diag == (2, 4)
     assert dense_smith([[2, 4], [6, 8]]) == [2, 4]
 
 
 def test_smith_zero_and_identity():
-    assert smith_normal_form(sparse(3, 2, [[0, 0]] * 3)).diag == ()
+    assert smith_normal_form(from_dense(3, 2, [[0, 0]] * 3)).diag == ()
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
-    assert smith_normal_form(sparse(4, 4, eye)).diag == (1, 1, 1, 1)
+    assert smith_normal_form(from_dense(4, 4, eye)).diag == (1, 1, 1, 1)
 
 
 def test_smith_matches_dense_oracle_on_random_matrices():
     rng = random.Random(2024)
     for _ in range(150):
         dense = random_matrix(rng, max_dim=8)
-        got = smith_normal_form(sparse(len(dense), len(dense[0]), dense)).diag
+        got = smith_normal_form(from_dense(len(dense), len(dense[0]), dense)).diag
         assert list(got) == dense_smith(dense)
     rng = random.Random(2025)
     for _ in range(150):
         dense = unit_heavy_matrix(rng)
-        got = smith_normal_form(sparse(len(dense), len(dense[0]), dense)).diag
+        got = smith_normal_form(from_dense(len(dense), len(dense[0]), dense)).diag
         assert list(got) == dense_smith(dense)
 
 
@@ -134,7 +125,7 @@ def test_smith_transforms_are_unimodular_and_exact():
     inputs += [unit_heavy_matrix(unit_rng) for _ in range(60)]
     for dense in inputs:
         rows, cols = len(dense), len(dense[0])
-        snf = smith_normal_form(sparse(rows, cols, dense), transforms="both")
+        snf = smith_normal_form(from_dense(rows, cols, dense), transforms="both")
         u, uinv, v, vinv = dense_transforms(snf)
         product = matmul(matmul(u, dense), v)
         for i in range(rows):
@@ -158,7 +149,7 @@ def test_one_sided_smith_matches_two_sided():
     inputs = [random_matrix(rng, max_dim=9) for _ in range(60)]
     inputs += [unit_heavy_matrix(unit_rng) for _ in range(60)]
     for dense in inputs:
-        mat = sparse(len(dense), len(dense[0]), dense)
+        mat = from_dense(len(dense), len(dense[0]), dense)
         both = smith_normal_form(mat, transforms="both")
         rows = smith_normal_form(mat, transforms="rows")
         cols = smith_normal_form(mat, transforms="cols")
@@ -177,7 +168,7 @@ def test_smith_unit_block_beside_torsion():
         [0, 0, 0, 2, 0],
         [0, 0, 0, 0, 3],
     ]
-    snf = smith_normal_form(sparse(5, 5, dense), transforms="both")
+    snf = smith_normal_form(from_dense(5, 5, dense), transforms="both")
     assert snf.diag == (1, 1, 1, 1, 6) and list(snf.diag) == dense_smith(dense)
     u, uinv, v, vinv = dense_transforms(snf)
     product = matmul(matmul(u, dense), v)
@@ -187,14 +178,14 @@ def test_smith_unit_block_beside_torsion():
 
 
 def test_smith_without_transforms_tracks_none():
-    snf = smith_normal_form(sparse(2, 2, [[2, 0], [0, 3]]))
+    snf = smith_normal_form(from_dense(2, 2, [[2, 0], [0, 3]]))
     assert snf.diag == (1, 6)
     assert dense_transforms(snf) == (None, None, None, None)
 
 
 def test_smith_rejects_unknown_side():
     with pytest.raises(ValueError):
-        smith_normal_form(sparse(1, 1, [[1]]), transforms="left")
+        smith_normal_form(from_dense(1, 1, [[1]]), transforms="left")
 
 
 def test_divisibility_chain_on_random_matrices():
@@ -203,7 +194,7 @@ def test_divisibility_chain_on_random_matrices():
     inputs = [random_matrix(rng, max_dim=10) for _ in range(100)]
     inputs += [unit_heavy_matrix(unit_rng) for _ in range(100)]
     for dense in inputs:
-        diag = smith_normal_form(sparse(len(dense), len(dense[0]), dense)).diag
+        diag = smith_normal_form(from_dense(len(dense), len(dense[0]), dense)).diag
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
 
@@ -212,7 +203,7 @@ def test_gaussian_rank_matches_dense_oracle():
     rng = random.Random(7)
     for _ in range(100):
         dense = random_matrix(rng, max_dim=10)
-        mat = sparse(len(dense), len(dense[0]), dense)
+        mat = from_dense(len(dense), len(dense[0]), dense)
         assert gaussian_rank(mat) == dense_rank(dense)
         assert gaussian_rank(mat, 2) == len(
             dense_smith([[v % 2 for v in row] for row in dense])
@@ -221,25 +212,31 @@ def test_gaussian_rank_matches_dense_oracle():
         )
 
 
+def shuffled_bases(comp: ChainComplex, rng) -> ChainComplex:
+    """The same complex, spec kept, with every basis permuted by ``rng`` and the
+    boundaries permuted to match."""
+    perms = []
+    for basis in comp.bases:
+        perm = list(range(len(basis)))
+        rng.shuffle(perm)
+        perms.append(perm)
+    bases = []
+    for basis, perm in zip(comp.bases, perms):
+        moved = [None] * len(basis)
+        for i, s in enumerate(basis):
+            moved[perm[i]] = s
+        bases.append(moved)
+    boundaries = [from_entries(0, len(bases[0]), {})] + [
+        from_entries(len(bases[k - 1]), len(bases[k]), {
+            (perms[k - 1][r], perms[k][c]): v for (r, c), v in comp.boundaries[k].entries.items()})
+        for k in range(1, len(bases))
+    ]
+    return ChainComplex(bases, boundaries, comp.spec)
+
+
 def test_homology_invariant_under_basis_shuffle():
-    rng = random.Random(12)
     comp = z2_trivial_complex(length=3, m_max=1)
-    perms = [list(range(len(b))) for b in comp.bases]
-    for p in perms:
-        rng.shuffle(p)
-    shuffled_boundaries = [SparseIntMatrix(0, len(comp.bases[0]), {})]
-    for k in range(1, len(comp.bases)):
-        entries = {
-            (perms[k - 1][r], perms[k][c]): v
-            for (r, c), v in comp.boundaries[k].entries.items()
-        }
-        shuffled_boundaries.append(
-            SparseIntMatrix(len(comp.bases[k - 1]), len(comp.bases[k]), entries)
-        )
-    shuffled = ChainComplex(
-        [sorted(b) for b in comp.bases],  # the basis order is irrelevant to the math
-        shuffled_boundaries,
-    )
+    shuffled = shuffled_bases(comp, random.Random(12))
     for m in range(2):
         a, b = homology(comp, m), homology(shuffled, m)
         assert (a.betti, a.torsion) == (b.betti, b.torsion)
@@ -290,7 +287,7 @@ def tri_z3_complex():
 def columns(mat: SparseIntMatrix, keep) -> SparseIntMatrix:
     keep = set(keep)
     return SparseIntMatrix(
-        mat.rows, mat.cols, {(r, c): v for (r, c), v in mat.entries.items() if c in keep})
+        mat.rows, mat.cols, [col if c in keep else {} for c, col in enumerate(mat.columns)])
 
 
 def test_compressed_field_ranks_match_plain_ranks():
@@ -446,6 +443,53 @@ def test_induced_map_checks_the_degree_above_on_every_call():
         induced_map(bad, env, cosk, 2)
 
 
+@pytest.mark.parametrize("name, top", [
+    ("IDS3", 2), ("IDZ3", 2), ("IDZ2", 2), ("Z2TRIV", 2), ("IDZ3", 3), ("IDZ2", 3),
+])
+def test_induced_maps_agree_on_invariants_under_basis_shuffle(registry, name, top):
+    # as check-coskeleton NAME --max-degree TOP builds them; the printed matrices
+    # depend on the bases, the cokernel, the image and is_isomorphism do not
+    obj = registry.precrossed[name]
+    module = obj if set(obj.pi) == set(range(obj.group.order)) else restrict_to_image(obj)
+    cmap = canonical_to_coskeleton(module)
+    env = chain_complex(cmap.source, top, top + 1)
+    cosk = chain_complex(build_coskeleton(module), top)
+    rng = random.Random(2)
+    env_s, cosk_s = shuffled_bases(env, rng), shuffled_bases(cosk, rng)
+    matrices_moved = 0
+    for m in range(top + 1):
+        plain = induced_map(cmap, env, cosk, m)
+        moved = induced_map(cmap, env_s, cosk_s, m)
+        assert (moved.source_orders, moved.target_orders) == (
+            plain.source_orders, plain.target_orders)
+        for f in (plain, moved):
+            assert len(f.matrix) == len(f.target_orders)
+        assert (cokernel_invariants(moved.matrix, moved.target_orders)
+                == cokernel_invariants(plain.matrix, plain.target_orders)), m
+        assert (image_invariants(moved.matrix, moved.target_orders)
+                == image_invariants(plain.matrix, plain.target_orders)), m
+        assert moved.is_isomorphism() is plain.is_isomorphism()
+        matrices_moved += moved.matrix != plain.matrix
+    if name == "IDZ3":
+        # the H_1 generator of Z/3 is picked as the other unit: [[2]] on one route, [[1]] on the other
+        assert matrices_moved
+
+
+def test_image_and_cokernel_oracles_on_small_maps():
+    # Z/4 -> Z/4 by 2: image Z/2, cokernel Z/2; Z -> Z by 2: image Z, cokernel Z/2
+    assert image_invariants([[2]], [4]) == (0, [2])
+    assert cokernel_invariants([[2]], [4]) == (0, [2])
+    assert image_invariants([[2]], [0]) == (1, [])
+    assert cokernel_invariants([[2]], [0]) == (0, [2])
+    # into Z/2 + Z/4 by (0, 1): image Z/4 and cokernel Z/2; by (1, 2): image Z/2, cokernel Z/4
+    assert image_invariants([[0], [1]], [2, 4]) == (0, [4])
+    assert cokernel_invariants([[0], [1]], [2, 4]) == (0, [2])
+    assert image_invariants([[1], [2]], [2, 4]) == (0, [2])
+    assert cokernel_invariants([[1], [2]], [2, 4]) == (0, [4])
+    assert image_invariants([[], []], [0, 3]) == (0, [])
+    assert cokernel_invariants([[], []], [0, 3]) == (1, [3])
+
+
 def test_induced_map_needs_spec_built_complexes():
     module = conjugation_module(cyclic_group(2))
     cmap = canonical_to_coskeleton(module)
@@ -471,33 +515,29 @@ def test_field_characteristic_parsing():
 
 def test_chain_complex_rejects_broken_boundaries():
     good = z2_trivial_complex()
-    tampered = {(0, 0): 1}
+    tampered = from_entries(1, 1, {(0, 0): 1})
     with pytest.raises(AssertionError):
-        ChainComplex(
-            good.bases,
-            [good.boundaries[0], SparseIntMatrix(1, 1, tampered), good.boundaries[2]],
-        )
+        ChainComplex(good.bases, [good.boundaries[0], tampered, good.boundaries[2]])
 
 
-def test_composition_check_converts_each_boundary_once(registry, monkeypatch):
+def test_boundaries_are_stored_one_column_dict_per_simplex(registry):
+    racks = rack_complex(registry.augracks["TRANS"], 3)
+    for comp in fixture_complexes() + [racks]:
+        for mat in comp.boundaries:
+            assert len(mat.columns) == mat.cols
+            for col in mat.columns:
+                assert type(col) is dict
+                assert all(v != 0 for v in col.values())
+                assert all(0 <= r < mat.rows for r in col)
+    assert sum(len(col) for col in racks.boundaries[3].columns) == 60
+
+
+def test_composition_check_fires_on_a_broken_boundary(registry):
     spec = build_envelope(registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE)
     env = chain_complex(spec, 2, 3)
-    calls = []
-    by_columns = SparseIntMatrix.by_columns
-
-    def counted(self):
-        calls.append(id(self))
-        return by_columns(self)
-
-    monkeypatch.setattr(SparseIntMatrix, "by_columns", counted)
-    ChainComplex(env.bases, env.boundaries)
-    assert sorted(calls) == sorted(id(mat) for mat in env.boundaries[1:])
-    calls.clear()
-    racks = rack_complex(registry.augracks["TRANS"], 3)
-    assert sorted(calls) == sorted(id(mat) for mat in racks.boundaries[1:])
     # d_3 sending basis element 0 to a simplex with a nonzero boundary breaks d_2 d_3
     r = next(c for _, c in env.boundaries[2].entries)
-    broken = env.boundaries[:3] + [SparseIntMatrix(env.dim(2), env.dim(3), {(r, 0): 1})]
+    broken = env.boundaries[:3] + [from_entries(env.dim(2), env.dim(3), {(r, 0): 1})]
     with pytest.raises(AssertionError, match="degree 3 is nonzero"):
         ChainComplex(env.bases, broken)
 
@@ -512,16 +552,14 @@ def test_kernel_coordinates_rebuild_every_boundary_column():
     for comp in generator_complexes():
         for m in range(comp.max_degree):
             basis = homology_generators(comp, m)
-            by_col = comp.boundaries[m + 1].by_columns()
-            for j in range(comp.dim(m + 1)):
-                column = by_col.get(j, [])
-                coords = _kernel_coords(basis.vinv_cols, basis.rank, column)
+            for column in comp.boundaries[m + 1].columns:
+                coords = _kernel_coords(basis.vinv_cols, basis.rank, column.items())
                 rebuilt = [0] * comp.dim(m)
                 for c, coeff in coords.items():
                     for r, v in basis.kernel[c].items():
                         rebuilt[r] += coeff * v
                 want = [0] * comp.dim(m)
-                for r, v in column:
+                for r, v in column.items():
                     want[r] = v
                 assert rebuilt == want
 
