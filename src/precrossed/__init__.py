@@ -50,7 +50,6 @@ from .oracles import (
 )
 from .simplicial import (
     SimplicialMap,
-    SpecKind,
     build_clauwens,
     build_coskeleton,
     build_envelope,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegreeOutOfRange, NotChainMap, ResourceBound
+from .errors import DegreeOutOfRange, NotChainMap
 
 MATRIX_CAP = 5_000
 
@@ -279,12 +279,13 @@ def smith_normal_form(mat: SparseIntMatrix, transforms: str | None = None) -> SN
 
 
 def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
-                  drop_rows=(), with_pivots: bool = False) -> int | tuple[int, list[int]]:
-    """Rank by sparse Gaussian elimination over GF(p), or over Q when p is None.
+                  drop_rows=()) -> tuple[int, list[int]]:
+    """(rank, pivot columns) by sparse Gaussian elimination over GF(p), or over Q
+    when p is None.
 
     Columns are eliminated left to right, so the pivot columns are the first
     column basis in index order.  ``drop_rows`` names rows to leave out of the
-    elimination; ``with_pivots`` returns (rank, pivot columns) instead of the rank.
+    elimination.
     """
     drop = frozenset(drop_rows)
     rows: dict[int, dict[int, object]] = {}
@@ -328,7 +329,7 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
                     cols[c].discard(r)
             if not row:
                 del rows[r]
-    return (len(pivots), pivots) if with_pivots else len(pivots)
+    return len(pivots), pivots
 
 
 def field_characteristic(coeff: str) -> int | None:
@@ -418,8 +419,7 @@ class ChainComplex:
         for j in range(k + 1):
             if (j, p) not in self._rank_cache:
                 below = self._rank_cache[j - 1, p][1] if j else ()
-                self._rank_cache[j, p] = gaussian_rank(
-                    self.boundaries[j], p, drop_rows=below, with_pivots=True)
+                self._rank_cache[j, p] = gaussian_rank(self.boundaries[j], p, drop_rows=below)
         return self._rank_cache[k, p][0]
 
 
@@ -441,20 +441,15 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
 
     The basis in degree k is ``spec.nondegenerate(k, length_bound)``, and the
     faces from ``spec.faces(k, basis)`` are looked up among the basis below,
-    one simplex at a time, so no degree's faces are kept.  ``cap``
-    bounds both the nondegenerate simplices that enumeration counts and the
-    basis of each boundary matrix; None keeps SIMPLEX_CAP and MATRIX_CAP.
+    one simplex at a time, so no degree's faces are kept.  ``cap`` bounds
+    the nondegenerate simplices that enumeration counts, so a basis over it
+    is never built; None keeps MATRIX_CAP.
     """
-    matrix_cap = MATRIX_CAP if cap is None else cap
+    cap = MATRIX_CAP if cap is None else cap
     bases: list[list] = []
     lookups: list[dict] = []
     for k in range(m_max + 2):
         nondeg = spec.nondegenerate(k, length_bound, cap=cap)
-        if len(nondeg) > matrix_cap:
-            raise ResourceBound(
-                f"{spec.describe()} degree {k} basis of size {len(nondeg)} "
-                f"exceeds matrix cap {matrix_cap}"
-            )
         bases.append(nondeg)
         lookups.append({s: i for i, s in enumerate(nondeg)})
     boundaries = [SparseIntMatrix(0, len(bases[0]), [{} for _ in bases[0]])]

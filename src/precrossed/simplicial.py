@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
@@ -35,19 +34,11 @@ from .words import (
     context_from_precrossed,
     context_from_rack,
     degeneracy_letters,
-    face_letters,
     letter_text,
     word_faces,
 )
 
 SIMPLEX_CAP = 200_000
-
-
-class SpecKind(Enum):
-    ENVELOPE = "envelope"
-    CLAUWENS = "clauwens"
-    COSKELETON = "coskeleton"
-    NERVE = "nerve"
 
 
 class SimplicialSpec:
@@ -56,7 +47,7 @@ class SimplicialSpec:
     A simplex is any hashable value; every operation takes its degree k too.
     """
 
-    kind: SpecKind
+    name: str
 
     def simplices(self, k: int, length_bound: int | None = None, cap: int | None = None) -> list:
         raise NotImplementedError
@@ -89,37 +80,22 @@ class SimplicialSpec:
         return self.encode(simplex)
 
     def describe(self) -> str:
-        return self.kind.value
+        return self.name
 
 
 class WordSpec(SimplicialSpec):
     """Envelope and Clauwens quotients: a simplex is the letter tuple of a tail-free normal form."""
 
-    def __init__(self, kind: SpecKind, ctx: WordContext):
-        self.kind = kind
+    def __init__(self, name: str, ctx: WordContext):
+        self.name = name
         self.ctx = ctx
 
     def _alphabet(self, k: int) -> list[Letter]:
+        """Every letter that ``push`` keeps on the empty word."""
         ctx = self.ctx
-        letters = []
-        for j in range(k):
-            for b in range(ctx.alphabet_size):
-                if ctx.mode is WordMode.GROUP_SYLLABLE:
-                    if b != ctx.x_identity:
-                        letters.append(Letter(b, 1, j))
-                elif ctx.mode is WordMode.FREE_LETTER:
-                    letters.append(Letter(b, 1, j))
-                    letters.append(Letter(b, -1, j))
-                else:
-                    letters.append(Letter(b, 1, j))
-        return letters
-
-    def _may_follow(self, prev: Letter, nxt: Letter) -> bool:
-        if self.ctx.mode is WordMode.GROUP_SYLLABLE:
-            return prev.position != nxt.position
-        if self.ctx.mode is WordMode.FREE_LETTER:
-            return not (prev.base == nxt.base and prev.position == nxt.position and prev.sign == -nxt.sign)
-        return True
+        signs = (1, -1) if ctx.mode is WordMode.FREE_LETTER else (1,)
+        return [Letter(b, s, j) for j in range(k) for b in range(ctx.alphabet_size)
+                for s in signs if ctx.push((), b, s, j)]
 
     def _words(self, k, length_bound, cap, nondegenerate):
         """Normal-form words of length <= length_bound, sorted; ``cap`` is checked per word.
@@ -129,11 +105,12 @@ class WordSpec(SimplicialSpec):
         it misses more positions than it has letters left to add.
         """
         if length_bound is None:
-            raise ResourceBound(f"{self.kind.value} enumeration needs a length bound")
+            raise ResourceBound(f"{self.name} enumeration needs a length bound")
         cap = SIMPLEX_CAP if cap is None else cap
         what = "nondegenerate simplices" if nondegenerate else "simplices"
-        alphabet = self._alphabet(k)
-        follow = {lt: [nl for nl in alphabet if self._may_follow(lt, nl)] for lt in alphabet}
+        alphabet, push = self._alphabet(k), self.ctx.push
+        # nl may follow lt iff push appends it rather than merging or cancelling
+        follow = {lt: [nl for nl in alphabet if len(push((lt,), *nl)) == 2] for lt in alphabet}
         full = (1 << k) - 1
         found: list[tuple[Letter, ...]] = []
 
@@ -141,7 +118,7 @@ class WordSpec(SimplicialSpec):
             found.append(word)
             if len(found) > cap:
                 raise ResourceBound(
-                    f"{self.kind.value} degree {k} exceeds {cap} {what} at length {length_bound}"
+                    f"{self.describe()} degree {k} exceeds {cap} {what} at length {length_bound}"
                 )
 
         if not nondegenerate or k == 0:
@@ -174,7 +151,9 @@ class WordSpec(SimplicialSpec):
 
     def face(self, k, simplex, i):
         """The reduced letters of d_i, tail dropped, as plain ``(base, sign, position)`` tuples."""
-        return face_letters(self.ctx, k, simplex, self.ctx.group.identity, i)[0]
+        if not 0 <= i <= k:
+            raise IndexOutOfRange(f"face {i} undefined in degree {k}")
+        return next(word_faces(self.ctx, k, (simplex,)))[i]
 
     def faces(self, k, simplices):
         """All faces of each word along shared prefixes, as ``word_faces`` walks them."""
@@ -190,7 +169,7 @@ class WordSpec(SimplicialSpec):
         return (len(simplex), letter_text(self.ctx, simplex))
 
     def describe(self):
-        return f"{self.kind.value}[{self.ctx.mode.value}]"
+        return f"{self.name}[{self.ctx.mode.value}]"
 
 
 @dataclass(frozen=True)
@@ -248,7 +227,7 @@ class CoskeletonSpec(SimplicialSpec):
     degeneracies insert the identity edge over a repeated vertex.
     """
 
-    kind = SpecKind.COSKELETON
+    name = "coskeleton"
 
     def __init__(self, module: PreCrossedModule):
         self.module = module
@@ -321,7 +300,7 @@ class CoskeletonSpec(SimplicialSpec):
 class NerveSpec(SimplicialSpec):
     """The bar model of a finite group: degree k holds all k-tuples."""
 
-    kind = SpecKind.NERVE
+    name = "nerve"
 
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -368,12 +347,12 @@ def build_envelope(obj, mode: WordMode) -> WordSpec:
     if mode is WordMode.GROUP_SYLLABLE:
         if not isinstance(obj, PreCrossedModule):
             raise ModeMismatch("GROUP_SYLLABLE envelope requires a pre-crossed module")
-        return WordSpec(SpecKind.ENVELOPE, context_from_precrossed(obj))
+        return WordSpec("envelope", context_from_precrossed(obj))
     if mode is WordMode.FREE_LETTER:
         rack = obj.as_augmented_rack() if isinstance(obj, PreCrossedModule) else obj
         if not isinstance(rack, AugmentedRack):
             raise ModeMismatch("FREE_LETTER envelope requires an augmented rack")
-        return WordSpec(SpecKind.ENVELOPE, context_from_rack(rack, mode))
+        return WordSpec("envelope", context_from_rack(rack, mode))
     raise ModeMismatch("monoid words belong to the Clauwens builder")
 
 
@@ -382,7 +361,7 @@ def build_clauwens(obj) -> WordSpec:
     rack = obj.as_augmented_rack() if isinstance(obj, PreCrossedModule) else obj
     if not isinstance(rack, AugmentedRack):
         raise ModeMismatch("the Clauwens builder requires an augmented rack")
-    return WordSpec(SpecKind.CLAUWENS, context_from_rack(rack, WordMode.MONOID_LETTER))
+    return WordSpec("clauwens", context_from_rack(rack, WordMode.MONOID_LETTER))
 
 
 def build_coskeleton(module: PreCrossedModule) -> CoskeletonSpec:

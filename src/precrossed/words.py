@@ -14,10 +14,10 @@ letter twists the letter base, g * (x)_j = (x^(g^-1))_j * g.
 
 Each mode's merge/cancel rule is written once, as ``WordContext.push``,
 which adds one plain ``(base, sign, position)`` tuple to a reduced tuple.
-Faces, degeneracies and ``reduce`` fold letters through it after
-re-indexing positions through a cached map; ``word_faces`` pushes letters
-through it along the prefixes that consecutive words share.  Only the top
-face d_k evaluates pi and twists.
+``reduce`` and the degeneracies fold letters through it; ``word_faces``
+pushes letters through it along the prefixes that consecutive words share.
+The twist is written once for whole words, in ``normalize_mixed``, which
+``twist``, ``multiply`` and the top face of ``face_word`` go through.
 """
 
 from __future__ import annotations
@@ -170,11 +170,7 @@ def reduce(ctx: WordContext, degree: int, letters: Iterable[Letter], tail: int |
 
 def twist(ctx: WordContext, g: int, word: EnvelopeWord) -> EnvelopeWord:
     """Replace every base x by x^(g^-1); the move that carries g left past the word."""
-    if g == ctx.group.identity:
-        return word
-    ginv = ctx.group.inv(g)
-    col = ctx.action
-    letters = tuple(Letter(col[lt.base][ginv], lt.sign, lt.position) for lt in word.letters)
+    letters = normalize_mixed(ctx, word.degree, [g, *_as_letters(word.letters)]).letters
     return EnvelopeWord(word.mode, word.degree, letters, word.tail)
 
 
@@ -183,15 +179,8 @@ def multiply(ctx: WordContext, w1: EnvelopeWord, w2: EnvelopeWord) -> EnvelopeWo
         raise ModeMismatch(f"cannot multiply {w1.mode.name} by {w2.mode.name} in {ctx.mode.name}")
     if w1.degree != w2.degree:
         raise DegreeMismatch(f"degrees {w1.degree} and {w2.degree} differ")
-    shifted = twist(
-        ctx, w1.tail, EnvelopeWord(w2.mode, w2.degree, w2.letters, ctx.group.identity)
-    )
-    return reduce(
-        ctx,
-        w1.degree,
-        w1.letters + shifted.letters,
-        tail=ctx.group.mul(w1.tail, w2.tail),
-    )
+    items = [*_as_letters(w1.letters), w1.tail, *_as_letters(w2.letters)]
+    return normalize_mixed(ctx, w1.degree, items, w2.tail)
 
 
 def normalize_mixed(ctx: WordContext, degree: int, items, tail: int | None = None) -> EnvelopeWord:
@@ -216,48 +205,14 @@ def normalize_mixed(ctx: WordContext, degree: int, items, tail: int | None = Non
 
 @functools.cache
 def _face_map(k: int, i: int) -> tuple[int, ...]:
-    """Where d_i sends the positions 0..k-1 of degree k; -1 drops the letter.
-
-    d_k is the identity here: its top letters are evaluated before the map.
-    """
+    """Where d_i (i < k) sends the positions 0..k-1 of degree k; -1 drops the letter."""
     return tuple(j if j < i else j - 1 for j in range(k))
-
-
-def face_letters(ctx: WordContext, degree: int, letters: tuple, tail: int,
-                 i: int) -> tuple[tuple, int]:
-    """Face d_i of a word given as ``(base, sign, position)`` tuples and a tail.
-
-    Returns the reduced letters in degree-1 and the new tail.  A letter at
-    position j goes to: nothing when i = j = 0, the untouched letter when
-    i > j, position j-1 when i <= j and j > 0.  So a face d_i with i < k
-    only re-indexes positions, through a per-(k, i) map, and merges where
-    letters meet.  The top face d_k turns each letter at position k-1 into
-    the group element pi(base)^sign, carries it right into the tail, and
-    twists every later letter by it on the way.
-    """
-    k = degree
-    if k == 0 or not 0 <= i <= k:
-        raise IndexOutOfRange(f"face {i} undefined in degree {k}")
-    if i < k:
-        return _normal_form(ctx, letters, _face_map(k, i)), tail
-    group = ctx.group
-    mul, inv, e = group.table, group.inverse, group.identity
-    pi, action = ctx.pi, ctx.action
-    top = k - 1
-    g = e
-    kept = []
-    for b, s, j in letters:
-        if j == top:
-            g = mul[g][pi[b] if s > 0 else inv[pi[b]]]
-        else:
-            kept.append((action[b][inv[g]], s, j))
-    return _normal_form(ctx, kept, _face_map(k, k)), mul[g][tail]
 
 
 def word_faces(ctx: WordContext, degree: int, words: Iterable[tuple]) -> Iterator[tuple]:
     """``(d_0 w, ..., d_k w)`` for each tail-free word w, in input order, tails dropped.
 
-    The faces equal those of ``face_letters``, computed along shared prefixes.
+    The faces equal those of ``face_word``, computed along shared prefixes.
     For each prefix length n of the previous word the walk keeps the reduced
     letters of d_0..d_(k-1) on its first n letters, and the reduced letters
     and the group element g of d_k.  A word resumes from the state of its
@@ -299,9 +254,24 @@ def word_faces(ctx: WordContext, degree: int, words: Iterable[tuple]) -> Iterato
 
 
 def face_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:
-    """Face operator on a full word (tail kept), through ``face_letters``."""
-    letters, tail = face_letters(ctx, word.degree, word.letters, word.tail, i)
-    return EnvelopeWord(ctx.mode, word.degree - 1, _as_letters(letters), tail)
+    """Face d_i of a full word, tail kept.
+
+    A face d_i with i < k re-indexes positions through ``_face_map`` and
+    reduces.  The top face d_k turns each letter at position k-1 into the
+    group element pi(base)^sign, which ``normalize_mixed`` carries right
+    into the tail, twisting every later letter on the way.
+    """
+    k = word.degree
+    if k == 0 or not 0 <= i <= k:
+        raise IndexOutOfRange(f"face {i} undefined in degree {k}")
+    if i < k:
+        move = _face_map(k, i)
+        letters = [Letter(b, s, move[j]) for b, s, j in word.letters if move[j] >= 0]
+        return reduce(ctx, k - 1, letters, word.tail)
+    pi, inv = ctx.pi, ctx.group.inv
+    items = [Letter(b, s, j) if j < k - 1 else pi[b] if s > 0 else inv(pi[b])
+             for b, s, j in word.letters]
+    return normalize_mixed(ctx, k - 1, items, word.tail)
 
 
 def degeneracy_letters(ctx: WordContext, degree: int, letters: tuple, i: int) -> tuple:
@@ -326,6 +296,3 @@ def encode(ctx: WordContext, word: EnvelopeWord) -> str:
         text += f"|{ctx.group.label(word.tail)}"
     return text
 
-
-def sort_key(ctx: WordContext, word: EnvelopeWord) -> tuple[int, str]:
-    return (word.length, encode(ctx, word))

@@ -250,7 +250,7 @@ def test_cap_counts_nondegenerate_words(desk_path, capsys):
     assert run(argv + ["--cap", "48"], capsys)[0] == 0
     code = main(argv + ["--cap", "47"])
     assert code == EXIT_RESOURCE
-    assert "envelope degree 3 exceeds 47 nondegenerate simplices" in capsys.readouterr().err
+    assert "envelope[group] degree 3 exceeds 47 nondegenerate simplices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("obj, pipeline, builder, degree, size", [
@@ -259,15 +259,17 @@ def test_cap_counts_nondegenerate_words(desk_path, capsys):
 ])
 def test_matrix_cap_names_builder_and_degree(desk_path, capsys, monkeypatch,
                                              obj, pipeline, builder, degree, size):
-    # without --cap the enumeration allows SIMPLEX_CAP simplices and the matrix cap trips first
+    # without --cap the enumeration stops at the matrix cap, before the basis is built;
+    # word builders also name the length
+    length = " at length 3" if pipeline == "envelope" else ""
     monkeypatch.setattr(importlib.import_module("precrossed.homology"), "MATRIX_CAP", size - 1)
     code = main(["homology", desk_path, "--object", obj, "--pipeline", pipeline,
                  "--max-degree", "2", "--max-length", "3"])
     out, err = capsys.readouterr()
     assert code == EXIT_RESOURCE
     assert out == ""
-    assert err == (f"error: resource bound exceeded: {builder} degree {degree} basis of size "
-                   f"{size} exceeds matrix cap {size - 1}\n")
+    assert err == (f"error: resource bound exceeded: {builder} degree {degree} exceeds "
+                   f"{size - 1} nondegenerate simplices{length}\n")
 
 
 def test_rack_complex_resource_bound_exits_three(desk_path, capsys):

@@ -204,8 +204,8 @@ def test_gaussian_rank_matches_dense_oracle():
     for _ in range(100):
         dense = random_matrix(rng, max_dim=10)
         mat = from_dense(len(dense), len(dense[0]), dense)
-        assert gaussian_rank(mat) == dense_rank(dense)
-        assert gaussian_rank(mat, 2) == len(
+        assert gaussian_rank(mat)[0] == dense_rank(dense)
+        assert gaussian_rank(mat, 2)[0] == len(
             dense_smith([[v % 2 for v in row] for row in dense])
         ) - sum(
             1 for d in dense_smith([[v % 2 for v in row] for row in dense]) if d % 2 == 0
@@ -296,11 +296,11 @@ def test_compressed_field_ranks_match_plain_ranks():
         for p in (None, 2, 3, 5):
             for k, mat in enumerate(comp.boundaries):
                 rank = comp.field_rank(k, p)
-                assert rank == gaussian_rank(mat, p), (comp.spec, k, p)
+                assert rank == gaussian_rank(mat, p)[0], (comp.spec, k, p)
                 # the recorded pivot columns are a column basis of the whole d_k
                 _, pivots = comp._rank_cache[k, p]
                 assert len(pivots) == rank
-                assert gaussian_rank(columns(mat, pivots), p) == rank, (comp.spec, k, p)
+                assert gaussian_rank(columns(mat, pivots), p)[0] == rank, (comp.spec, k, p)
     assert [tri.dim(k) for k in range(6)] == [1, 2, 120, 1680, 4992, 3840]
     assert [tri.field_rank(k, 3) for k in range(6)] == [0, 0, 1, 117, 1559, 3425]
 

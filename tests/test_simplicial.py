@@ -212,6 +212,17 @@ def test_coskeleton_cap_counts_nondegenerate_families(registry, name, kept, tota
         spec.nondegenerate(4, cap=kept - 1)
 
 
+def test_default_cap_stops_the_enumeration(registry):
+    # the degree-2 free envelope of TRANS has 183,888 nondegenerate words at
+    # length 5: the default cap trips at word 5,001, before the basis is built
+    from precrossed.homology import chain_complex
+
+    spec = build_envelope(registry.augracks["TRANS"], WordMode.FREE_LETTER)
+    with pytest.raises(ResourceBound, match="envelope\\[free\\] degree 2 exceeds 5000 "
+                                            "nondegenerate simplices at length 5"):
+        chain_complex(spec, 3, 5)
+
+
 def test_chain_complex_basis_is_the_nondegenerate_simplices(registry):
     from precrossed.homology import chain_complex
 

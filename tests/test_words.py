@@ -23,7 +23,6 @@ from precrossed.words import (
     multiply,
     normalize_mixed,
     reduce,
-    sort_key,
     twist,
 )
 
@@ -274,7 +273,6 @@ def test_encode_forms():
     assert encode(ctx, empty) == "1"
     w = reduce(ctx, 2, [Letter(0, 1, 0), Letter(0, -1, 1)], tail=1)
     assert encode(ctx, w) == "(a@0)(a^-1@1)|1"
-    assert sort_key(ctx, w) == (2, "(a@0)(a^-1@1)|1")
 
 
 def test_group_syllable_context_requires_module():
