@@ -8,7 +8,7 @@ a group acting on itself by conjugation ``x^g = g^{-1} x g``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ActionInvalid,
@@ -25,14 +25,10 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(namedtuple("FiniteGroup", "elements table identity inverse")):
     """A finite group as a Cayley table on element indices."""
 
-    elements: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -52,49 +48,36 @@ class FiniteGroup:
         return self.elements[a]
 
 
-@dataclass(frozen=True)
-class RightAction:
-    """A right action of a finite group on a finite carrier, as a table."""
+class RightAction(namedtuple("RightAction", "group carrier_size table")):
+    """A right action of a finite group on a finite carrier, as a table: table[x][g] = x^g."""
 
-    group: FiniteGroup
-    carrier_size: int
-    table: tuple[tuple[int, ...], ...]  # table[x][g] = x^g
+    __slots__ = ()
 
     def act(self, x: int, g: int) -> int:
         return self.table[x][g]
 
 
-@dataclass(frozen=True)
-class Rack:
+class Rack(namedtuple("Rack", "size op")):
     """A finite rack: op[x][y] = x <| y."""
 
-    size: int
-    op: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AugmentedRack:
-    """A G-set X with an equivariant map pi: X -> G (G acting on itself by conjugation)."""
+class AugmentedRack(namedtuple("AugmentedRack", "carrier group action pi induced")):
+    """A G-set X with an equivariant map pi: X -> G (G acting on itself by conjugation);
+    ``induced`` is the derived operation x <| y = x^(pi y)."""
 
-    carrier: tuple[str, ...]
-    group: FiniteGroup
-    action: RightAction
-    pi: tuple[int, ...]
-    induced: Rack  # derived operation x <| y = x^(pi y)
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.carrier)
 
 
-@dataclass(frozen=True)
-class PreCrossedModule:
+class PreCrossedModule(namedtuple("PreCrossedModule", "x_group group action pi")):
     """An augmented rack whose carrier is a group, with G acting by automorphisms."""
 
-    x_group: FiniteGroup
-    group: FiniteGroup
-    action: RightAction
-    pi: tuple[int, ...]
+    __slots__ = ()
 
     def as_augmented_rack(self) -> AugmentedRack:
         return validate_augmented_rack(
@@ -362,13 +345,11 @@ def conjugation_module(group: FiniteGroup) -> PreCrossedModule:
     )
 
 
-@dataclass(frozen=True)
-class PrecrossedAction:
-    """The action of X on itself through pi, with its image automorphism group."""
+class PrecrossedAction(namedtuple("PrecrossedAction", "phi image module")):
+    """The action of X on itself through pi, with its image automorphism group:
+    ``phi[y]`` is the permutation x -> x^(pi y), ``module`` is X -> image, revalidated."""
 
-    phi: tuple[tuple[int, ...], ...]  # phi[y] = the permutation x -> x^(pi y)
-    image: FiniteGroup
-    module: PreCrossedModule  # X -> image, revalidated
+    __slots__ = ()
 
 
 def precrossed_action(module: PreCrossedModule) -> PrecrossedAction:

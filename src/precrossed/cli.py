@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .algebra import (
     AugmentedRack,
@@ -52,12 +51,14 @@ EXIT_DISAGREE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
 class Registry:
-    groups: dict[str, FiniteGroup] = field(default_factory=dict)
-    racks: dict[str, Rack] = field(default_factory=dict)
-    augracks: dict[str, AugmentedRack] = field(default_factory=dict)
-    precrossed: dict[str, PreCrossedModule] = field(default_factory=dict)
+    """The named objects of one input file, one name-to-object table per kind."""
+
+    def __init__(self):
+        self.groups: dict[str, FiniteGroup] = {}
+        self.racks: dict[str, Rack] = {}
+        self.augracks: dict[str, AugmentedRack] = {}
+        self.precrossed: dict[str, PreCrossedModule] = {}
 
     def tables(self) -> dict[str, dict]:
         """Object kind -> the name-to-object table of that kind."""
@@ -212,7 +213,7 @@ def parse_input(path: str) -> Registry:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_text(text)
 
@@ -221,13 +222,15 @@ def parse_text(text: str) -> Registry:
     return _Parser(text).registry
 
 
-@dataclass
 class Report:
-    command: str
-    params: dict[str, str]
-    lines: list[str] = field(default_factory=list)
-    verdict: str | None = None
-    machine: list[str] = field(default_factory=list)
+    """A command's parameters, result lines, verdict and ``--machine`` lines."""
+
+    def __init__(self, command: str, params: dict[str, str]):
+        self.command = command
+        self.params = params
+        self.lines: list[str] = []
+        self.verdict: str | None = None
+        self.machine: list[str] = []
 
     def render(self, machine: bool = False) -> str:
         if machine:

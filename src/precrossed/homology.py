@@ -18,33 +18,50 @@ row and column structures from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .errors import DegreeOutOfRange, NotChainMap
 
 MATRIX_CAP = 5_000
 
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
+class _Entries(Mapping):
+    """{(row, col): value} over column dicts, in column order; copies nothing."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: list[dict[int, int]]):
+        self._columns = columns
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        r, c = key
+        if 0 <= c < len(self._columns) and r in self._columns[c]:
+            return self._columns[c][r]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((r, c) for c, col in enumerate(self._columns) for r in col)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._columns))
+
+
+class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols columns")):
     """Integer matrix stored column-major: ``columns[c]`` is {row: nonzero value}.
 
     There are exactly ``cols`` column dicts, none holds a zero, and every row
     lies in range(rows).  ``entries`` is a read-only {(row, col): value} view
-    built on each access, for inspection only.
+    of the same columns, for inspection only.
     """
 
-    rows: int
-    cols: int
-    columns: list[dict[int, int]]
+    __slots__ = ()
 
     @property
-    def entries(self) -> dict[tuple[int, int], int]:
-        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
+    def entries(self) -> Mapping[tuple[int, int], int]:
+        return _Entries(self.columns)
 
 
-@dataclass
 class SNFResult:
     """Diagonal d_1 | d_2 | ... plus optional unimodular transforms U M V = D.
 
@@ -52,11 +69,13 @@ class SNFResult:
     and V^-1 and the columns of U^-1 and V; a side not tracked is None.
     """
 
-    diag: tuple[int, ...]
-    u_rows: list[dict[int, int]] | None = None
-    uinv_cols: list[dict[int, int]] | None = None
-    v_cols: list[dict[int, int]] | None = None
-    vinv_rows: list[dict[int, int]] | None = None
+    def __init__(self, diag: tuple[int, ...], u_rows=None, uinv_cols=None, v_cols=None,
+                 vinv_rows=None):
+        self.diag = diag
+        self.u_rows = u_rows
+        self.uinv_cols = uinv_cols
+        self.v_cols = v_cols
+        self.vinv_rows = vinv_rows
 
     @property
     def rank(self) -> int:
@@ -288,6 +307,8 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
     elimination.
     """
     drop = frozenset(drop_rows)
+    if p is None:
+        from fractions import Fraction  # only the Q route needs it
     rows: dict[int, dict[int, object]] = {}
     cols: dict[int, set[int]] = {}
     for c, col in enumerate(mat.columns):
@@ -344,12 +365,10 @@ def field_characteristic(coeff: str) -> int | None:
     raise ValueError(f"unknown field coefficient tag {coeff!r}")
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    degree: int
-    coeff: str
-    betti: int
-    torsion: tuple[int, ...]
+class HomologyGroup(namedtuple("HomologyGroup", "degree coeff betti torsion")):
+    """H_degree with coefficients ``coeff``: a Betti rank plus torsion orders (over Z only)."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         sym = "Z" if self.coeff == "Z" else self.coeff
@@ -372,18 +391,20 @@ class HomologyGroup:
         )
 
 
-@dataclass
 class ChainComplex:
-    """Normalized chains: one ordered basis of simplices per degree plus boundary matrices."""
+    """Normalized chains: one ordered basis of simplices per degree plus boundary matrices.
 
-    bases: list[list]
-    boundaries: list[SparseIntMatrix]
-    spec: object | None = None
-    _snf_cache: dict = field(default_factory=dict, repr=False)
-    _rank_cache: dict = field(default_factory=dict, repr=False)
-    _faces_checked: dict = field(default_factory=dict, repr=False)
+    Construction checks every boundary's shape and that d o d = 0.
+    """
 
-    def __post_init__(self):
+    def __init__(self, bases: list[list], boundaries: list[SparseIntMatrix],
+                 spec: object | None = None):
+        self.bases = bases
+        self.boundaries = boundaries
+        self.spec = spec
+        self._snf_cache: dict = {}
+        self._rank_cache: dict = {}
+        self._faces_checked: dict = {}
         if len(self.boundaries) != len(self.bases):
             raise AssertionError("one boundary matrix per degree expected")
         for k, mat in enumerate(self.boundaries):
@@ -485,19 +506,17 @@ def homology(comp: ChainComplex, m: int, coeff: str = "Z") -> HomologyGroup:
     return HomologyGroup(m, coeff, dim - comp.field_rank(m, p) - comp.field_rank(m + 1, p), ())
 
 
-@dataclass
-class HomologyBasis:
+class HomologyBasis(namedtuple("HomologyBasis",
+                                "degree orders chains kernel vinv_cols rank ua")):
     """Integral generators of H_m plus the data needed to classify any cycle.
 
-    Vectors are sparse {index: value} dicts, except the generator chains."""
+    Vectors are sparse {index: value} dicts, except the generator ``chains``.
+    ``orders``: 0 marks a free generator, d > 1 torsion of order d; ``kernel``:
+    columns r.. of V from the Smith form U d_m V = D; ``vinv_cols``: columns
+    of V^-1; ``rank``: r, the rank of d_m; ``ua``: the rows of U (U A V' = D')
+    for the generators."""
 
-    degree: int
-    orders: list[int]  # 0 marks a free generator, d > 1 torsion of order d
-    chains: list[list[int]]
-    kernel: list[dict[int, int]]  # columns r.. of V from the Smith form U d_m V = D
-    vinv_cols: list[dict[int, int]]  # columns of V^-1
-    rank: int  # r, the rank of d_m
-    ua: list[dict[int, int]]  # the rows of U (U A V' = D') for the generators
+    __slots__ = ()
 
     @property
     def group(self) -> tuple[int, tuple[int, ...]]:
@@ -558,14 +577,10 @@ def classify_cycle(basis: HomologyBasis, vec: list[int]) -> tuple[int, ...]:
     return tuple(x % d if d else x for x, d in zip(w, basis.orders))
 
 
-@dataclass
-class InducedMap:
+class InducedMap(namedtuple("InducedMap", "degree matrix source_orders target_orders")):
     """Matrix of a simplicial map on homology generators (rows: target, cols: source)."""
 
-    degree: int
-    matrix: list[list[int]]
-    source_orders: list[int]
-    target_orders: list[int]
+    __slots__ = ()
 
     def is_isomorphism(self) -> bool:
         """Exact: f is an isomorphism iff the orders agree and f is onto.

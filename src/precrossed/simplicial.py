@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import IndexOutOfRange, ModeMismatch, ResourceBound
@@ -172,12 +172,11 @@ class WordSpec(SimplicialSpec):
         return f"{self.name}[{self.ctx.mode.value}]"
 
 
-@dataclass(frozen=True)
-class CoskeletonFamily:
-    """Vertices v_0..v_k (v_k = identity) plus one connecting letter per pair a<b."""
+class CoskeletonFamily(namedtuple("CoskeletonFamily", "vertices edges")):
+    """Vertices v_0..v_k (v_k = identity) plus one connecting letter x_ab per
+    pair a<b, the ``edges`` in lexicographic pair order."""
 
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]  # x_{ab} in lexicographic pair order
+    __slots__ = ()
 
 
 @functools.cache
@@ -380,12 +379,12 @@ def is_degenerate(spec: SimplicialSpec, k: int, simplex) -> bool:
     return False
 
 
-@dataclass
-class IdentityReport:
-    passed: bool
-    simplices_checked: int
-    identities_checked: int
-    violation: str | None = None
+class IdentityReport(namedtuple("IdentityReport",
+                                 "passed simplices_checked identities_checked violation",
+                                 defaults=(None,))):
+    """Outcome of an identity check; ``violation`` names the first failure, if any."""
+
+    __slots__ = ()
 
 
 def check_simplicial_identities(spec: SimplicialSpec, k_max: int,
@@ -428,17 +427,18 @@ def check_simplicial_identities(spec: SimplicialSpec, k_max: int,
     return IdentityReport(True, simplices_checked, identities)
 
 
-@dataclass
 class SimplicialMap:
     """A per-simplex rule ``rule(k, s)`` between two specs, expected to commute with structure maps.
 
     The rule is a function of (k, s), so ``apply`` evaluates it once per simplex
     and keeps the image for the life of the map."""
 
-    source: SimplicialSpec
-    target: SimplicialSpec
-    rule: Callable[[int, object], object]
-    _images: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, source: SimplicialSpec, target: SimplicialSpec,
+                 rule: Callable[[int, object], object]):
+        self.source = source
+        self.target = target
+        self.rule = rule
+        self._images: dict = {}
 
     def apply(self, k: int, simplex):
         key = (k, simplex)

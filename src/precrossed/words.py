@@ -23,9 +23,9 @@ The twist is written once for whole words, in ``normalize_mixed``, which
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import DegreeMismatch, IndexOutOfRange, ModeMismatch
@@ -37,25 +37,22 @@ class WordMode(Enum):
     MONOID_LETTER = "monoid"
 
 
-class Letter(NamedTuple):
-    base: int
-    sign: int  # +1 or -1; -1 only in FREE_LETTER mode
-    position: int
+class Letter(namedtuple("Letter", "base sign position")):
+    """One letter: a base index, a sign (+1, or -1 only in FREE_LETTER mode), a position."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EnvelopeWord:
-    mode: WordMode
-    degree: int
-    letters: tuple[Letter, ...]
-    tail: int
+class EnvelopeWord(namedtuple("EnvelopeWord", "mode degree letters tail")):
+    """A word in degree ``degree``: its reduced ``letters`` and the group element ``tail``."""
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
 class WordContext:
     """Everything word arithmetic needs about one envelope or monoid.
 
@@ -63,20 +60,21 @@ class WordContext:
     letter base; ``x_table``/``x_identity`` are set only in GROUP_SYLLABLE mode.
     """
 
-    mode: WordMode
-    group: FiniteGroup
-    pi: tuple[int, ...]
-    action: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    x_table: tuple[tuple[int, ...], ...] | None = None
-    x_identity: int | None = None
+    def __init__(self, mode: WordMode, group: FiniteGroup, pi: tuple[int, ...],
+                 action: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
+                 x_table: tuple[tuple[int, ...], ...] | None = None,
+                 x_identity: int | None = None):
+        self.mode = mode
+        self.group = group
+        self.pi = pi
+        self.action = action
+        self.labels = labels
+        self.alphabet_size = len(labels)
+        self.x_table = x_table
+        self.x_identity = x_identity
+        self.push = self._push_rule()
 
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.labels)
-
-    @functools.cached_property
-    def push(self) -> Callable[[tuple, int, int, int], tuple]:
+    def _push_rule(self):
         """The reduction rule of the mode, one letter at a time.
 
         ``push(stack, base, sign, position)`` returns the reduced letter tuple

@@ -1,4 +1,8 @@
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +73,20 @@ def test_non_integer_size_exits_one(capsys, tmp_path):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err == "error: size: expected an integer, got 'two'\n"
+
+
+def test_registry_that_is_not_utf8_exits_one(tmp_path):
+    path = tmp_path / "reg.txt"
+    path.write_bytes(b"\xff\xfe group G")
+    src = pathlib.Path(__file__).parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "precrossed.cli", "validate", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=60, check=False)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot read {path}: ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("perms", ["", "/", "1,0 / "])

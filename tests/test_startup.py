@@ -1,0 +1,138 @@
+"""Start-up cost: what `import precrossed.cli` loads, and the value types that keep it small."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from precrossed.algebra import (
+    conjugation_action,
+    conjugation_module,
+    conjugation_structure,
+    cyclic_group,
+    precrossed_action,
+    symmetric_group,
+)
+from precrossed.homology import (
+    InducedMap,
+    SparseIntMatrix,
+    chain_complex,
+    homology,
+    homology_generators,
+)
+from precrossed.simplicial import build_coskeleton, build_envelope, check_simplicial_identities
+from precrossed.words import Letter, WordMode, context_from_precrossed, reduce
+
+SRC = pathlib.Path(__file__).parents[1] / "src"
+
+# Standard-library modules no command needs: dataclasses and typing with what they
+# pull in, and the number tower of the Q route, which gaussian_rank imports itself.
+FORBIDDEN = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+
+PROBE = """
+import sys
+before = set(sys.modules)
+import precrossed.cli
+imported = set(sys.modules) - before
+import contextlib, io, json
+mid = set(sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    code = precrossed.cli.main(sys.argv[1:])
+print(json.dumps({"imported": sorted(imported), "ran": sorted(set(sys.modules) - mid),
+                  "code": code, "report": out.getvalue()}))
+"""
+
+Q_REPORT = """\
+command: homology
+object: TRANS
+pipeline: envelope
+coeff: Q
+max-degree: 2
+max-length: 3
+cap: 200000
+H_0 = Q
+H_1 = Q
+H_2 = Q
+"""
+
+
+def test_cli_import_loads_no_unneeded_module(desk_path):
+    argv = ["homology", desk_path, "--object", "TRANS", "--pipeline", "envelope",
+            "--max-degree", "2", "--max-length", "3", "--coeff", "Q"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert FORBIDDEN.isdisjoint(got["imported"])
+    # every command parses its arguments: deferring argparse would only move its cost
+    assert "argparse" in got["imported"]
+    assert (got["code"], got["report"]) == (0, Q_REPORT)
+    assert "fractions" in got["ran"]
+
+
+def _module():
+    return conjugation_module(cyclic_group(3))
+
+
+def _complex():
+    return chain_complex(build_envelope(_module(), WordMode.GROUP_SYLLABLE), 2, 3)
+
+
+# each converted value type: how to build one, and its field names in order
+VALUE_TYPES = {
+    "FiniteGroup": (lambda: cyclic_group(3), ("elements", "table", "identity", "inverse")),
+    "RightAction": (lambda: conjugation_action(cyclic_group(3)),
+                    ("group", "carrier_size", "table")),
+    "Rack": (lambda: conjugation_structure(symmetric_group(3), [1, 2, 5]).induced,
+             ("size", "op")),
+    "AugmentedRack": (lambda: conjugation_structure(symmetric_group(3), [1, 2, 5]),
+                      ("carrier", "group", "action", "pi", "induced")),
+    "PreCrossedModule": (_module, ("x_group", "group", "action", "pi")),
+    "PrecrossedAction": (lambda: precrossed_action(_module()), ("phi", "image", "module")),
+    "SparseIntMatrix": (lambda: SparseIntMatrix(1, 2, [{0: 2}, {0: 2}]),
+                        ("rows", "cols", "columns")),
+    "HomologyGroup": (lambda: homology(_complex(), 1), ("degree", "coeff", "betti", "torsion")),
+    "HomologyBasis": (lambda: homology_generators(_complex(), 1),
+                      ("degree", "orders", "chains", "kernel", "vinv_cols", "rank", "ua")),
+    "InducedMap": (lambda: InducedMap(1, [[2]], [3], [3]),
+                   ("degree", "matrix", "source_orders", "target_orders")),
+    "CoskeletonFamily": (lambda: build_coskeleton(_module()).nondegenerate(2)[-1],
+                         ("vertices", "edges")),
+    "EnvelopeWord": (lambda: reduce(context_from_precrossed(_module()), 2,
+                                    [Letter(1, 1, 0), Letter(2, 1, 1)], 1),
+                     ("mode", "degree", "letters", "tail")),
+    "IdentityReport": (lambda: check_simplicial_identities(
+        build_envelope(_module(), WordMode.GROUP_SYLLABLE), 1, 2),
+        ("passed", "simplices_checked", "identities_checked", "violation")),
+    "Letter": (lambda: Letter(1, 1, 0), ("base", "sign", "position")),
+}
+
+
+@pytest.mark.parametrize("make, fields", list(VALUE_TYPES.values()), ids=list(VALUE_TYPES))
+def test_value_type_contract(make, fields):
+    a, b = make(), make()
+    assert a is not b and a == b
+    assert type(a)._fields == fields
+    shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
+    assert repr(a) == f"{type(a).__name__}({shown})"
+    try:
+        hash(tuple(a))
+    except TypeError:
+        pass  # a list or dict field: unhashable, as the frozen value always was
+    else:
+        assert hash(a) == hash(b)
+    # no per-instance dict: there are thousands of families and letters
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(a, fields[0], getattr(a, fields[0]))
+    with pytest.raises(AttributeError):
+        a.note = 1
+
+
+def test_readme_library_example_repr():
+    assert repr(homology(_complex(), 1)) == (
+        "HomologyGroup(degree=1, coeff='Z', betti=0, torsion=(3,))")
