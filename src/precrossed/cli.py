@@ -243,6 +243,10 @@ class Report:
         return "\n".join(out) + "\n"
 
 
+def _capped_report(command: str, params: dict[str, str], cap: int | None) -> Report:
+    return Report(command, {**params, "cap": str(SIMPLEX_CAP if cap is None else cap)})
+
+
 def _as_rack(kind: str, obj) -> AugmentedRack:
     if kind == "augrack":
         return obj
@@ -275,7 +279,7 @@ def cmd_homology(reg: Registry, name: str, pipeline: str, max_degree: int, max_l
     kind, obj = reg.lookup(name)
     comp = _pipeline_complex(kind, obj, pipeline, max_degree, max_length, cap)
     groups = [homology(comp, m, coeff) for m in range(max_degree + 1)]
-    report = Report(
+    report = _capped_report(
         "homology",
         {
             "object": name,
@@ -283,8 +287,8 @@ def cmd_homology(reg: Registry, name: str, pipeline: str, max_degree: int, max_l
             "coeff": coeff,
             "max-degree": str(max_degree),
             "max-length": str(max_length),
-            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
+        cap,
     )
     report.lines = [f"H_{h.degree} = {h.render()}" for h in groups]
     report.machine = [h.machine() for h in groups]
@@ -303,14 +307,14 @@ def cmd_compare_ra(reg: Registry, name: str, max_degree: int, max_length: int,
         columns["envelope"][m].same_group(columns[other][m])
         for other in ("clauwens", "rackcomplex") for m in range(max_degree + 1)
     )
-    report = Report(
+    report = _capped_report(
         "compare-ra",
         {
             "object": name,
             "max-degree": str(max_degree),
             "max-length": str(max_length),
-            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
+        cap,
     )
     report.lines.append("degree envelope clauwens rackcomplex")
     for m in range(max_degree + 1):
@@ -340,15 +344,15 @@ def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths
     table = {length: _betti_row(spec, max_degree, length, coeff, cap) for length in lengths}
     compare_at = {m: (m + 1 if m + 1 in lengths else max(lengths)) for m in range(max_degree + 1)}
     agree = all(table[compare_at[m]][m] == expected[m] for m in range(max_degree + 1))
-    report = Report(
+    report = _capped_report(
         "check-tri",
         {
             "object": name,
             "coeff": coeff,
             "max-degree": str(max_degree),
             "lengths": ",".join(map(str, lengths)),
-            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
+        cap,
     )
     report.lines.append(
         "generators: " + (", ".join(f"degree {d} x{c}" for d, c in generators) or "none")
@@ -379,22 +383,24 @@ def cmd_check_coskeleton(reg: Registry, name: str, max_degree: int,
     module = obj if surjective else restrict_to_image(obj)
     cosk = chain_complex(build_coskeleton(module), max_degree, cap=cap)
     nerve = chain_complex(build_nerve(module.group), max_degree, cap=cap)
-    cosk_h = [homology(cosk, m) for m in range(max_degree + 1)]
-    nerve_h = [homology(nerve, m) for m in range(max_degree + 1)]
-    agree = all(a.same_group(b) for a, b in zip(cosk_h, nerve_h))
     cmap = canonical_to_coskeleton(module)
     env = chain_complex(cmap.source, max_degree, max_degree + 1, cap=cap)
     maps = [induced_map(cmap, env, cosk, m) for m in range(max_degree + 1)]
+    # H_m(coskeleton) from induced_map's generators, with no second Smith form: 0 is Z, d > 1 Z/d
+    cosk_h = [HomologyGroup(m, "Z", orders.count(0), tuple(d for d in orders if d > 1))
+              for m, orders in enumerate(f.target_orders for f in maps)]
+    nerve_h = [homology(nerve, m) for m in range(max_degree + 1)]
+    agree = all(a.same_group(b) for a, b in zip(cosk_h, nerve_h))
     h0_iso = maps[0].is_isomorphism()
-    report = Report(
+    report = _capped_report(
         "check-coskeleton",
         {
             "object": name,
             "max-degree": str(max_degree),
             "max-length": str(max_degree + 1),
             "pi-surjective": "yes" if surjective else "no (base group replaced by image)",
-            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
+        cap,
     )
     report.lines.append("degree coskeleton nerve")
     for m in range(max_degree + 1):
@@ -416,15 +422,15 @@ def cmd_sweep(reg: Registry, name: str, pipeline: str, degree: int, lengths: lis
         if n1 and n2 and h1.same_group(h2):  # an empty basis shows nothing yet
             stabilized = l1
             break
-    report = Report(
+    report = _capped_report(
         "sweep",
         {
             "object": name,
             "pipeline": pipeline,
             "degree": str(degree),
             "lengths": ",".join(map(str, lengths)),
-            "cap": str(SIMPLEX_CAP if cap is None else cap),
         },
+        cap,
     )
     for length, h, dim in values:
         warn = "" if dim else " (warning: empty basis)"

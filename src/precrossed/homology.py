@@ -460,23 +460,20 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
                   cap: int | None = None) -> ChainComplex:
     """Normalized chain complex of a spec in degrees 0..m_max+1.
 
-    The basis in degree k is ``spec.nondegenerate(k, length_bound)``, and the
-    faces from ``spec.faces(k, basis)`` are looked up among the basis below,
-    one simplex at a time, so no degree's faces are kept.  ``cap`` bounds
-    the nondegenerate simplices that enumeration counts, so a basis over it
-    is never built; None keeps MATRIX_CAP.
+    The basis in degree k is ``spec.nondegenerate(k, length_bound)``; the faces
+    from ``spec.faces(k, basis)`` are looked up one simplex at a time in an index
+    of the basis below made for d_k alone, so no faces are kept and the top
+    basis gets no index.  ``cap`` bounds the nondegenerate simplices that
+    enumeration counts, so a basis over it is never built; None keeps MATRIX_CAP.
     """
     cap = MATRIX_CAP if cap is None else cap
     bases: list[list] = []
-    lookups: list[dict] = []
     for k in range(m_max + 2):
-        nondeg = spec.nondegenerate(k, length_bound, cap=cap)
-        bases.append(nondeg)
-        lookups.append({s: i for i, s in enumerate(nondeg)})
+        bases.append(spec.nondegenerate(k, length_bound, cap=cap))
     boundaries = [SparseIntMatrix(0, len(bases[0]), [{} for _ in bases[0]])]
     for k in range(1, m_max + 2):
         columns: list[dict[int, int]] = []
-        lookup = lookups[k - 1]
+        lookup = {s: i for i, s in enumerate(bases[k - 1])}
         for faces in spec.faces(k, bases[k]):
             col: dict[int, int] = {}
             sign = 1

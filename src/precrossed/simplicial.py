@@ -76,9 +76,6 @@ class SimplicialSpec:
     def encode(self, simplex) -> str:
         raise NotImplementedError
 
-    def sort_key(self, simplex):
-        return self.encode(simplex)
-
     def describe(self) -> str:
         return self.name
 
@@ -91,18 +88,21 @@ class WordSpec(SimplicialSpec):
         self.ctx = ctx
 
     def _alphabet(self, k: int) -> list[Letter]:
-        """Every letter that ``push`` keeps on the empty word."""
+        """Every letter that ``push`` keeps on the empty word, in the order of its text."""
         ctx = self.ctx
         signs = (1, -1) if ctx.mode is WordMode.FREE_LETTER else (1,)
-        return [Letter(b, s, j) for j in range(k) for b in range(ctx.alphabet_size)
-                for s in signs if ctx.push((), b, s, j)]
+        letters = [Letter(b, s, j) for j in range(k) for b in range(ctx.alphabet_size)
+                   for s in signs if ctx.push((), b, s, j)]
+        return sorted(letters, key=lambda lt: letter_text(ctx, (lt,)))
 
     def _words(self, k, length_bound, cap, nondegenerate):
-        """Normal-form words of length <= length_bound, sorted; ``cap`` is checked per word.
+        """Normal-form words of length <= length_bound, in (length, text) order.
 
-        With ``nondegenerate`` only words meeting every position 0..k-1 are
-        kept (s_i leaves position i empty), and a prefix is dropped as soon as
-        it misses more positions than it has letters left to add.
+        The walk adds letters in alphabet order and letter texts are prefix-free
+        (no label holds ``@``), so no sort is needed.  ``cap`` is checked per
+        word.  With ``nondegenerate`` only words meeting every position 0..k-1
+        are kept (s_i leaves position i empty), and a prefix is dropped as soon
+        as it misses more positions than it has letters left to add.
         """
         if length_bound is None:
             raise ResourceBound(f"{self.name} enumeration needs a length bound")
@@ -140,7 +140,6 @@ class WordSpec(SimplicialSpec):
             frontier = grown
             if not frontier:
                 break
-        found.sort(key=self.sort_key)
         return found
 
     def simplices(self, k, length_bound=None, cap=None):
@@ -164,9 +163,6 @@ class WordSpec(SimplicialSpec):
 
     def encode(self, simplex):
         return letter_text(self.ctx, simplex)
-
-    def sort_key(self, simplex):
-        return (len(simplex), letter_text(self.ctx, simplex))
 
     def describe(self):
         return f"{self.name}[{self.ctx.mode.value}]"
@@ -261,7 +257,7 @@ class CoskeletonSpec(SimplicialSpec):
                 out.append(CoskeletonFamily(vertices, edges))
                 if len(out) > cap:
                     raise ResourceBound(f"coskeleton degree {k} exceeds {cap} {what}")
-        out.sort(key=self.sort_key)
+        out.sort(key=self.encode)
         return out
 
     def simplices(self, k, length_bound=None, cap=None):
@@ -309,7 +305,7 @@ class NerveSpec(SimplicialSpec):
         if self.group.order**k > cap:
             raise ResourceBound(f"nerve degree {k} exceeds {cap} simplices")
         out = list(itertools.product(range(self.group.order), repeat=k))
-        out.sort(key=self.sort_key)
+        out.sort(key=self.encode)
         return out
 
     def nondegenerate(self, k, length_bound=None, cap=None):
@@ -320,7 +316,7 @@ class NerveSpec(SimplicialSpec):
             raise ResourceBound(f"nerve degree {k} exceeds {cap} nondegenerate simplices")
         others = [v for v in range(g.order) if v != g.identity]
         out = list(itertools.product(others, repeat=k))
-        out.sort(key=self.sort_key)
+        out.sort(key=self.encode)
         return out
 
     def face(self, k, t, i):

@@ -588,6 +588,29 @@ induced H_0 isomorphism: yes
 verdict: AGREE
 """,
     ),
+    # [[2]] and [[1, 0, 0]] depend on the word basis order of the envelope
+    "check-coskeleton IDZ3": (
+        ["check-coskeleton", "--object", "IDZ3", "--max-degree", "3"],
+        """\
+command: check-coskeleton
+object: IDZ3
+max-degree: 3
+max-length: 4
+pi-surjective: yes
+cap: 200000
+degree coskeleton nerve
+0 Z Z
+1 Z/3 Z/3
+2 0 0
+3 Z/3 Z/3
+induced H_0 matrix: [[1]]
+induced H_1 matrix: [[2]]
+induced H_2 matrix: []
+induced H_3 matrix: [[1, 0, 0]]
+induced H_0 isomorphism: yes
+verdict: AGREE
+""",
+    ),
     "sweep": (
         SWEEP + ["--degree", "1", "--lengths", "1..3"],
         """\

@@ -475,6 +475,25 @@ def test_induced_maps_agree_on_invariants_under_basis_shuffle(registry, name, to
         assert matrices_moved
 
 
+def test_induced_map_target_orders_give_the_coskeleton_homology(registry):
+    # check-coskeleton reads its coskeleton column off target_orders instead of
+    # a second Smith form: 0 counts a free generator, d > 1 is torsion
+    compared = 0
+    for name, obj in registry.precrossed.items():
+        module = obj if set(obj.pi) == set(range(obj.group.order)) else restrict_to_image(obj)
+        cmap = canonical_to_coskeleton(module)
+        for top in range(1, 3 if name == "IDS3" else 4):  # IDS3 at 3 is over the default cap
+            env = chain_complex(cmap.source, top, top + 1)
+            cosk = chain_complex(build_coskeleton(module), top)
+            for m in range(top + 1):
+                orders = induced_map(cmap, env, cosk, m).target_orders
+                h = homology(cosk, m)
+                assert (orders.count(0), tuple(d for d in orders if d > 1)) == (
+                    h.betti, h.torsion), (name, top, m)
+                compared += 1
+    assert compared == 32
+
+
 def test_image_and_cokernel_oracles_on_small_maps():
     # Z/4 -> Z/4 by 2: image Z/2, cokernel Z/2; Z -> Z by 2: image Z, cokernel Z/2
     assert image_invariants([[2]], [4]) == (0, [2])

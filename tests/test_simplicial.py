@@ -203,6 +203,30 @@ def test_nondegenerate_matches_the_degeneracy_filter(registry):
                 assert spec.nondegenerate(k, bound) == want, (label, k, bound)
 
 
+def test_word_bases_come_out_in_length_text_order(registry):
+    # the walk emits (length, text) order with no sort; a basis order change
+    # moves induced matrices, so it is pinned on every desk word spec
+    specs = []
+    for module in registry.precrossed.values():
+        specs += [build_envelope(module, WordMode.GROUP_SYLLABLE),
+                  build_envelope(module, WordMode.FREE_LETTER), build_clauwens(module)]
+    for rack in registry.augracks.values():
+        specs += [build_envelope(rack, WordMode.FREE_LETTER), build_clauwens(rack)]
+    checked = 0
+    for spec in specs:
+        for k in range(5):
+            for bound in range(5):
+                for words in (spec.simplices, spec.nondegenerate):
+                    try:
+                        got = words(k, bound, cap=20000)
+                    except ResourceBound:
+                        continue
+                    checked += 1
+                    want = sorted(got, key=lambda s: (len(s), spec.encode(s)))
+                    assert got == want, (spec.describe(), words.__name__, k, bound)
+    assert checked == 973
+
+
 @pytest.mark.parametrize("name, kept, total", [("IDS3", 625, 1296), ("Z2TRIV", 809, 1024)])
 def test_coskeleton_cap_counts_nondegenerate_families(registry, name, kept, total):
     spec = build_coskeleton(registry.precrossed[name])
