@@ -386,9 +386,8 @@ def cmd_check_coskeleton(reg: Registry, name: str, max_degree: int,
     cmap = canonical_to_coskeleton(module)
     env = chain_complex(cmap.source, max_degree, max_degree + 1, cap=cap)
     maps = [induced_map(cmap, env, cosk, m) for m in range(max_degree + 1)]
-    # H_m(coskeleton) from induced_map's generators, with no second Smith form: 0 is Z, d > 1 Z/d
-    cosk_h = [HomologyGroup(m, "Z", orders.count(0), tuple(d for d in orders if d > 1))
-              for m, orders in enumerate(f.target_orders for f in maps)]
+    # H_m(coskeleton) from induced_map's generators, with no second Smith form
+    cosk_h = [HomologyGroup.from_orders(m, f.target_orders) for m, f in enumerate(maps)]
     nerve_h = [homology(nerve, m) for m in range(max_degree + 1)]
     agree = all(a.same_group(b) for a, b in zip(cosk_h, nerve_h))
     h0_iso = maps[0].is_isomorphism()

@@ -6,14 +6,16 @@ eliminates each +-1 pivot exactly, taking the shortest row among the column's
 +-1 holders.  The residual phase reduces what is left, pivoting on the
 smallest nonzero magnitude with a row/column fill tie-break, with Euclid steps
 and a divisibility fix-up.  Transforms are tracked as sparse vectors.  Field
-Betti numbers use sparse Gaussian ranks instead, computed bottom-up with the
-rows that the pivots one degree down account for dropped, so the two
-coefficient routes stay independent.
+Betti numbers use ranks by column insertion instead, computed bottom-up with
+the rows that the pivots one degree down account for dropped.  Each column is
+reduced at its leading (largest) row against one stored pivot vector per row:
+normalized to a leading 1 over GF(p), and reduced by fraction-free integer
+steps over Q.  The two coefficient routes share no code.
 
 Boundary matrices are stored column-major, one {row: value} dict per simplex,
 as the faces of each simplex produce them.  The d o d check reads those
-columns directly, and the Smith form and the field ranks each build their own
-row and column structures from them.
+columns directly; the Smith form builds its own row and column structures
+from them, and the field ranks copy one column at a time.
 """
 
 from __future__ import annotations
@@ -299,57 +301,56 @@ def smith_normal_form(mat: SparseIntMatrix, transforms: str | None = None) -> SN
 
 def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
                   drop_rows=()) -> tuple[int, list[int]]:
-    """(rank, pivot columns) by sparse Gaussian elimination over GF(p), or over Q
-    when p is None.
+    """(rank, pivot columns) by column insertion over GF(p), or over Q when p is None.
 
-    Columns are eliminated left to right, so the pivot columns are the first
-    column basis in index order.  ``drop_rows`` names rows to leave out of the
-    elimination.
+    Each column, copied without ``drop_rows``, is reduced while its largest row
+    keys a stored pivot vector, and is stored under that row if left nonzero.
+    So a column is a pivot exactly when it is independent of the columns before
+    it: the pivot columns are the first column basis in index order.
     """
     drop = frozenset(drop_rows)
     if p is None:
-        from fractions import Fraction  # only the Q route needs it
-    rows: dict[int, dict[int, object]] = {}
-    cols: dict[int, set[int]] = {}
-    for c, col in enumerate(mat.columns):
-        for r, v in col.items():
-            if r in drop:
-                continue
-            if p is not None:
-                v = v % p
-                if not v:
-                    continue
-            rows.setdefault(r, {})[c] = v if p is not None else Fraction(v)
-            cols.setdefault(c, set()).add(r)
+        from math import gcd  # only the Q route needs it
+    stored: dict[int, tuple] = {}  # leading row: (leading entry, the other (row, entry) pairs)
     pivots: list[int] = []
-    for j in range(mat.cols):
-        holders = cols.get(j)
-        if not holders:
-            continue
-        i = min(holders, key=lambda r: (len(rows[r]), r))
-        pivot_row = rows.pop(i)
-        for c in pivot_row:
-            cols[c].discard(i)
-        pivots.append(j)
-        piv = pivot_row[j]
-        inv = pow(piv, -1, p) if p is not None else 1 / piv
-        for r in sorted(cols.get(j, set())):
-            row = rows[r]
-            factor = row[j] * inv
-            if p is not None:
-                factor %= p
-            for c, v in pivot_row.items():
-                nv = row.get(c, 0) - factor * v
+    for j, col in enumerate(mat.columns):
+        if p is None:
+            v = {r: x for r, x in col.items() if r not in drop}
+        else:
+            v = {r: x % p for r, x in col.items() if r not in drop and x % p}
+        while v:
+            r = max(v)
+            w = stored.get(r)
+            if w is None:
+                break
+            lead, rest = w
+            b = v.pop(r)
+            if p is None:  # v <- a v - b w, then divided by the gcd of its entries
+                g = gcd(lead, b)
+                a, b = lead // g, b // g
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    v = {k: a * x for k, x in v.items()}
+            for k, x in rest:
+                nv = v.get(k, 0) - b * x
                 if p is not None:
                     nv %= p
                 if nv:
-                    row[c] = nv
-                    cols.setdefault(c, set()).add(r)
-                elif c in row:
-                    del row[c]
-                    cols[c].discard(r)
-            if not row:
-                del rows[r]
+                    v[k] = nv
+                else:
+                    del v[k]
+            if p is None and a != 1 and v:
+                g = gcd(*v.values())
+                if g != 1:
+                    v = {k: x // g for k, x in v.items()}
+        if v:
+            lead = v.pop(r)
+            if p is not None:  # scaled to a leading 1
+                inv, lead = pow(lead, -1, p), 1
+                v = {k: x * inv % p for k, x in v.items()}
+            stored[r] = lead, tuple(v.items())
+            pivots.append(j)
     return len(pivots), pivots
 
 
@@ -369,6 +370,11 @@ class HomologyGroup(namedtuple("HomologyGroup", "degree coeff betti torsion")):
     """H_degree with coefficients ``coeff``: a Betti rank plus torsion orders (over Z only)."""
 
     __slots__ = ()
+
+    @classmethod
+    def from_orders(cls, degree: int, orders) -> "HomologyGroup":
+        """H_degree over Z with one cyclic summand per order: 0 is Z, d > 1 is Z/d, 1 is trivial."""
+        return cls(degree, "Z", orders.count(0), tuple(d for d in orders if d > 1))
 
     def render(self) -> str:
         sym = "Z" if self.coeff == "Z" else self.coeff
@@ -514,12 +520,6 @@ class HomologyBasis(namedtuple("HomologyBasis",
     for the generators."""
 
     __slots__ = ()
-
-    @property
-    def group(self) -> tuple[int, tuple[int, ...]]:
-        betti = sum(1 for d in self.orders if d == 0)
-        torsion = tuple(d for d in self.orders if d > 1)
-        return betti, torsion
 
 
 def _kernel_coords(vinv_cols, r: int, support) -> dict[int, int]:

@@ -91,9 +91,10 @@ def dense_smith(matrix):
     return diag
 
 
-def dense_rank(matrix):
-    """Rank over Q by Fraction Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in matrix]
+def dense_rank(matrix, p=None):
+    """Rank over Q by Fraction Gaussian elimination, or over GF(p) on residues mod p."""
+    norm = (lambda x: x) if p is None else (lambda x: x % p)
+    m = [[Fraction(v) if p is None else norm(v) for v in row] for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     rank = 0
@@ -102,16 +103,27 @@ def dense_rank(matrix):
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][j]
-        m[rank] = [v * inv for v in m[rank]]
+        inv = 1 / m[rank][j] if p is None else pow(m[rank][j], -1, p)
+        m[rank] = [norm(v * inv) for v in m[rank]]
         for i in range(rows):
             if i != rank and m[i][j]:
                 factor = m[i][j]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+                m[i] = [norm(a - factor * b) for a, b in zip(m[i], m[rank])]
         rank += 1
         if rank == rows:
             break
     return rank
+
+
+def first_column_basis(matrix, p=None):
+    """The columns that raise the rank of the columns kept before them, over Q
+    (p None) or GF(p): the greedy first column basis in index order."""
+    kept = []
+    for j in range(len(matrix[0]) if matrix else 0):
+        trial = kept + [j]
+        if dense_rank([[row[c] for c in trial] for row in matrix], p) == len(trial):
+            kept.append(j)
+    return kept
 
 
 def dense_det(matrix):

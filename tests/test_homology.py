@@ -18,6 +18,7 @@ from precrossed.cli import parse_input
 from precrossed.errors import DegreeOutOfRange, NotChainMap
 from precrossed.homology import (
     ChainComplex,
+    HomologyGroup,
     InducedMap,
     _kernel_coords,
     SparseIntMatrix,
@@ -46,6 +47,7 @@ from snf_oracle import (
     dense_smith,
     cokernel_invariants,
     dense_transforms,
+    first_column_basis,
     from_dense,
     from_entries,
     image_invariants,
@@ -212,6 +214,20 @@ def test_gaussian_rank_matches_dense_oracle():
         )
 
 
+def test_gaussian_rank_pivots_are_the_first_column_basis():
+    # entries up to 9 in size make the fraction-free steps over Q divide by a gcd
+    rng = random.Random(17)
+    for _ in range(60):
+        dense = random_matrix(rng, max_dim=10)
+        rows = len(dense)
+        drop = set(rng.sample(range(rows), rng.randint(0, rows // 2)))
+        kept = [[0] * len(row) if i in drop else row for i, row in enumerate(dense)]
+        mat = from_dense(rows, len(dense[0]), dense)
+        for p in (None, 2, 3, 5):
+            want = first_column_basis(kept, p)
+            assert gaussian_rank(mat, p, drop_rows=drop) == (len(want), want), (dense, drop, p)
+
+
 def shuffled_bases(comp: ChainComplex, rng) -> ChainComplex:
     """The same complex, spec kept, with every basis permuted by ``rng`` and the
     boundaries permuted to match."""
@@ -292,7 +308,9 @@ def columns(mat: SparseIntMatrix, keep) -> SparseIntMatrix:
 
 def test_compressed_field_ranks_match_plain_ranks():
     tri = tri_z3_complex()
-    for comp in fixture_complexes() + [tri]:
+    complexes = fixture_complexes() + [tri]
+    stored = [[dict(col) for col in mat.columns] for comp in complexes for mat in comp.boundaries]
+    for comp in complexes:
         for p in (None, 2, 3, 5):
             for k, mat in enumerate(comp.boundaries):
                 rank = comp.field_rank(k, p)
@@ -301,6 +319,8 @@ def test_compressed_field_ranks_match_plain_ranks():
                 _, pivots = comp._rank_cache[k, p]
                 assert len(pivots) == rank
                 assert gaussian_rank(columns(mat, pivots), p)[0] == rank, (comp.spec, k, p)
+    # no rank writes into a stored boundary column
+    assert [mat.columns for comp in complexes for mat in comp.boundaries] == stored
     assert [tri.dim(k) for k in range(6)] == [1, 2, 120, 1680, 4992, 3840]
     assert [tri.field_rank(k, 3) for k in range(6)] == [0, 0, 1, 117, 1559, 3425]
 
@@ -308,7 +328,7 @@ def test_compressed_field_ranks_match_plain_ranks():
 def test_homology_generators_match_group():
     comp = chain_complex(build_coskeleton(conjugation_module(cyclic_group(2))), 2)
     basis = homology_generators(comp, 1)
-    assert basis.group == (0, (2,))
+    assert HomologyGroup.from_orders(1, basis.orders) == (1, "Z", 0, (2,))
     # the generator really is a cycle of order two
     chain = basis.chains[0]
     assert classify_cycle(basis, chain) == (1,)
