@@ -13,7 +13,6 @@ from .algebra import (
     PreCrossedModule,
     PrecrossedAction,
     Rack,
-    RightAction,
     conjugation_action,
     conjugation_module,
     conjugation_structure,

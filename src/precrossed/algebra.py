@@ -48,15 +48,6 @@ class FiniteGroup(namedtuple("FiniteGroup", "elements table identity inverse")):
         return self.elements[a]
 
 
-class RightAction(namedtuple("RightAction", "group carrier_size table")):
-    """A right action of a finite group on a finite carrier, as a table: table[x][g] = x^g."""
-
-    __slots__ = ()
-
-    def act(self, x: int, g: int) -> int:
-        return self.table[x][g]
-
-
 class Rack(namedtuple("Rack", "size op")):
     """A finite rack: op[x][y] = x <| y."""
 
@@ -65,7 +56,7 @@ class Rack(namedtuple("Rack", "size op")):
 
 class AugmentedRack(namedtuple("AugmentedRack", "carrier group action pi induced")):
     """A G-set X with an equivariant map pi: X -> G (G acting on itself by conjugation);
-    ``induced`` is the derived operation x <| y = x^(pi y)."""
+    ``action[x][g]`` is x^g and ``induced`` is the derived operation x <| y = x^(pi y)."""
 
     __slots__ = ()
 
@@ -75,7 +66,8 @@ class AugmentedRack(namedtuple("AugmentedRack", "carrier group action pi induced
 
 
 class PreCrossedModule(namedtuple("PreCrossedModule", "x_group group action pi")):
-    """An augmented rack whose carrier is a group, with G acting by automorphisms."""
+    """An augmented rack whose carrier is a group, with G acting by automorphisms;
+    ``action[x][g]`` is x^g."""
 
     __slots__ = ()
 
@@ -217,8 +209,9 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def validate_right_action(
     group: FiniteGroup, carrier_size: int, table, automorphisms_of: FiniteGroup | None = None
-) -> RightAction:
-    """Check the right-action axioms; optionally also that each g acts by automorphisms."""
+) -> tuple[tuple[int, ...], ...]:
+    """Check the right-action axioms; optionally also that each g acts by automorphisms.
+    Returns the validated table, ``table[x][g] = x^g``."""
     rows = _as_index_table(table)
     if len(rows) != carrier_size:
         raise ActionInvalid(f"{len(rows)} rows for carrier of size {carrier_size}")
@@ -246,17 +239,16 @@ def validate_right_action(
                 for y in range(carrier_size):
                     if rows[xg_table[x][y]][g] != xg_table[rows[x][g]][rows[y][g]]:
                         raise NotByAutomorphisms(f"({x}{y})^{g} != {x}^{g} {y}^{g}")
-    return RightAction(group, carrier_size, rows)
+    return rows
 
 
-def trivial_action(group: FiniteGroup, carrier_size: int) -> RightAction:
-    rows = [[x] * group.order for x in range(carrier_size)]
-    return RightAction(group, carrier_size, _as_index_table(rows))
+def trivial_action(group: FiniteGroup, carrier_size: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((x,) * group.order for x in range(carrier_size))
 
 
-def conjugation_action(group: FiniteGroup) -> RightAction:
-    rows = [[group.conj(x, g) for g in range(group.order)] for x in range(group.order)]
-    return RightAction(group, group.order, _as_index_table(rows))
+def conjugation_action(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    n = group.order
+    return tuple(tuple(group.conj(x, g) for g in range(n)) for x in range(n))
 
 
 def validate_rack(op) -> Rack:
@@ -284,9 +276,7 @@ def validate_augmented_rack(carrier, group: FiniteGroup, action, pi) -> Augmente
     """Check equivariance pi(x^g) = g^{-1} pi(x) g and derive the induced rack."""
     labels = tuple(str(c) for c in carrier)
     size = len(labels)
-    if isinstance(action, RightAction):
-        action = action.table
-    act = validate_right_action(group, size, action)
+    action = validate_right_action(group, size, action)
     pi = tuple(int(v) for v in pi)
     if len(pi) != size:
         raise NotEquivariant(f"pi has length {len(pi)}, expected {size}")
@@ -294,19 +284,15 @@ def validate_augmented_rack(carrier, group: FiniteGroup, action, pi) -> Augmente
         raise NotEquivariant("pi has a value outside the group")
     for x in range(size):
         for g in range(group.order):
-            if pi[act.act(x, g)] != group.conj(pi[x], g):
+            if pi[action[x][g]] != group.conj(pi[x], g):
                 raise NotEquivariant(f"pi({x}^{g}) != pi({x})^{g}")
-    induced = validate_rack(
-        [[act.act(x, pi[y]) for y in range(size)] for x in range(size)]
-    )
-    return AugmentedRack(labels, group, act, pi, induced)
+    induced = validate_rack([[row[p] for p in pi] for row in action])
+    return AugmentedRack(labels, group, action, pi, induced)
 
 
 def validate_precrossed(x_group: FiniteGroup, group: FiniteGroup, action, pi) -> PreCrossedModule:
     """Check the pre-crossed module axioms on top of the augmented-rack ones."""
-    if isinstance(action, RightAction):
-        action = action.table
-    act = validate_right_action(group, x_group.order, action, automorphisms_of=x_group)
+    action = validate_right_action(group, x_group.order, action, automorphisms_of=x_group)
     pi = tuple(int(v) for v in pi)
     if len(pi) != x_group.order:
         raise NotHomomorphism(f"pi has length {len(pi)}, expected {x_group.order}")
@@ -318,9 +304,9 @@ def validate_precrossed(x_group: FiniteGroup, group: FiniteGroup, action, pi) ->
                 raise NotHomomorphism(f"pi({x}{y}) != pi({x})pi({y})")
     for x in range(x_group.order):
         for g in range(group.order):
-            if pi[act.act(x, g)] != group.conj(pi[x], g):
+            if pi[action[x][g]] != group.conj(pi[x], g):
                 raise NotEquivariant(f"pi({x}^{g}) != pi({x})^{g}")
-    return PreCrossedModule(x_group, group, act, pi)
+    return PreCrossedModule(x_group, group, action, pi)
 
 
 def conjugation_structure(group: FiniteGroup, subset) -> AugmentedRack:
@@ -355,9 +341,7 @@ class PrecrossedAction(namedtuple("PrecrossedAction", "phi image module")):
 def precrossed_action(module: PreCrossedModule) -> PrecrossedAction:
     """Compose pi with the action to get X acting on itself; close the image group."""
     n = module.x_group.order
-    phi = tuple(
-        tuple(module.action.act(x, module.pi[y]) for x in range(n)) for y in range(n)
-    )
+    phi = tuple(tuple(row[p] for row in module.action) for p in module.pi)
     image, ordered = _permutation_group(set(phi), n)
     perm_index = {p: i for i, p in enumerate(ordered)}
     pi2 = tuple(perm_index[p] for p in phi)
@@ -376,8 +360,5 @@ def restrict_to_image(module: PreCrossedModule) -> PreCrossedModule:
     table = [[index[g.mul(a, b)] for b in img] for a in img]
     sub = validate_group(table, [g.label(v) for v in img])
     pi2 = tuple(index[v] for v in module.pi)
-    action2 = tuple(
-        tuple(module.action.act(x, v) for v in img)
-        for x in range(module.x_group.order)
-    )
+    action2 = tuple(tuple(row[v] for v in img) for row in module.action)
     return validate_precrossed(module.x_group, sub, action2, pi2)

@@ -29,7 +29,7 @@ from .algebra import (
     validate_precrossed,
     validate_rack,
 )
-from .errors import Incompatible, ParseError, PrecrossedError, ResourceBound, ValidationError
+from .errors import Incompatible, ParseError, PrecrossedError, ResourceBound
 from .homology import HomologyGroup, chain_complex, homology, induced_map
 from .oracles import group_homology, rack_complex, tensor_algebra_dims
 from .simplicial import (
@@ -40,7 +40,6 @@ from .simplicial import (
     build_nerve,
     canonical_to_coskeleton,
 )
-from .words import WordMode
 
 PIPELINES = ("envelope", "clauwens", "rackcomplex", "coskeleton", "nerve")
 COEFFS = ("Z", "Q", "F2", "F3", "F5")
@@ -143,49 +142,44 @@ class _Parser:
         if self.block_kind is None:
             return
         kind, name, keys = self.block_kind, self.block_name, self.keys
-        try:
-            if kind == "group":
-                if "perms" in keys:
-                    self._need("perms")
-                    perms = _rows(keys["perms"], "perms")
-                    if not all(perms):
-                        raise ParseError(
-                            f"line {self.block_line}: group {name!r} has an empty permutation"
-                        )
-                    obj = group_from_permutations(perms)
-                else:
-                    self._need("table")
-                    obj = validate_group(_rows(keys["table"], "table"))
-            elif kind == "rack":
+        if kind == "group":
+            if "perms" in keys:
+                self._need("perms")
+                perms = _rows(keys["perms"], "perms")
+                if not all(perms):
+                    raise ParseError(
+                        f"line {self.block_line}: group {name!r} has an empty permutation"
+                    )
+                obj = group_from_permutations(perms)
+            else:
                 self._need("table")
-                obj = validate_rack(_rows(keys["table"], "table"))
-            elif kind == "augrack":
-                if "subset" in keys:
-                    self._need("group", "subset")
-                    group = self._group_ref(keys["group"])
-                    obj = conjugation_structure(group, _ints(keys["subset"], "subset"))
-                else:
-                    self._need("group", "size", "pi", "action")
-                    group = self._group_ref(keys["group"])
-                    if not keys["size"].isdecimal():
-                        raise ParseError(f"size: expected an integer, got {keys['size']!r}")
-                    size = int(keys["size"])
-                    pi = _ints(keys["pi"], "pi")
-                    action = self._action(keys["action"], group, size, None)
-                    labels = [f"x{i}" for i in range(size)]
-                    obj = validate_augmented_rack(labels, group, action, pi)
-            elif kind == "precrossed":
-                self._need("x", "g", "pi", "action")
-                xg = self._group_ref(keys["x"])
-                g = self._group_ref(keys["g"])
-                pi = self._pi(keys["pi"], xg, g)
-                action = self._action(keys["action"], g, xg.order, xg)
-                obj = validate_precrossed(xg, g, action, pi)
-            self.registry.tables()[kind][name] = obj
-        except ValidationError:
-            raise
-        except PrecrossedError as exc:
-            raise type(exc)(f"{name}: {exc}") from exc
+                obj = validate_group(_rows(keys["table"], "table"))
+        elif kind == "rack":
+            self._need("table")
+            obj = validate_rack(_rows(keys["table"], "table"))
+        elif kind == "augrack":
+            if "subset" in keys:
+                self._need("group", "subset")
+                group = self._group_ref(keys["group"])
+                obj = conjugation_structure(group, _ints(keys["subset"], "subset"))
+            else:
+                self._need("group", "size", "pi", "action")
+                group = self._group_ref(keys["group"])
+                if not keys["size"].isdecimal():
+                    raise ParseError(f"size: expected an integer, got {keys['size']!r}")
+                size = int(keys["size"])
+                pi = _ints(keys["pi"], "pi")
+                action = self._action(keys["action"], group, size, None)
+                labels = [f"x{i}" for i in range(size)]
+                obj = validate_augmented_rack(labels, group, action, pi)
+        elif kind == "precrossed":
+            self._need("x", "g", "pi", "action")
+            xg = self._group_ref(keys["x"])
+            g = self._group_ref(keys["g"])
+            pi = self._pi(keys["pi"], xg, g)
+            action = self._action(keys["action"], g, xg.order, xg)
+            obj = validate_precrossed(xg, g, action, pi)
+        self.registry.tables()[kind][name] = obj
         self.block_kind = None
 
     def _pi(self, value: str, xg: FiniteGroup, g: FiniteGroup) -> list[int]:
@@ -261,10 +255,8 @@ def _pipeline_complex(kind, obj, pipeline, max_degree, length, cap):
         return rack_complex(_as_rack(kind, obj), max_degree + 1, cap=cap)
     if pipeline == "clauwens":
         spec = build_clauwens(_as_rack(kind, obj))
-    elif (pipeline, kind) == ("envelope", "precrossed"):
-        spec = build_envelope(obj, WordMode.GROUP_SYLLABLE)
-    elif (pipeline, kind) == ("envelope", "augrack"):
-        spec = build_envelope(obj, WordMode.FREE_LETTER)
+    elif pipeline == "envelope" and kind in ("precrossed", "augrack"):
+        spec = build_envelope(obj)
     elif (pipeline, kind) == ("coskeleton", "precrossed"):
         spec = build_coskeleton(obj)
     elif (pipeline, kind) == ("nerve", "group"):
@@ -337,7 +329,7 @@ def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths
     module = validate_precrossed(
         obj, base, trivial_action(base, obj.order), [base.identity] * obj.order
     )
-    spec = build_envelope(module, WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(module)
     generators = [(m, h.betti) for m, h in enumerate(group_homology(obj, max_degree, coeff))
                   if m and h.betti]
     expected = [tensor_algebra_dims(generators, m) for m in range(max_degree + 1)]

@@ -600,10 +600,8 @@ def induced_map(f, c_src: ChainComplex, c_tgt: ChainComplex, m: int) -> InducedM
     """Matrix of the induced map on H_m; verifies the rule commutes with faces first."""
     if c_src.spec is None or c_tgt.spec is None:
         raise NotChainMap("induced maps need spec-built complexes")
-    # degrees already checked for this (map, target); the map and the target are
-    # kept with the count so their ids are not reused while the entry lives
-    key = (id(f), id(c_tgt))
-    _, _, checked = c_src._faces_checked.get(key, (f, c_tgt, 0))
+    # the top degree already checked for this (map, target); both hash by identity
+    checked = c_src._faces_checked.get((f, c_tgt), 0)
     top = min(m + 1, c_src.max_degree)
     for k in range(checked + 1, top + 1):
         basis = c_src.bases[k]
@@ -614,7 +612,7 @@ def induced_map(f, c_src: ChainComplex, c_tgt: ChainComplex, m: int) -> InducedM
                     raise NotChainMap(
                         f"rule fails d_{i} at degree-{k} simplex {c_src.spec.encode(s)}"
                     )
-        c_src._faces_checked[key] = (f, c_tgt, k)
+        c_src._faces_checked[f, c_tgt] = k
     b_src = homology_generators(c_src, m)
     b_tgt = homology_generators(c_tgt, m)
     tgt_index = {s: i for i, s in enumerate(c_tgt.bases[m])}

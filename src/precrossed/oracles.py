@@ -36,7 +36,7 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
     if isinstance(rack, PreCrossedModule):
         rack = rack.as_augmented_rack()
     size = rack.size
-    act = rack.action.act
+    action = rack.action
     pi = rack.pi
     cap = MATRIX_CAP if cap is None else cap
     bases: list[list[tuple[int, ...]]] = []
@@ -56,7 +56,7 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
                 sign = 1 if i % 2 == 0 else -1
                 deleted = t[: i - 1] + t[i:]
                 g = pi[t[i - 1]]
-                acted = tuple(act(x, g) for x in t[: i - 1]) + t[i:]
+                acted = tuple(action[x][g] for x in t[: i - 1]) + t[i:]
                 for r, val in ((index[deleted], sign), (index[acted], -sign)):
                     new = col.get(r, 0) + val
                     if new:

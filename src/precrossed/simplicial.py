@@ -3,8 +3,8 @@
 Four builders share one interface:
 
 * ENVELOPE   -- degree-k simplices are tail-free normal-form words with
-  positions below k, for a pre-crossed module (GROUP_SYLLABLE letters) or
-  for the free pre-crossed module of an augmented rack (FREE_LETTER).
+  positions below k: GROUP_SYLLABLE letters for a pre-crossed module,
+  FREE_LETTER ones for an augmented rack (its free pre-crossed module).
 * CLAUWENS   -- the same word machinery in MONOID_LETTER mode.
 * COSKELETON -- matching families of vertices and connecting edges for a
   pre-crossed module, coset-normalized so the last vertex is the identity.
@@ -337,18 +337,14 @@ class NerveSpec(SimplicialSpec):
         return "(" + ",".join(self.group.label(v) for v in t) + ")"
 
 
-def build_envelope(obj, mode: WordMode) -> WordSpec:
-    """Envelope quotient of a pre-crossed module, or of the free module of a rack."""
-    if mode is WordMode.GROUP_SYLLABLE:
-        if not isinstance(obj, PreCrossedModule):
-            raise ModeMismatch("GROUP_SYLLABLE envelope requires a pre-crossed module")
+def build_envelope(obj) -> WordSpec:
+    """Envelope quotient: group syllables for a pre-crossed module, free letters
+    for an augmented rack (the envelope of its free pre-crossed module)."""
+    if isinstance(obj, PreCrossedModule):
         return WordSpec("envelope", context_from_precrossed(obj))
-    if mode is WordMode.FREE_LETTER:
-        rack = obj.as_augmented_rack() if isinstance(obj, PreCrossedModule) else obj
-        if not isinstance(rack, AugmentedRack):
-            raise ModeMismatch("FREE_LETTER envelope requires an augmented rack")
-        return WordSpec("envelope", context_from_rack(rack, mode))
-    raise ModeMismatch("monoid words belong to the Clauwens builder")
+    if isinstance(obj, AugmentedRack):
+        return WordSpec("envelope", context_from_rack(obj, WordMode.FREE_LETTER))
+    raise ModeMismatch("an envelope needs a pre-crossed module or an augmented rack")
 
 
 def build_clauwens(obj) -> WordSpec:
@@ -476,11 +472,11 @@ def canonical_to_coskeleton(module: PreCrossedModule) -> SimplicialMap:
     twisted letters telescope.  No letter sits at position k, so v_k is the
     identity and the family is already coset-normalized.
     """
-    source = build_envelope(module, WordMode.GROUP_SYLLABLE)
+    source = build_envelope(module)
     target = build_coskeleton(module)
     g = module.group
     mul, inv, e = g.table, g.inverse, g.identity
-    pi, act = module.pi, module.action.table
+    pi, act = module.pi, module.action
     xmul, xe = module.x_group.table, module.x_group.identity
 
     def rule(k: int, letters: tuple) -> CoskeletonFamily:

@@ -109,7 +109,7 @@ def context_from_precrossed(module: PreCrossedModule) -> WordContext:
         mode=WordMode.GROUP_SYLLABLE,
         group=module.group,
         pi=module.pi,
-        action=module.action.table,
+        action=module.action,
         labels=module.x_group.elements,
         x_table=module.x_group.table,
         x_identity=module.x_group.identity,
@@ -123,7 +123,7 @@ def context_from_rack(rack: AugmentedRack, mode: WordMode) -> WordContext:
         mode=mode,
         group=rack.group,
         pi=rack.pi,
-        action=rack.action.table,
+        action=rack.action,
         labels=rack.carrier,
     )
 

@@ -23,7 +23,6 @@ from precrossed.simplicial import (
     build_nerve,
     check_simplicial_identities,
 )
-from precrossed.words import WordMode
 
 from snf_oracle import (
     dense_det,
@@ -141,8 +140,8 @@ def test_criterion_5_coskeleton_computes_group_homology(registry):
 def test_criterion_6a_simplicial_identities(registry):
     start = time.perf_counter()
     cases = [
-        build_envelope(registry.precrossed["Z2TRIV"], WordMode.GROUP_SYLLABLE),
-        build_envelope(registry.augracks["ONE"], WordMode.FREE_LETTER),
+        build_envelope(registry.precrossed["Z2TRIV"]),
+        build_envelope(registry.augracks["ONE"]),
         build_clauwens(registry.augracks["ONE"]),
         build_clauwens(registry.augracks["TR2"]),
         build_coskeleton(registry.precrossed["IDZ2"]),
@@ -161,8 +160,8 @@ def test_criterion_6a_simplicial_identities(registry):
 def test_criterion_6b_boundary_squares_to_zero(registry):
     # construction itself raises when the composite is nonzero; build them all
     built = [
-        chain_complex(build_envelope(registry.precrossed["Z2TRIV"], WordMode.GROUP_SYLLABLE), 2, 3),
-        chain_complex(build_envelope(registry.augracks["ONE"], WordMode.FREE_LETTER), 2, 3),
+        chain_complex(build_envelope(registry.precrossed["Z2TRIV"]), 2, 3),
+        chain_complex(build_envelope(registry.augracks["ONE"]), 2, 3),
         chain_complex(build_clauwens(registry.augracks["TRANS"]), 2, 3),
         chain_complex(build_coskeleton(registry.precrossed["IDZ3"]), 2),
         chain_complex(build_nerve(registry.groups["Z3"]), 2),
@@ -218,8 +217,8 @@ def test_criterion_6d_independence_of_base_group(registry):
     for name in ("IDS3", "IDZ3"):
         module = registry.precrossed[name]
         reduced = precrossed_action(module).module
-        a = build_envelope(module, WordMode.GROUP_SYLLABLE)
-        b = build_envelope(reduced, WordMode.GROUP_SYLLABLE)
+        a = build_envelope(module)
+        b = build_envelope(reduced)
         for k in range(3):
             left = a.simplices(k, 2)
             right = b.simplices(k, 2)
@@ -236,10 +235,10 @@ def test_criterion_6d_independence_of_base_group(registry):
 def test_criterion_6e_truncation_stabilization(registry):
     start = time.perf_counter()
     fixtures = [
-        ("Z2TRIV", build_envelope(registry.precrossed["Z2TRIV"], WordMode.GROUP_SYLLABLE)),
-        ("ONE", build_envelope(registry.augracks["ONE"], WordMode.FREE_LETTER)),
-        ("TR2", build_envelope(registry.augracks["TR2"], WordMode.FREE_LETTER)),
-        ("TRANS", build_envelope(registry.augracks["TRANS"], WordMode.FREE_LETTER)),
+        ("Z2TRIV", build_envelope(registry.precrossed["Z2TRIV"])),
+        ("ONE", build_envelope(registry.augracks["ONE"])),
+        ("TR2", build_envelope(registry.augracks["TR2"])),
+        ("TRANS", build_envelope(registry.augracks["TRANS"])),
     ]
     for name, spec in fixtures:
         at_two = homology(chain_complex(spec, 1, 2), 1)

@@ -240,7 +240,7 @@ def test_conjugation_action_matches_group_conj():
     act = conjugation_action(s3)
     for x in range(6):
         for g in range(6):
-            assert act.act(x, g) == s3.conj(x, g)
+            assert act[x][g] == s3.conj(x, g)
 
 
 def test_trivial_group_helper():

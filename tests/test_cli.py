@@ -135,11 +135,11 @@ def test_spelled_tables_parse_to_the_desk_objects(registry):
     assert spelled.racks["R3"].op == registry.racks["R3"].op
     got, want = spelled.augracks["TRANS"], registry.augracks["TRANS"]
     assert got.pi == want.pi
-    assert got.action.table == want.action.table
+    assert got.action == want.action
     assert got.induced.op == want.induced.op
     got, want = spelled.precrossed["IDS3"], registry.precrossed["IDS3"]
     assert got.pi == want.pi
-    assert got.action.table == want.action.table
+    assert got.action == want.action
 
 
 # pieces of the registry grammar, so that edits reach past the header check
@@ -406,6 +406,66 @@ def test_bad_numeric_parameters_exit_one(desk_path, capsys, argv, flag):
     assert captured.err.count("\n") == 1
 
 
+Z2_Z3 = "group Z2\n  table: 0,1 / 1,0\ngroup Z3\n  table: 0,1,2 / 1,2,0 / 2,0,1\n"
+# one line per refusal: (argv with the registry path left out, registry text or None
+# for the desk, the whole stderr)
+REFUSED = {
+    "group-to-rack-pipeline": (
+        ["homology", "--object", "S3", "--pipeline", "clauwens",
+         "--max-degree", "1", "--max-length", "1"],
+        None, "error: a group cannot feed a rack pipeline\n",
+    ),
+    "coskeleton-of-augrack": (
+        ["check-coskeleton", "--object", "TRANS", "--max-degree", "1"],
+        None, "error: check-coskeleton needs a pre-crossed module, got augrack\n",
+    ),
+    "check-tri-of-augrack": (
+        ["check-tri", "--object", "TRANS", "--max-degree", "1", "--coeff", "F2",
+         "--lengths", "1"],
+        None, "error: check-tri needs a group, got augrack\n",
+    ),
+    "length-list": (
+        ["check-tri", "--object", "Z2", "--max-degree", "1", "--coeff", "F2",
+         "--lengths", "1,x"],
+        None, "error: bad length list '1,x'\n",
+    ),
+    "length-range": (
+        ["check-tri", "--object", "Z2", "--max-degree", "1", "--coeff", "F2",
+         "--lengths", "3..x"],
+        None, "error: bad length range '3..x'\n",
+    ),
+    "duplicate-key": (
+        ["validate"], "group Z2\n  table: 0,1 / 1,0\n  table: 0,1 / 1,0\n",
+        "error: line 3: duplicate key 'table'\n",
+    ),
+    "unexpected-key": (
+        ["validate"], "group Z2\n  table: 0,1 / 1,0\n  size: 2\n",
+        "error: line 1: unexpected key 'size' in 'Z2'\n",
+    ),
+    "pi-id-across-orders": (
+        ["validate"],
+        Z2_Z3 + "precrossed P\n  x: Z2\n  g: Z3\n  pi: id\n  action: trivial\n",
+        "error: line 5: pi 'id' needs matching groups\n",
+    ),
+    "conjugation-across-groups": (
+        ["validate"],
+        Z2_Z3 + "precrossed P\n  x: Z2\n  g: Z3\n  pi: trivial\n  action: conjugation\n",
+        "error: line 5: 'conjugation' action needs x and g to be the same group\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, text, err", list(REFUSED.values()), ids=list(REFUSED))
+def test_refusals_exit_one_with_one_line(desk_path, capsys, tmp_path, argv, text, err):
+    path = desk_path
+    if text is not None:
+        path = tmp_path / "reg.txt"
+        path.write_text(text)
+    code = main(argv[:1] + [str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_INPUT, "", err)
+
+
 COSKELETON_IDS3_2 = """\
 command: check-coskeleton
 object: IDS3
@@ -624,6 +684,22 @@ L=1: H_1 = Z
 L=2: H_1 = Z/2
 L=3: H_1 = Z/2
 stabilized-at: L=2
+""",
+    ),
+    # a pre-crossed module on the rack pipelines: the free envelope of its underlying rack
+    "compare-ra-module": (
+        ["compare-ra", "--object", "IDZ2", "--max-degree", "2", "--max-length", "3"],
+        """\
+command: compare-ra
+object: IDZ2
+max-degree: 2
+max-length: 3
+cap: 200000
+degree envelope clauwens rackcomplex
+0 Z Z Z
+1 Z^2 Z^2 Z^2
+2 Z^4 Z^4 Z^4
+verdict: AGREE
 """,
     ),
 }

@@ -25,9 +25,9 @@ def word_specs(registry):
     """Every word spec the bundled registry supports."""
     specs = []
     for name, module in registry.precrossed.items():
-        specs.append((f"{name} group envelope", build_envelope(module, WordMode.GROUP_SYLLABLE)))
+        specs.append((f"{name} group envelope", build_envelope(module)))
     for name, rack in registry.augracks.items():
-        specs.append((f"{name} free envelope", build_envelope(rack, WordMode.FREE_LETTER)))
+        specs.append((f"{name} free envelope", build_envelope(rack)))
         specs.append((f"{name} clauwens", build_clauwens(rack)))
     return specs
 
@@ -84,7 +84,7 @@ def test_walk_matches_the_single_faces_in_any_order(registry):
 
 
 def test_walk_repeats_and_restarts(registry):
-    spec = build_envelope(registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(registry.precrossed["IDS3"])
     words = spec.simplices(2, 3)
     single = {s: next(word_faces(spec.ctx, 2, [s])) for s in words}
     # each word twice in a row, then the empty word, then everything again
@@ -105,7 +105,7 @@ def test_default_faces_call_face(registry):
 
 
 def test_assembly_walks_each_degree_once(registry, monkeypatch):
-    spec = build_envelope(registry.augracks["TRANS"], WordMode.FREE_LETTER)
+    spec = build_envelope(registry.augracks["TRANS"])
     calls = []
     walk = spec.faces
 
@@ -122,7 +122,7 @@ def test_assembly_walks_each_degree_once(registry, monkeypatch):
 
 
 def test_face_word_returns_letters(registry):
-    spec = build_envelope(registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(registry.precrossed["IDS3"])
     for s in spec.simplices(2, 2):
         w = EnvelopeWord(spec.ctx.mode, 2, s, spec.ctx.group.identity)
         for i in range(3):
@@ -137,7 +137,7 @@ def test_boundaries_match_the_reference_assembly(registry):
 
 
 def test_field_ranks_are_computed_once_per_boundary(registry, monkeypatch):
-    spec = build_envelope(registry.augracks["TRANS"], WordMode.FREE_LETTER)
+    spec = build_envelope(registry.augracks["TRANS"])
     top = 2
     comp = chain_complex(spec, top, 3)
     want = {
@@ -169,8 +169,8 @@ def contexts(registry):
     trans = registry.augracks["TRANS"]
     return {
         "IDS3 group syllables": build_envelope(
-            registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE).ctx,
-        "TRANS free letters": build_envelope(trans, WordMode.FREE_LETTER).ctx,
+            registry.precrossed["IDS3"]).ctx,
+        "TRANS free letters": build_envelope(trans).ctx,
         "TRANS Clauwens letters": build_clauwens(trans).ctx,
     }
 

@@ -39,7 +39,6 @@ from precrossed.simplicial import (
     build_nerve,
     canonical_to_coskeleton,
 )
-from precrossed.words import WordMode
 
 from snf_oracle import (
     dense_det,
@@ -68,7 +67,7 @@ def random_matrix(rng, max_dim=20, bound=9):
 def z2_trivial_complex(length=2, m_max=1):
     z2, triv = cyclic_group(2), trivial_group()
     module = validate_precrossed(z2, triv, trivial_action(triv, 2), [0, 0])
-    spec = build_envelope(module, WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(module)
     return chain_complex(spec, m_max, length)
 
 
@@ -266,7 +265,7 @@ def fixture_complexes():
     residual phase of the Smith form once the +-1 pivots are gone: the IDZ3
     envelope at L = 4 (H_3 = Z/3 + Z/3 + Z/3) and the TRANS Clauwens complex at
     L = 4 (H_3 = Z + Z/3, the torsion of the dihedral quandle R3)."""
-    idz3 = build_envelope(conjugation_module(cyclic_group(3)), WordMode.GROUP_SYLLABLE)
+    idz3 = build_envelope(conjugation_module(cyclic_group(3)))
     trans = parse_input(str(DESK)).augracks["TRANS"]
     return [
         z2_trivial_complex(length=3, m_max=1),
@@ -297,7 +296,7 @@ def tri_z3_complex():
     z3 = cyclic_group(3)
     base = trivial_group()
     module = validate_precrossed(z3, base, trivial_action(base, 3), [base.identity] * 3)
-    return chain_complex(build_envelope(module, WordMode.GROUP_SYLLABLE), 4, 5)
+    return chain_complex(build_envelope(module), 4, 5)
 
 
 def columns(mat: SparseIntMatrix, keep) -> SparseIntMatrix:
@@ -572,7 +571,7 @@ def test_boundaries_are_stored_one_column_dict_per_simplex(registry):
 
 
 def test_composition_check_fires_on_a_broken_boundary(registry):
-    spec = build_envelope(registry.precrossed["IDS3"], WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(registry.precrossed["IDS3"])
     env = chain_complex(spec, 2, 3)
     # d_3 sending basis element 0 to a simplex with a nonzero boundary breaks d_2 d_3
     r = next(c for _, c in env.boundaries[2].entries)
@@ -583,7 +582,7 @@ def test_composition_check_fires_on_a_broken_boundary(registry):
 
 def generator_complexes():
     """The fixture complexes plus the envelope of id: S3 -> S3 at length 3."""
-    s3_envelope = build_envelope(conjugation_module(symmetric_group(3)), WordMode.GROUP_SYLLABLE)
+    s3_envelope = build_envelope(conjugation_module(symmetric_group(3)))
     return fixture_complexes() + [chain_complex(s3_envelope, 2, 3)]
 
 

@@ -19,7 +19,6 @@ from precrossed.oracles import (
     tensor_algebra_dims,
 )
 from precrossed.simplicial import build_clauwens, build_envelope
-from precrossed.words import WordMode
 
 
 def one_element_rack():
@@ -166,7 +165,7 @@ def test_etingof_grana_matches_the_envelope_and_clauwens_over_q(registry):
     for name in ("ONE", "TRANS", "TR1", "TR2"):
         rack = registry.augracks[name]
         row = [etingof_grana_betti(rack, m) for m in range(3)]
-        for spec in (build_envelope(rack, WordMode.FREE_LETTER), build_clauwens(rack)):
+        for spec in (build_envelope(rack), build_clauwens(rack)):
             # H_m has stabilized at L = m + 1
             assert row == [homology(chain_complex(spec, m, m + 1), m, "Q").betti
                            for m in range(3)], (name, spec)

@@ -23,7 +23,7 @@ from precrossed.simplicial import (
     check_simplicial_identities,
     is_degenerate,
 )
-from precrossed.words import Letter, WordMode, reduce
+from precrossed.words import Letter, reduce
 
 
 def z2_trivial_module():
@@ -53,21 +53,21 @@ def nondegenerate_encodings(spec, k, length):
 
 
 def test_envelope_degree_two_nondegenerate_words():
-    spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(z2_trivial_module())
     assert nondegenerate_encodings(spec, 2, 2) == ["(1@0)(1@1)", "(1@1)(1@0)"]
 
 
 def test_envelope_trivial_carrier_is_a_point():
     triv, z2 = trivial_group(), cyclic_group(2)
     module = validate_precrossed(triv, z2, trivial_action(z2, 1), [0])
-    spec = build_envelope(module, WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(module)
     for k in range(1, 4):
         sims = spec.simplices(k, 3)
         assert len(sims) == 1 and is_degenerate(spec, k, sims[0])
 
 
 def test_free_letter_degree_one_enumeration():
-    spec = build_envelope(one_rack(), WordMode.FREE_LETTER)
+    spec = build_envelope(one_rack())
     assert nondegenerate_encodings(spec, 1, 2) == [
         "(a@0)",
         "(a^-1@0)",
@@ -96,19 +96,19 @@ def test_clauwens_empty_carrier_is_a_point():
 
 
 def test_face_of_degree_one_word_is_basepoint():
-    spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(z2_trivial_module())
     w = reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters
     assert spec.encode(spec.face(1, w, 0)) == "1"
 
 
 def test_face_merges_positions_to_basepoint():
-    spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(z2_trivial_module())
     w = reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters
     assert spec.encode(spec.face(2, w, 1)) == "1"
 
 
 def test_top_face_applies_pi_and_twists():
-    spec = build_envelope(conjugation_module(symmetric_group(3)), WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(conjugation_module(symmetric_group(3)))
     g = spec.ctx.group
     for y in range(1, 6):
         for x in range(1, 6):
@@ -120,19 +120,19 @@ def test_top_face_applies_pi_and_twists():
 
 
 def test_degeneracies_shift_positions():
-    spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(z2_trivial_module())
     w = reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters
     assert spec.encode(spec.degeneracy(1, w, 0)) == "(1@1)"
     assert spec.encode(spec.degeneracy(1, w, 1)) == "(1@0)"
 
 
 def test_degeneracy_of_basepoint_is_basepoint():
-    spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(z2_trivial_module())
     assert spec.encode(spec.degeneracy(1, (), 0)) == "1"
 
 
 def test_is_degenerate_cases():
-    spec = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
+    spec = build_envelope(z2_trivial_module())
     single = reduce(spec.ctx, 2, [Letter(1, 1, 1)]).letters
     assert is_degenerate(spec, 2, single)
     mixed = reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters
@@ -141,7 +141,7 @@ def test_is_degenerate_cases():
 
 
 def test_enumeration_counts():
-    env = build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE)
+    env = build_envelope(z2_trivial_module())
     assert len(env.simplices(3, 2)) == 10  # 1 + 3 + 3*2
     nerve = build_nerve(cyclic_group(2))
     tuples = nerve.simplices(2)
@@ -152,7 +152,7 @@ def test_enumeration_counts():
 
 
 def test_enumeration_resource_bound():
-    spec = build_envelope(transposition_rack(), WordMode.FREE_LETTER)
+    spec = build_envelope(transposition_rack())
     with pytest.raises(ResourceBound):
         spec.simplices(3, 3, cap=100)
     with pytest.raises(ResourceBound):
@@ -162,7 +162,7 @@ def test_enumeration_resource_bound():
 @pytest.mark.parametrize("method", ["simplices", "nondegenerate"])
 def test_enumeration_cap_is_exact(method):
     # the cap is checked per word: the true count passes, one less raises
-    spec = build_envelope(transposition_rack(), WordMode.FREE_LETTER)
+    spec = build_envelope(transposition_rack())
     enumerate_ = getattr(spec, method)
     for k, bound in ((1, 3), (2, 3), (3, 3)):
         n = len(enumerate_(k, bound))
@@ -182,10 +182,10 @@ def desk_specs(registry):
     """Every builder the bundled registry supports, with its length bound."""
     specs = []
     for name, module in registry.precrossed.items():
-        specs.append((f"{name} group envelope", build_envelope(module, WordMode.GROUP_SYLLABLE), 3))
+        specs.append((f"{name} group envelope", build_envelope(module), 3))
         specs.append((f"{name} coskeleton", build_coskeleton(module), None))
     for name, rack in registry.augracks.items():
-        specs.append((f"{name} free envelope", build_envelope(rack, WordMode.FREE_LETTER), 3))
+        specs.append((f"{name} free envelope", build_envelope(rack), 3))
         specs.append((f"{name} clauwens", build_clauwens(rack), 3))
     for name, group in registry.groups.items():
         specs.append((f"{name} nerve", build_nerve(group), None))
@@ -208,10 +208,10 @@ def test_word_bases_come_out_in_length_text_order(registry):
     # moves induced matrices, so it is pinned on every desk word spec
     specs = []
     for module in registry.precrossed.values():
-        specs += [build_envelope(module, WordMode.GROUP_SYLLABLE),
-                  build_envelope(module, WordMode.FREE_LETTER), build_clauwens(module)]
+        specs += [build_envelope(module),
+                  build_envelope(module.as_augmented_rack()), build_clauwens(module)]
     for rack in registry.augracks.values():
-        specs += [build_envelope(rack, WordMode.FREE_LETTER), build_clauwens(rack)]
+        specs += [build_envelope(rack), build_clauwens(rack)]
     checked = 0
     for spec in specs:
         for k in range(5):
@@ -241,7 +241,7 @@ def test_default_cap_stops_the_enumeration(registry):
     # length 5: the default cap trips at word 5,001, before the basis is built
     from precrossed.homology import chain_complex
 
-    spec = build_envelope(registry.augracks["TRANS"], WordMode.FREE_LETTER)
+    spec = build_envelope(registry.augracks["TRANS"])
     with pytest.raises(ResourceBound, match="envelope\\[free\\] degree 2 exceeds 5000 "
                                             "nondegenerate simplices at length 5"):
         chain_complex(spec, 3, 5)
@@ -257,11 +257,11 @@ def test_chain_complex_basis_is_the_nondegenerate_simplices(registry):
             assert comp.bases[k] == spec.nondegenerate(k, bound), (label, k)
 
 
-def test_envelope_requires_matching_mode():
-    with pytest.raises(ModeMismatch):
-        build_envelope(one_rack(), WordMode.GROUP_SYLLABLE)
-    with pytest.raises(ModeMismatch):
-        build_envelope(z2_trivial_module(), WordMode.MONOID_LETTER)
+def test_envelope_needs_a_module_or_an_augmented_rack():
+    # the object picks the letters, so a group or a plain rack has no envelope
+    for obj in (cyclic_group(2), one_rack().induced):
+        with pytest.raises(ModeMismatch):
+            build_envelope(obj)
 
 
 def test_face_index_out_of_range():
@@ -315,8 +315,8 @@ def test_coskeleton_faces_renormalize_last_vertex():
 
 def test_identities_hold_on_all_builders():
     cases = [
-        (build_envelope(z2_trivial_module(), WordMode.GROUP_SYLLABLE), 3, 3),
-        (build_envelope(one_rack(), WordMode.FREE_LETTER), 3, 2),
+        (build_envelope(z2_trivial_module()), 3, 3),
+        (build_envelope(one_rack()), 3, 2),
         (build_clauwens(one_rack()), 3, 2),
         (build_coskeleton(conjugation_module(cyclic_group(2))), 3, None),
         (build_coskeleton(conjugation_module(symmetric_group(3))), 3, None),  # IDS3
@@ -343,9 +343,9 @@ def test_identity_checker_reports_a_corrupted_face():
 
 def test_face_never_lengthens_and_degeneracy_preserves_length():
     for spec, bound in (
-        (build_envelope(transposition_rack(), WordMode.FREE_LETTER), 2),
+        (build_envelope(transposition_rack()), 2),
         (build_clauwens(transposition_rack()), 2),
-        (build_envelope(conjugation_module(symmetric_group(3)), WordMode.GROUP_SYLLABLE), 2),
+        (build_envelope(conjugation_module(symmetric_group(3))), 2),
     ):
         for k in range(1, 4):
             for s in spec.simplices(k, bound):
@@ -362,8 +362,8 @@ def test_independence_of_base_group():
     ):
         reduced = precrossed_action(module).module
         a, b = (
-            build_envelope(module, WordMode.GROUP_SYLLABLE),
-            build_envelope(reduced, WordMode.GROUP_SYLLABLE),
+            build_envelope(module),
+            build_envelope(reduced),
         )
         for k in range(3):
             left = a.simplices(k, 2)

@@ -9,7 +9,6 @@ import sys
 import pytest
 
 from precrossed.algebra import (
-    conjugation_action,
     conjugation_module,
     conjugation_structure,
     cyclic_group,
@@ -24,7 +23,7 @@ from precrossed.homology import (
     homology_generators,
 )
 from precrossed.simplicial import build_coskeleton, build_envelope, check_simplicial_identities
-from precrossed.words import Letter, WordMode, context_from_precrossed, reduce
+from precrossed.words import Letter, context_from_precrossed, reduce
 
 SRC = pathlib.Path(__file__).parents[1] / "src"
 
@@ -79,14 +78,12 @@ def _module():
 
 
 def _complex():
-    return chain_complex(build_envelope(_module(), WordMode.GROUP_SYLLABLE), 2, 3)
+    return chain_complex(build_envelope(_module()), 2, 3)
 
 
 # each converted value type: how to build one, and its field names in order
 VALUE_TYPES = {
     "FiniteGroup": (lambda: cyclic_group(3), ("elements", "table", "identity", "inverse")),
-    "RightAction": (lambda: conjugation_action(cyclic_group(3)),
-                    ("group", "carrier_size", "table")),
     "Rack": (lambda: conjugation_structure(symmetric_group(3), [1, 2, 5]).induced,
              ("size", "op")),
     "AugmentedRack": (lambda: conjugation_structure(symmetric_group(3), [1, 2, 5]),
@@ -106,7 +103,7 @@ VALUE_TYPES = {
                                     [Letter(1, 1, 0), Letter(2, 1, 1)], 1),
                      ("mode", "degree", "letters", "tail")),
     "IdentityReport": (lambda: check_simplicial_identities(
-        build_envelope(_module(), WordMode.GROUP_SYLLABLE), 1, 2),
+        build_envelope(_module()), 1, 2),
         ("passed", "simplices_checked", "identities_checked", "violation")),
     "Letter": (lambda: Letter(1, 1, 0), ("base", "sign", "position")),
 }
