@@ -74,7 +74,7 @@ class DegreeOutOfRange(PrecrossedError):
 
 
 class NotChainMap(PrecrossedError):
-    """A simplicial map failed to commute with the face operators."""
+    """A simplicial map failed to commute with the face or degeneracy operators."""
 
 
 class Incompatible(PrecrossedError):

@@ -21,47 +21,25 @@ from them, and the field ranks copy one column at a time.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping
 
 from .errors import DegreeOutOfRange, NotChainMap
 
 MATRIX_CAP = 5_000
 
 
-class _Entries(Mapping):
-    """{(row, col): value} over column dicts, in column order; copies nothing."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns: list[dict[int, int]]):
-        self._columns = columns
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        r, c = key
-        if 0 <= c < len(self._columns) and r in self._columns[c]:
-            return self._columns[c][r]
-        raise KeyError(key)
-
-    def __iter__(self):
-        return ((r, c) for c, col in enumerate(self._columns) for r in col)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._columns))
-
-
 class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols columns")):
     """Integer matrix stored column-major: ``columns[c]`` is {row: nonzero value}.
 
     There are exactly ``cols`` column dicts, none holds a zero, and every row
-    lies in range(rows).  ``entries`` is a read-only {(row, col): value} view
-    of the same columns, for inspection only.
+    lies in range(rows).  ``entries`` is a {(row, col): value} copy of the
+    same columns, for inspection only.
     """
 
     __slots__ = ()
 
     @property
-    def entries(self) -> Mapping[tuple[int, int], int]:
-        return _Entries(self.columns)
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
 
 
 class SNFResult:
@@ -377,12 +355,11 @@ class HomologyGroup(namedtuple("HomologyGroup", "degree coeff betti torsion")):
         return cls(degree, "Z", orders.count(0), tuple(d for d in orders if d > 1))
 
     def render(self) -> str:
-        sym = "Z" if self.coeff == "Z" else self.coeff
         parts = []
         if self.betti == 1:
-            parts.append(sym)
+            parts.append(self.coeff)
         elif self.betti > 1:
-            parts.append(f"{sym}^{self.betti}")
+            parts.append(f"{self.coeff}^{self.betti}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) or "0"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
+from .algebra import AugmentedRack, FiniteGroup
 from .errors import ResourceBound
 from .homology import (
     MATRIX_CAP,
@@ -33,8 +33,6 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
     Every tuple is a basis element, so ``cap`` (MATRIX_CAP when None) bounds
     size**n before the degree-n tuples are built.
     """
-    if isinstance(rack, PreCrossedModule):
-        rack = rack.as_augmented_rack()
     size = rack.size
     action = rack.action
     pi = rack.pi
@@ -79,8 +77,6 @@ def etingof_grana_betti(rack: AugmentedRack, n: int) -> int:
     the moves x -> x^(pi y), counted here by union-find (Etingof and Grana,
     "On rack cohomology", J. Pure Appl. Algebra 177 (2003)).
     """
-    if isinstance(rack, PreCrossedModule):
-        rack = rack.as_augmented_rack()
     parent = list(range(rack.size))
 
     def root(x):
@@ -114,7 +110,8 @@ def tensor_algebra_dims(generator_dims: list[tuple[int, int]], m: int) -> int:
     return ways[m]
 
 
-def group_homology(group: FiniteGroup, m_max: int, coeff: str = "Z") -> list[HomologyGroup]:
+def group_homology(group: FiniteGroup, m_max: int, coeff: str = "Z",
+                   cap: int | None = None) -> list[HomologyGroup]:
     """H_0..H_m_max of the group, from one normalized bar complex of its nerve."""
-    comp = chain_complex(build_nerve(group), m_max)
+    comp = chain_complex(build_nerve(group), m_max, cap=cap)
     return [homology(comp, m, coeff) for m in range(m_max + 1)]

@@ -26,7 +26,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
-from .errors import IndexOutOfRange, ModeMismatch, ResourceBound
+from .errors import IndexOutOfRange, ModeMismatch, NotChainMap, ResourceBound
 from .words import (
     Letter,
     WordContext,
@@ -347,9 +347,8 @@ def build_envelope(obj) -> WordSpec:
     raise ModeMismatch("an envelope needs a pre-crossed module or an augmented rack")
 
 
-def build_clauwens(obj) -> WordSpec:
+def build_clauwens(rack: AugmentedRack) -> WordSpec:
     """Quotient of the simplicial free monoid on the rack graph by the group relations."""
-    rack = obj.as_augmented_rack() if isinstance(obj, PreCrossedModule) else obj
     if not isinstance(rack, AugmentedRack):
         raise ModeMismatch("the Clauwens builder requires an augmented rack")
     return WordSpec("clauwens", context_from_rack(rack, WordMode.MONOID_LETTER))
@@ -371,23 +370,15 @@ def is_degenerate(spec: SimplicialSpec, k: int, simplex) -> bool:
     return False
 
 
-class IdentityReport(namedtuple("IdentityReport",
-                                 "passed simplices_checked identities_checked violation",
-                                 defaults=(None,))):
-    """Outcome of an identity check; ``violation`` names the first failure, if any."""
-
-    __slots__ = ()
-
-
 def check_simplicial_identities(spec: SimplicialSpec, k_max: int,
-                                length_bound: int | None = None) -> IdentityReport:
-    """Verify the five simplicial identity families on enumerated simplices."""
-    simplices_checked = 0
+                                length_bound: int | None = None) -> int:
+    """Verify the five simplicial identity families on enumerated simplices; return their count.
+
+    The first identity that fails raises AssertionError naming it and its simplex."""
     identities = 0
     face, degeneracy = spec.face, spec.degeneracy
     for k in range(k_max + 1):
         for s in spec.simplices(k, length_bound):
-            simplices_checked += 1
             label = f"{spec.describe()} degree {k} simplex {spec.encode(s)}"
             if k >= 2:
                 for j in range(1, k + 1):
@@ -395,8 +386,7 @@ def check_simplicial_identities(spec: SimplicialSpec, k_max: int,
                     for i in range(j):
                         identities += 1
                         if face(k - 1, dj, i) != face(k - 1, face(k, s, i), j - 1):
-                            return IdentityReport(False, simplices_checked, identities,
-                                                  f"d_{i} d_{j} != d_{j-1} d_{i} on {label}")
+                            raise AssertionError(f"d_{i} d_{j} != d_{j-1} d_{i} on {label}")
             for j in range(k + 1):
                 sj = degeneracy(k, s, j)
                 for i in range(k + 2):
@@ -409,14 +399,12 @@ def check_simplicial_identities(spec: SimplicialSpec, k_max: int,
                     else:
                         want = degeneracy(k - 1, face(k, s, i - 1), j)
                     if got != want:
-                        return IdentityReport(False, simplices_checked, identities,
-                                              f"d_{i} s_{j} mismatch on {label}")
+                        raise AssertionError(f"d_{i} s_{j} mismatch on {label}")
                 for i in range(j + 1):
                     identities += 1
                     if degeneracy(k + 1, sj, i) != degeneracy(k + 1, degeneracy(k, s, i), j + 1):
-                        return IdentityReport(False, simplices_checked, identities,
-                                              f"s_{i} s_{j} != s_{j+1} s_{i} on {label}")
-    return IdentityReport(True, simplices_checked, identities)
+                        raise AssertionError(f"s_{i} s_{j} != s_{j+1} s_{i} on {label}")
+    return identities
 
 
 class SimplicialMap:
@@ -438,26 +426,23 @@ class SimplicialMap:
             self._images[key] = self.rule(k, simplex)
         return self._images[key]
 
-    def check_commutes(self, k_max: int, length_bound: int | None = None) -> IdentityReport:
-        checked = 0
+    def check_commutes(self, k_max: int, length_bound: int | None = None) -> int:
+        """Identities the rule keeps with faces and degeneracies; NotChainMap on a failure."""
         identities = 0
         source, target = self.source, self.target
         for k in range(k_max + 1):
             for s in source.simplices(k, length_bound):
-                checked += 1
                 fs = self.apply(k, s)
                 label = f"degree {k} simplex {source.encode(s)}"
                 for i in range(k + 1):
                     if k >= 1:
                         identities += 1
                         if self.apply(k - 1, source.face(k, s, i)) != target.face(k, fs, i):
-                            return IdentityReport(False, checked, identities,
-                                                  f"map fails d_{i} on {label}")
+                            raise NotChainMap(f"map fails d_{i} on {label}")
                     identities += 1
                     if self.apply(k + 1, source.degeneracy(k, s, i)) != target.degeneracy(k, fs, i):
-                        return IdentityReport(False, checked, identities,
-                                              f"map fails s_{i} on {label}")
-        return IdentityReport(True, checked, identities)
+                        raise NotChainMap(f"map fails s_{i} on {label}")
+        return identities
 
 
 def canonical_to_coskeleton(module: PreCrossedModule) -> SimplicialMap:

@@ -150,9 +150,7 @@ def test_criterion_6a_simplicial_identities(registry):
     ]
     total = 0
     for spec in cases:
-        report = check_simplicial_identities(spec, 4, 3)
-        assert report.passed, report.violation
-        total += report.identities_checked
+        total += check_simplicial_identities(spec, 4, 3)
     elapsed = time.perf_counter() - start
     _passed(6, f"(a) simplicial identities exhaustively on all builders: {total} relations", elapsed)
 
@@ -168,7 +166,7 @@ def test_criterion_6b_boundary_squares_to_zero(registry):
     ]
     for comp in built:
         for k in range(2, comp.max_degree + 1):
-            # through the (row, col) view, apart from the stored columns the check reads
+            # through the (row, col) entries, apart from the stored columns the check reads
             lower = {}
             for (r, mid), w in comp.boundaries[k - 1].entries.items():
                 lower.setdefault(mid, []).append((r, w))

@@ -303,6 +303,24 @@ def test_rack_complex_resource_bound_exits_three(desk_path, capsys):
     assert captured.err.startswith("error: resource bound exceeded: rackcomplex degree 2")
 
 
+def test_check_tri_cap_reaches_the_nerve(desk_path, capsys):
+    # S3 has 5^6 = 15625 nondegenerate degree-6 nerve tuples: --cap bounds the
+    # nerve as it bounds the envelopes, so 15625 suffices and 15624 exits 3
+    argv = ["check-tri", desk_path, "--object", "S3", "--coeff", "F2", "--max-degree", "5",
+            "--lengths", "1"]
+    code, out = run(argv + ["--cap", "15625"], capsys)
+    assert code == EXIT_DISAGREE
+    assert ("generators: degree 1 x1, degree 2 x1, degree 3 x1, degree 4 x1, degree 5 x1\n"
+            in out)
+    assert "\n5 16 0\n" in out
+    code = main(argv + ["--cap", "15624"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err == ("error: resource bound exceeded: nerve degree 6 exceeds 15624 "
+                   "nondegenerate simplices\n")
+
+
 def test_compare_ra_agree(desk_path, capsys):
     code, out = run(
         ["compare-ra", desk_path, "--object", "ONE", "--max-degree", "2", "--max-length", "3"],

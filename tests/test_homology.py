@@ -405,6 +405,8 @@ def test_induced_map_rejects_non_chain_rule():
     bad = SimplicialMap(good.source, good.target, scramble)
     with pytest.raises(NotChainMap):
         induced_map(bad, env, cosk, 1)
+    with pytest.raises(NotChainMap, match=r"map fails s_0 on degree 1 simplex \(1@0\)"):
+        bad.check_commutes(2, 2)
 
 
 def test_induced_map_checks_each_face_once(registry, monkeypatch):
@@ -533,7 +535,7 @@ def test_induced_map_needs_spec_built_complexes():
     cmap = canonical_to_coskeleton(module)
     env = chain_complex(cmap.source, 1, 2)
     cosk = chain_complex(build_coskeleton(module), 1)
-    racks = rack_complex(module, 2)
+    racks = rack_complex(module.as_augmented_rack(), 2)
     with pytest.raises(NotChainMap, match="spec-built"):
         induced_map(cmap, racks, cosk, 1)
     with pytest.raises(NotChainMap, match="spec-built"):

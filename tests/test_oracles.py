@@ -147,8 +147,9 @@ def test_trivial_two_element_rack_links_to_tensor_algebra():
 
 def test_etingof_grana_matches_rational_rack_homology(registry):
     cases = [(registry.augracks[name], 3) for name in ("ONE", "TRANS", "TR1", "TR2")]
-    cases += [(registry.precrossed[name], 3) for name in ("Z2TRIV", "IDZ2", "IDZ3")]
-    cases.append((registry.precrossed["IDS3"], 2))
+    cases += [(registry.precrossed[name].as_augmented_rack(), 3)
+              for name in ("Z2TRIV", "IDZ2", "IDZ3")]
+    cases.append((registry.precrossed["IDS3"].as_augmented_rack(), 2))
     found = []
     for rack, top in cases:
         row = [etingof_grana_betti(rack, n) for n in range(top + 1)]

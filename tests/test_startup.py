@@ -22,7 +22,7 @@ from precrossed.homology import (
     homology,
     homology_generators,
 )
-from precrossed.simplicial import build_coskeleton, build_envelope, check_simplicial_identities
+from precrossed.simplicial import build_coskeleton, build_envelope
 from precrossed.words import Letter, context_from_precrossed, reduce
 
 SRC = pathlib.Path(__file__).parents[1] / "src"
@@ -102,9 +102,6 @@ VALUE_TYPES = {
     "EnvelopeWord": (lambda: reduce(context_from_precrossed(_module()), 2,
                                     [Letter(1, 1, 0), Letter(2, 1, 1)], 1),
                      ("mode", "degree", "letters", "tail")),
-    "IdentityReport": (lambda: check_simplicial_identities(
-        build_envelope(_module()), 1, 2),
-        ("passed", "simplices_checked", "identities_checked", "violation")),
     "Letter": (lambda: Letter(1, 1, 0), ("base", "sign", "position")),
 }
 
