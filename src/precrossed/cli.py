@@ -266,11 +266,17 @@ def _pipeline_complex(kind, obj, pipeline, max_degree, length, cap):
     return chain_complex(spec, max_degree, length, cap=cap)
 
 
+def _homology_at(kind, obj, pipeline, degrees, length, cap, coeff="Z"):
+    """(H_m, degree-m basis size) per ascending m in ``degrees``; the complex goes on return."""
+    comp = _pipeline_complex(kind, obj, pipeline, degrees[-1], length, cap)
+    return [(homology(comp, m, coeff), comp.dim(m)) for m in degrees]
+
+
 def cmd_homology(reg: Registry, name: str, pipeline: str, max_degree: int, max_length: int,
                  coeff: str, cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
-    comp = _pipeline_complex(kind, obj, pipeline, max_degree, max_length, cap)
-    groups = [homology(comp, m, coeff) for m in range(max_degree + 1)]
+    groups = [h for h, _ in _homology_at(kind, obj, pipeline, range(max_degree + 1), max_length,
+                                         cap, coeff)]
     report = _capped_report(
         "homology",
         {
@@ -293,10 +299,10 @@ def cmd_compare_ra(reg: Registry, name: str, max_degree: int, max_length: int,
     rack = _as_rack(kind, obj)
     columns = {}
     for pipeline in ("envelope", "clauwens", "rackcomplex"):
-        comp = _pipeline_complex("augrack", rack, pipeline, max_degree, max_length, cap)
-        columns[pipeline] = [homology(comp, m) for m in range(max_degree + 1)]
+        columns[pipeline] = [h for h, _ in _homology_at("augrack", rack, pipeline,
+                                                        range(max_degree + 1), max_length, cap)]
     agree = all(
-        columns["envelope"][m].same_group(columns[other][m])
+        columns["envelope"][m] == columns[other][m]
         for other in ("clauwens", "rackcomplex") for m in range(max_degree + 1)
     )
     report = _capped_report(
@@ -329,11 +335,12 @@ def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths
     module = validate_precrossed(
         obj, base, trivial_action(base, obj.order), [base.identity] * obj.order
     )
-    spec = build_envelope(module)
     generators = [(m, h.betti) for m, h in enumerate(group_homology(obj, max_degree, coeff, cap))
                   if m and h.betti]
     expected = [tensor_algebra_dims(generators, m) for m in range(max_degree + 1)]
-    table = {length: _betti_row(spec, max_degree, length, coeff, cap) for length in lengths}
+    table = {length: [h.betti for h, _ in _homology_at("precrossed", module, "envelope",
+                                                       range(max_degree + 1), length, cap, coeff)]
+             for length in lengths}
     compare_at = {m: (m + 1 if m + 1 in lengths else max(lengths)) for m in range(max_degree + 1)}
     agree = all(table[compare_at[m]][m] == expected[m] for m in range(max_degree + 1))
     report = _capped_report(
@@ -360,12 +367,6 @@ def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths
     return report
 
 
-def _betti_row(spec, max_degree: int, length: int, coeff: str, cap: int | None) -> list[int]:
-    """Betti numbers of one length's complex; it is let go on return, before the next is built."""
-    comp = chain_complex(spec, max_degree, length, cap=cap)
-    return [homology(comp, m, coeff).betti for m in range(max_degree + 1)]
-
-
 def cmd_check_coskeleton(reg: Registry, name: str, max_degree: int,
                          cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
@@ -373,14 +374,14 @@ def cmd_check_coskeleton(reg: Registry, name: str, max_degree: int,
         raise Incompatible(f"check-coskeleton needs a pre-crossed module, got {kind}")
     surjective = set(obj.pi) == set(range(obj.group.order))
     module = obj if surjective else restrict_to_image(obj)
-    cosk = chain_complex(build_coskeleton(module), max_degree, cap=cap)
+    cmap = canonical_to_coskeleton(module)  # enumerates nothing
+    cosk = chain_complex(cmap.target, max_degree, cap=cap)
     nerve_h = group_homology(module.group, max_degree, cap=cap)
-    cmap = canonical_to_coskeleton(module)
     env = chain_complex(cmap.source, max_degree, max_degree + 1, cap=cap)
     maps = [induced_map(cmap, env, cosk, m) for m in range(max_degree + 1)]
     # H_m(coskeleton) from induced_map's generators, with no second Smith form
     cosk_h = [HomologyGroup.from_orders(m, f.target_orders) for m, f in enumerate(maps)]
-    agree = all(a.same_group(b) for a, b in zip(cosk_h, nerve_h))
+    agree = cosk_h == nerve_h
     h0_iso = maps[0].is_isomorphism()
     report = _capped_report(
         "check-coskeleton",
@@ -405,11 +406,11 @@ def cmd_check_coskeleton(reg: Registry, name: str, max_degree: int,
 def cmd_sweep(reg: Registry, name: str, pipeline: str, degree: int, lengths: list[int],
               cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
-    values = [(length, *_sweep_cell(kind, obj, pipeline, degree, length, cap))
+    values = [(length, *_homology_at(kind, obj, pipeline, [degree], length, cap)[0])
               for length in lengths]
     stabilized = None
     for (l1, h1, n1), (_, h2, n2) in zip(values, values[1:]):
-        if n1 and n2 and h1.same_group(h2):  # an empty basis shows nothing yet
+        if n1 and n2 and h1 == h2:  # an empty basis shows nothing yet
             stabilized = l1
             break
     report = _capped_report(
@@ -429,12 +430,6 @@ def cmd_sweep(reg: Registry, name: str, pipeline: str, degree: int, lengths: lis
         f"stabilized-at: L={stabilized}" if stabilized is not None else "stabilized-at: none"
     )
     return report
-
-
-def _sweep_cell(kind, obj, pipeline, degree, length, cap) -> tuple[HomologyGroup, int]:
-    """H_degree and the degree's basis size at one length; the complex is let go on return."""
-    comp = _pipeline_complex(kind, obj, pipeline, degree, length, cap)
-    return homology(comp, degree), comp.dim(degree)
 
 
 def cmd_validate(reg: Registry) -> Report:

@@ -42,20 +42,14 @@ class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols columns")):
         return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
 
 
-class SNFResult:
+class SNFResult(namedtuple("SNFResult", "diag u_rows uinv_cols v_cols vinv_rows")):
     """Diagonal d_1 | d_2 | ... plus optional unimodular transforms U M V = D.
 
     Tracked transforms are kept sparse, as {index: value} vectors: the rows of U
     and V^-1 and the columns of U^-1 and V; a side not tracked is None.
     """
 
-    def __init__(self, diag: tuple[int, ...], u_rows=None, uinv_cols=None, v_cols=None,
-                 vinv_rows=None):
-        self.diag = diag
-        self.u_rows = u_rows
-        self.uinv_cols = uinv_cols
-        self.v_cols = v_cols
-        self.vinv_rows = vinv_rows
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -267,14 +261,9 @@ def smith_normal_form(mat: SparseIntMatrix, transforms: str | None = None) -> SN
     for a, b in zip(diag, diag[1:]):
         if b % a:
             raise AssertionError(f"invariant factors {a}, {b} break the divisibility chain")
-    out = SNFResult(diag)
-    if rows:
-        out.u_rows = state.ordered(state.u, 0)
-        out.uinv_cols = state.ordered(state.uinv_t, 0)
-    if cols:
-        out.v_cols = state.ordered(state.v_t, 1)
-        out.vinv_rows = state.ordered(state.vinv, 1)
-    return out
+    u = (state.ordered(state.u, 0), state.ordered(state.uinv_t, 0)) if rows else (None, None)
+    v = (state.ordered(state.v_t, 1), state.ordered(state.vinv, 1)) if cols else (None, None)
+    return SNFResult(diag, *u, *v)
 
 
 def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
@@ -365,13 +354,6 @@ class HomologyGroup(namedtuple("HomologyGroup", "degree coeff betti torsion")):
 
     def machine(self) -> str:
         return f"{self.degree};{self.coeff};{self.betti};{','.join(str(t) for t in self.torsion)}"
-
-    def same_group(self, other: "HomologyGroup") -> bool:
-        return (self.degree, self.betti, self.torsion) == (
-            other.degree,
-            other.betti,
-            other.torsion,
-        )
 
 
 class ChainComplex:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import AugmentedRack, FiniteGroup
-from .errors import ResourceBound
+from .errors import ModeMismatch, ResourceBound
 from .homology import (
     MATRIX_CAP,
     ChainComplex,
@@ -33,6 +33,8 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
     Every tuple is a basis element, so ``cap`` (MATRIX_CAP when None) bounds
     size**n before the degree-n tuples are built.
     """
+    if not isinstance(rack, AugmentedRack):
+        raise ModeMismatch("the rack complex requires an augmented rack")
     size = rack.size
     action = rack.action
     pi = rack.pi
@@ -77,6 +79,8 @@ def etingof_grana_betti(rack: AugmentedRack, n: int) -> int:
     the moves x -> x^(pi y), counted here by union-find (Etingof and Grana,
     "On rack cohomology", J. Pure Appl. Algebra 177 (2003)).
     """
+    if not isinstance(rack, AugmentedRack):
+        raise ModeMismatch("the Etingof-Grana count requires an augmented rack")
     parent = list(range(rack.size))
 
     def root(x):

@@ -45,12 +45,14 @@ class SimplicialSpec:
     """Common contract: enumerate simplices per degree, plus face/degeneracy.
 
     A simplex is any hashable value; every operation takes its degree k too.
+    The two entry points resolve the default cap for each builder's one ``_enumerate``.
     """
 
     name: str
 
     def simplices(self, k: int, length_bound: int | None = None, cap: int | None = None) -> list:
-        raise NotImplementedError
+        """Every degree-k simplex, in a fixed order; ``cap`` (SIMPLEX_CAP when None) counts them."""
+        return self._enumerate(k, length_bound, SIMPLEX_CAP if cap is None else cap, False)
 
     def nondegenerate(self, k: int, length_bound: int | None = None,
                       cap: int | None = None) -> list:
@@ -59,6 +61,9 @@ class SimplicialSpec:
         Each builder describes its nondegenerate simplices directly, and
         ``cap`` counts only those.
         """
+        return self._enumerate(k, length_bound, SIMPLEX_CAP if cap is None else cap, True)
+
+    def _enumerate(self, k: int, length_bound: int | None, cap: int, nondegenerate: bool) -> list:
         raise NotImplementedError
 
     def face(self, k: int, simplex, i: int):
@@ -95,7 +100,7 @@ class WordSpec(SimplicialSpec):
                    for s in signs if ctx.push((), b, s, j)]
         return sorted(letters, key=lambda lt: letter_text(ctx, (lt,)))
 
-    def _words(self, k, length_bound, cap, nondegenerate):
+    def _enumerate(self, k, length_bound, cap, nondegenerate):
         """Normal-form words of length <= length_bound, in (length, text) order.
 
         The walk adds letters in alphabet order and letter texts are prefix-free
@@ -106,7 +111,6 @@ class WordSpec(SimplicialSpec):
         """
         if length_bound is None:
             raise ResourceBound(f"{self.name} enumeration needs a length bound")
-        cap = SIMPLEX_CAP if cap is None else cap
         what = "nondegenerate simplices" if nondegenerate else "simplices"
         alphabet, push = self._alphabet(k), self.ctx.push
         # nl may follow lt iff push appends it rather than merging or cancelling
@@ -141,12 +145,6 @@ class WordSpec(SimplicialSpec):
             if not frontier:
                 break
         return found
-
-    def simplices(self, k, length_bound=None, cap=None):
-        return self._words(k, length_bound, cap, nondegenerate=False)
-
-    def nondegenerate(self, k, length_bound=None, cap=None):
-        return self._words(k, length_bound, cap, nondegenerate=True)
 
     def face(self, k, simplex, i):
         """The reduced letters of d_i, tail dropped, as plain ``(base, sign, position)`` tuples."""
@@ -231,7 +229,7 @@ class CoskeletonSpec(SimplicialSpec):
         for x, v in enumerate(module.pi):
             self.preimages[v].append(x)
 
-    def _families(self, k, cap, nondegenerate):
+    def _enumerate(self, k, length_bound, cap, nondegenerate):
         """Matching families in degree k, sorted; ``cap`` is checked per kept family.
 
         With ``nondegenerate`` a family F is dropped when F = s_i d_i F for
@@ -239,7 +237,6 @@ class CoskeletonSpec(SimplicialSpec):
         x_(a,i) = x_(a,i+1) for every a < i and x_(i,b) = x_(i+1,b) for every
         b > i+1.
         """
-        cap = SIMPLEX_CAP if cap is None else cap
         what = "nondegenerate simplices" if nondegenerate else "simplices"
         g, xe = self.module.group, self.module.x_group.identity
         pairs = _pairs(k)
@@ -259,12 +256,6 @@ class CoskeletonSpec(SimplicialSpec):
                     raise ResourceBound(f"coskeleton degree {k} exceeds {cap} {what}")
         out.sort(key=self.encode)
         return out
-
-    def simplices(self, k, length_bound=None, cap=None):
-        return self._families(k, cap, nondegenerate=False)
-
-    def nondegenerate(self, k, length_bound=None, cap=None):
-        return self._families(k, cap, nondegenerate=True)
 
     def face(self, k, fam, i):
         if k == 0 or not 0 <= i <= k:
@@ -300,22 +291,15 @@ class NerveSpec(SimplicialSpec):
     def __init__(self, group: FiniteGroup):
         self.group = group
 
-    def simplices(self, k, length_bound=None, cap=None):
-        cap = SIMPLEX_CAP if cap is None else cap
-        if self.group.order**k > cap:
-            raise ResourceBound(f"nerve degree {k} exceeds {cap} simplices")
-        out = list(itertools.product(range(self.group.order), repeat=k))
-        out.sort(key=self.encode)
-        return out
-
-    def nondegenerate(self, k, length_bound=None, cap=None):
-        """Tuples with no identity entry: s_i inserts the identity at place i."""
-        cap = SIMPLEX_CAP if cap is None else cap
+    def _enumerate(self, k, length_bound, cap, nondegenerate):
+        """All k-tuples, or with ``nondegenerate`` those with no identity entry
+        (s_i inserts the identity at place i); ``cap`` is checked before any is built."""
         g = self.group
-        if (g.order - 1) ** k > cap:
-            raise ResourceBound(f"nerve degree {k} exceeds {cap} nondegenerate simplices")
-        others = [v for v in range(g.order) if v != g.identity]
-        out = list(itertools.product(others, repeat=k))
+        entries = [v for v in range(g.order) if not nondegenerate or v != g.identity]
+        if len(entries) ** k > cap:
+            what = "nondegenerate simplices" if nondegenerate else "simplices"
+            raise ResourceBound(f"nerve degree {k} exceeds {cap} {what}")
+        out = list(itertools.product(entries, repeat=k))
         out.sort(key=self.encode)
         return out
 

@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from precrossed.algebra import (
+    conjugation_module,
     conjugation_structure,
     cyclic_group,
     symmetric_group,
     trivial_group,
     validate_augmented_rack,
 )
-from precrossed.errors import ResourceBound
+from precrossed.errors import ModeMismatch, ResourceBound
 from precrossed.homology import chain_complex, homology
 from precrossed.oracles import (
     etingof_grana_betti,
@@ -184,3 +185,14 @@ def test_transposition_rack_homology_in_degrees_four_and_five(registry):
         "Z + Z/3 + Z/3", "Z + Z/3 + Z/3 + Z/3 + Z/3"]
     for m in (4, 5):
         assert etingof_grana_betti(rack, m) == homology(comp, m, "Q").betti == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda obj: rack_complex(obj, 2),
+    lambda obj: rack_homology(obj, 1),
+    lambda obj: etingof_grana_betti(obj, 1),
+], ids=["rack_complex", "rack_homology", "etingof_grana_betti"])
+def test_rack_oracles_refuse_a_module(call):
+    # a module becomes a rack only at the caller (module.as_augmented_rack())
+    with pytest.raises(ModeMismatch):
+        call(conjugation_module(cyclic_group(3)))

@@ -159,12 +159,21 @@ def test_enumeration_resource_bound():
         spec.nondegenerate(3, 3, cap=100)
 
 
-@pytest.mark.parametrize("method", ["simplices", "nondegenerate"])
-def test_enumeration_cap_is_exact(method):
-    # the cap is checked per word: the true count passes, one less raises
-    spec = build_envelope(transposition_rack())
-    enumerate_ = getattr(spec, method)
-    for k, bound in ((1, 3), (2, 3), (3, 3)):
+CAP_BUILDERS = [  # (id prefix, builder, length bound); the free envelope keeps the bare ids
+    ("", lambda: build_envelope(transposition_rack()), 3),
+    ("coskeleton-", lambda: build_coskeleton(conjugation_module(symmetric_group(3))), None),
+    ("nerve-", lambda: build_nerve(symmetric_group(3)), None),
+]
+
+
+@pytest.mark.parametrize("make, bound, method", [
+    pytest.param(make, bound, method, id=prefix + method)
+    for prefix, make, bound in CAP_BUILDERS for method in ("simplices", "nondegenerate")
+])
+def test_enumeration_cap_is_exact(make, bound, method):
+    # both entry points on every builder: the true count passes, one less raises
+    enumerate_ = getattr(make(), method)
+    for k in (1, 2, 3):
         n = len(enumerate_(k, bound))
         assert len(enumerate_(k, bound, cap=n)) == n
         with pytest.raises(ResourceBound, match=f"degree {k} exceeds {n - 1} "):

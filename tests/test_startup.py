@@ -21,6 +21,7 @@ from precrossed.homology import (
     chain_complex,
     homology,
     homology_generators,
+    smith_normal_form,
 )
 from precrossed.simplicial import build_coskeleton, build_envelope
 from precrossed.words import Letter, context_from_precrossed, reduce
@@ -92,6 +93,9 @@ VALUE_TYPES = {
     "PrecrossedAction": (lambda: precrossed_action(_module()), ("phi", "image", "module")),
     "SparseIntMatrix": (lambda: SparseIntMatrix(1, 2, [{0: 2}, {0: 2}]),
                         ("rows", "cols", "columns")),
+    "SNFResult": (lambda: smith_normal_form(SparseIntMatrix(2, 2, [{0: 2}, {1: 3}]),
+                                            transforms="both"),
+                  ("diag", "u_rows", "uinv_cols", "v_cols", "vinv_rows")),
     "HomologyGroup": (lambda: homology(_complex(), 1), ("degree", "coeff", "betti", "torsion")),
     "HomologyBasis": (lambda: homology_generators(_complex(), 1),
                       ("degree", "orders", "chains", "kernel", "vinv_cols", "rank", "ua")),
