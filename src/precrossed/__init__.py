@@ -54,7 +54,6 @@ from .simplicial import (
     build_envelope,
     build_nerve,
     canonical_to_coskeleton,
-    check_simplicial_identities,
     is_degenerate,
 )
 from .words import (

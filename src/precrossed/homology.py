@@ -247,15 +247,13 @@ class _Smith:
 def smith_normal_form(mat: SparseIntMatrix, transforms: str | None = None) -> SNFResult:
     """Diagonalize over Z; the transforms satisfy U M V = D with det(U), det(V) = +-1.
 
-    ``transforms`` picks the transforms tracked: "rows" (U, U^-1), "cols"
-    (V, V^-1), "both" or None; the others are left None.  Tracking never
-    changes a pivot, so a tracked transform is the same whichever side is
-    asked for.
+    ``transforms`` picks the side tracked: "rows" (U, U^-1), "cols" (V, V^-1)
+    or None; the other side is left None.  Tracking never changes a pivot, so
+    a "rows" and a "cols" run of one matrix make one two-sided U M V = D.
     """
-    if transforms not in (None, "rows", "cols", "both"):
+    if transforms not in (None, "rows", "cols"):
         raise ValueError(f"unknown transforms {transforms!r}")
-    rows = transforms in ("rows", "both")
-    cols = transforms in ("cols", "both")
+    rows, cols = transforms == "rows", transforms == "cols"
     state = _Smith(mat, rows, cols)
     diag = state.run()
     for a, b in zip(diag, diag[1:]):
@@ -472,7 +470,7 @@ class HomologyBasis(namedtuple("HomologyBasis",
                                 "degree orders chains kernel vinv_cols rank ua")):
     """Integral generators of H_m plus the data needed to classify any cycle.
 
-    Vectors are sparse {index: value} dicts, except the generator ``chains``.
+    Vectors, the generator ``chains`` included, are sparse {index: value} dicts.
     ``orders``: 0 marks a free generator, d > 1 torsion of order d; ``kernel``:
     columns r.. of V from the Smith form U d_m V = D; ``vinv_cols``: columns
     of V^-1; ``rank``: r, the rank of d_m; ``ua``: the rows of U (U A V' = D')
@@ -521,14 +519,14 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
     # are listed shortest chain first, then by support
     gens.sort(key=lambda g: (g[0] == 0, g[0], len(g[1]), sorted(g[1])))
     orders = [d for d, _, _ in gens]
-    chains = [[chain.get(k, 0) for k in range(dim)] for _, chain, _ in gens]
+    chains = [chain for _, chain, _ in gens]
     ua = [row for _, _, row in gens]
     return HomologyBasis(m, orders, chains, kernel, vinv_cols, r, ua)
 
 
-def classify_cycle(basis: HomologyBasis, vec: list[int]) -> tuple[int, ...]:
-    """Coordinates of a cycle's homology class in the generator presentation."""
-    y = _kernel_coords(basis.vinv_cols, basis.rank, [(i, v) for i, v in enumerate(vec) if v])
+def classify_cycle(basis: HomologyBasis, vec: dict[int, int]) -> tuple[int, ...]:
+    """Generator coordinates of the class of a cycle, given as an {index: value} vector."""
+    y = _kernel_coords(basis.vinv_cols, basis.rank, [(i, v) for i, v in vec.items() if v])
     w = [sum(v * y.get(c, 0) for c, v in row.items()) for row in basis.ua]
     return tuple(x % d if d else x for x, d in zip(w, basis.orders))
 
@@ -577,13 +575,11 @@ def induced_map(f, c_src: ChainComplex, c_tgt: ChainComplex, m: int) -> InducedM
     tgt_index = {s: i for i, s in enumerate(c_tgt.bases[m])}
     columns = []
     for chain in b_src.chains:
-        pushed = [0] * c_tgt.dim(m)
-        for idx, coeff in enumerate(chain):
-            if not coeff:
-                continue
+        pushed: dict[int, int] = {}
+        for idx, coeff in chain.items():
             ti = tgt_index.get(f.apply(m, c_src.bases[m][idx]))
             if ti is not None:
-                pushed[ti] += coeff
+                pushed[ti] = pushed.get(ti, 0) + coeff
         columns.append(classify_cycle(b_tgt, pushed))
     matrix = [
         [columns[c][r] for c in range(len(columns))] for r in range(len(b_tgt.orders))

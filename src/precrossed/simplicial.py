@@ -26,7 +26,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
-from .errors import IndexOutOfRange, ModeMismatch, NotChainMap, ResourceBound
+from .errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from .words import (
     Letter,
     WordContext,
@@ -107,10 +107,13 @@ class WordSpec(SimplicialSpec):
         (no label holds ``@``), so no sort is needed.  ``cap`` is checked per
         word.  With ``nondegenerate`` only words meeting every position 0..k-1
         are kept (s_i leaves position i empty), and a prefix is dropped as soon
-        as it misses more positions than it has letters left to add.
+        as it misses more positions than it has letters left to add; so in a
+        degree k above ``length_bound`` nothing is enumerated at all.
         """
         if length_bound is None:
             raise ResourceBound(f"{self.name} enumeration needs a length bound")
+        if nondegenerate and k > length_bound:
+            return []
         what = "nondegenerate simplices" if nondegenerate else "simplices"
         alphabet, push = self._alphabet(k), self.ctx.push
         # nl may follow lt iff push appends it rather than merging or cancelling
@@ -354,43 +357,6 @@ def is_degenerate(spec: SimplicialSpec, k: int, simplex) -> bool:
     return False
 
 
-def check_simplicial_identities(spec: SimplicialSpec, k_max: int,
-                                length_bound: int | None = None) -> int:
-    """Verify the five simplicial identity families on enumerated simplices; return their count.
-
-    The first identity that fails raises AssertionError naming it and its simplex."""
-    identities = 0
-    face, degeneracy = spec.face, spec.degeneracy
-    for k in range(k_max + 1):
-        for s in spec.simplices(k, length_bound):
-            label = f"{spec.describe()} degree {k} simplex {spec.encode(s)}"
-            if k >= 2:
-                for j in range(1, k + 1):
-                    dj = face(k, s, j)
-                    for i in range(j):
-                        identities += 1
-                        if face(k - 1, dj, i) != face(k - 1, face(k, s, i), j - 1):
-                            raise AssertionError(f"d_{i} d_{j} != d_{j-1} d_{i} on {label}")
-            for j in range(k + 1):
-                sj = degeneracy(k, s, j)
-                for i in range(k + 2):
-                    identities += 1
-                    got = face(k + 1, sj, i)
-                    if i < j:
-                        want = degeneracy(k - 1, face(k, s, i), j - 1)
-                    elif i in (j, j + 1):
-                        want = s
-                    else:
-                        want = degeneracy(k - 1, face(k, s, i - 1), j)
-                    if got != want:
-                        raise AssertionError(f"d_{i} s_{j} mismatch on {label}")
-                for i in range(j + 1):
-                    identities += 1
-                    if degeneracy(k + 1, sj, i) != degeneracy(k + 1, degeneracy(k, s, i), j + 1):
-                        raise AssertionError(f"s_{i} s_{j} != s_{j+1} s_{i} on {label}")
-    return identities
-
-
 class SimplicialMap:
     """A per-simplex rule ``rule(k, s)`` between two specs, expected to commute with structure maps.
 
@@ -409,24 +375,6 @@ class SimplicialMap:
         if key not in self._images:
             self._images[key] = self.rule(k, simplex)
         return self._images[key]
-
-    def check_commutes(self, k_max: int, length_bound: int | None = None) -> int:
-        """Identities the rule keeps with faces and degeneracies; NotChainMap on a failure."""
-        identities = 0
-        source, target = self.source, self.target
-        for k in range(k_max + 1):
-            for s in source.simplices(k, length_bound):
-                fs = self.apply(k, s)
-                label = f"degree {k} simplex {source.encode(s)}"
-                for i in range(k + 1):
-                    if k >= 1:
-                        identities += 1
-                        if self.apply(k - 1, source.face(k, s, i)) != target.face(k, fs, i):
-                            raise NotChainMap(f"map fails d_{i} on {label}")
-                    identities += 1
-                    if self.apply(k + 1, source.degeneracy(k, s, i)) != target.degeneracy(k, fs, i):
-                        raise NotChainMap(f"map fails s_{i} on {label}")
-        return identities
 
 
 def canonical_to_coskeleton(module: PreCrossedModule) -> SimplicialMap:

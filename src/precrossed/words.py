@@ -15,9 +15,9 @@ letter twists the letter base, g * (x)_j = (x^(g^-1))_j * g.
 Each mode's merge/cancel rule is written once, as ``WordContext.push``,
 which adds one plain ``(base, sign, position)`` tuple to a reduced tuple.
 ``reduce`` and the degeneracies fold letters through it; ``word_faces``
-pushes letters through it along the prefixes that consecutive words share.
-The twist is written once for whole words, in ``normalize_mixed``, which
-``twist``, ``multiply`` and the top face of ``face_word`` go through.
+pushes letters through it along the prefixes that consecutive words share,
+and is the one face routine.  The twist is written once for whole words,
+in ``normalize_mixed``, which ``twist`` and ``multiply`` go through.
 """
 
 from __future__ import annotations
@@ -210,15 +210,14 @@ def _face_map(k: int, i: int) -> tuple[int, ...]:
 def word_faces(ctx: WordContext, degree: int, words: Iterable[tuple]) -> Iterator[tuple]:
     """``(d_0 w, ..., d_k w)`` for each tail-free word w, in input order, tails dropped.
 
-    The faces equal those of ``face_word``, computed along shared prefixes.
-    For each prefix length n of the previous word the walk keeps the reduced
-    letters of d_0..d_(k-1) on its first n letters, and the reduced letters
-    and the group element g of d_k.  A word resumes from the state of its
-    longest common prefix with the previous word and pushes only the letters
-    after it: d_i with i < k pushes the letter re-indexed through its face
-    map, d_k multiplies a top letter's pi(base)^sign into g and pushes any
-    other letter twisted by g^-1.  Any input order is correct; sorted input
-    shares the most.
+    The faces are computed along shared prefixes.  For each prefix length n
+    of the previous word the walk keeps the reduced letters of d_0..d_(k-1)
+    on its first n letters, and the reduced letters and the group element g
+    of d_k.  A word resumes from the state of its longest common prefix with
+    the previous word and pushes only the letters after it: d_i with i < k
+    pushes the letter re-indexed through its face map, d_k multiplies a top
+    letter's pi(base)^sign into g and pushes any other letter twisted by
+    g^-1.  Any input order is correct; sorted input shares the most.
     """
     k = degree
     if k == 0:
@@ -249,27 +248,6 @@ def word_faces(ctx: WordContext, degree: int, words: Iterable[tuple]) -> Iterato
             states.append((lower, upper, g))
         prev = word
         yield lower + (upper,)
-
-
-def face_word(ctx: WordContext, word: EnvelopeWord, i: int) -> EnvelopeWord:
-    """Face d_i of a full word, tail kept.
-
-    A face d_i with i < k re-indexes positions through ``_face_map`` and
-    reduces.  The top face d_k turns each letter at position k-1 into the
-    group element pi(base)^sign, which ``normalize_mixed`` carries right
-    into the tail, twisting every later letter on the way.
-    """
-    k = word.degree
-    if k == 0 or not 0 <= i <= k:
-        raise IndexOutOfRange(f"face {i} undefined in degree {k}")
-    if i < k:
-        move = _face_map(k, i)
-        letters = [Letter(b, s, move[j]) for b, s, j in word.letters if move[j] >= 0]
-        return reduce(ctx, k - 1, letters, word.tail)
-    pi, inv = ctx.pi, ctx.group.inv
-    items = [Letter(b, s, j) if j < k - 1 else pi[b] if s > 0 else inv(pi[b])
-             for b, s, j in word.letters]
-    return normalize_mixed(ctx, k - 1, items, word.tail)
 
 
 def degeneracy_letters(ctx: WordContext, degree: int, letters: tuple, i: int) -> tuple:

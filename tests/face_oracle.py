@@ -8,8 +8,13 @@ agreement with the table-driven face routine is meaningful.  The canonical
 map to the coskeleton is rebuilt here by iterated faces, and coskeleton
 faces and degeneracies through a pair index built on every call, so they
 check the one-sweep map and the cached edge tables of ``simplicial``.
+
+The identity checkers at the end are different: they run the package's own
+faces and degeneracies, and check the simplicial identities among them and
+that a ``SimplicialMap`` commutes with them.
 """
 
+from precrossed.errors import NotChainMap
 from precrossed.words import EnvelopeWord, Letter, WordMode
 
 from snf_oracle import from_entries
@@ -151,3 +156,58 @@ def reference_coskeleton_degeneracy(module, k, vertices, edges, i):
         sa, sb = sigma(a), sigma(b)
         new_edges.append(module.x_group.identity if sa == sb else edges[old_index[(sa, sb)]])
     return tuple(vertices[: i + 1] + vertices[i:]), tuple(new_edges)
+
+
+def check_simplicial_identities(spec, k_max, length_bound=None):
+    """Verify the five simplicial identity families on enumerated simplices; return their count.
+
+    The first identity that fails raises AssertionError naming it and its simplex."""
+    identities = 0
+    face, degeneracy = spec.face, spec.degeneracy
+    for k in range(k_max + 1):
+        for s in spec.simplices(k, length_bound):
+            label = f"{spec.describe()} degree {k} simplex {spec.encode(s)}"
+            if k >= 2:
+                for j in range(1, k + 1):
+                    dj = face(k, s, j)
+                    for i in range(j):
+                        identities += 1
+                        if face(k - 1, dj, i) != face(k - 1, face(k, s, i), j - 1):
+                            raise AssertionError(f"d_{i} d_{j} != d_{j-1} d_{i} on {label}")
+            for j in range(k + 1):
+                sj = degeneracy(k, s, j)
+                for i in range(k + 2):
+                    identities += 1
+                    got = face(k + 1, sj, i)
+                    if i < j:
+                        want = degeneracy(k - 1, face(k, s, i), j - 1)
+                    elif i in (j, j + 1):
+                        want = s
+                    else:
+                        want = degeneracy(k - 1, face(k, s, i - 1), j)
+                    if got != want:
+                        raise AssertionError(f"d_{i} s_{j} mismatch on {label}")
+                for i in range(j + 1):
+                    identities += 1
+                    if degeneracy(k + 1, sj, i) != degeneracy(k + 1, degeneracy(k, s, i), j + 1):
+                        raise AssertionError(f"s_{i} s_{j} != s_{j+1} s_{i} on {label}")
+    return identities
+
+
+def check_commutes(smap, k_max, length_bound=None):
+    """Identities a ``SimplicialMap`` keeps with faces and degeneracies; NotChainMap on a failure."""
+    identities = 0
+    source, target = smap.source, smap.target
+    for k in range(k_max + 1):
+        for s in source.simplices(k, length_bound):
+            fs = smap.apply(k, s)
+            label = f"degree {k} simplex {source.encode(s)}"
+            for i in range(k + 1):
+                if k >= 1:
+                    identities += 1
+                    if smap.apply(k - 1, source.face(k, s, i)) != target.face(k, fs, i):
+                        raise NotChainMap(f"map fails d_{i} on {label}")
+                identities += 1
+                if smap.apply(k + 1, source.degeneracy(k, s, i)) != target.degeneracy(k, fs, i):
+                    raise NotChainMap(f"map fails s_{i} on {label}")
+    return identities

@@ -3,12 +3,13 @@
 Deliberately separate from the package implementation: dense list-of-lists
 storage, corner-first pivoting, and Fraction Gaussian elimination, so that
 agreement with the sparse production code is meaningful.  ``from_entries``
-and ``from_dense`` build the package's column-major matrices for the tests.
+and ``from_dense`` build the package's column-major matrices for the tests,
+and ``two_sided`` joins the package's two one-sided Smith forms.
 """
 
 from fractions import Fraction
 
-from precrossed.homology import SparseIntMatrix
+from precrossed.homology import SNFResult, SparseIntMatrix, smith_normal_form
 
 
 def from_entries(rows, cols, entries):
@@ -24,6 +25,16 @@ def from_dense(rows, cols, dense):
     """The SparseIntMatrix of a list of rows."""
     return from_entries(rows, cols, {
         (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)})
+
+
+def two_sided(mat):
+    """One Smith form with all four transforms: U and U^-1 from a "rows" run,
+    V and V^-1 from a "cols" run.  Tracking never changes a pivot, so the two
+    runs take the same pivots and give one U M V = D; their diagonals agree."""
+    rows = smith_normal_form(mat, transforms="rows")
+    cols = smith_normal_form(mat, transforms="cols")
+    assert rows.diag == cols.diag
+    return SNFResult(rows.diag, rows.u_rows, rows.uinv_cols, cols.v_cols, cols.vinv_rows)
 
 
 def dense_smith(matrix):

@@ -15,7 +15,6 @@ from precrossed.words import (
     EnvelopeWord,
     Letter,
     WordMode,
-    face_word,
     reduce,
     word_faces,
 )
@@ -39,17 +38,15 @@ def test_face_matches_the_reference_on_desk_words(registry):
         for bound in range(4):
             for k in range(1, 4):
                 for s in spec.simplices(k, bound):
-                    for tail in tails:
-                        w = EnvelopeWord(ctx.mode, k, s, tail)
-                        for i in range(k + 1):
-                            want = reference_face(ctx, w, i)
-                            assert face_word(ctx, w, i) == want, (label, w, i)
-                            # an EnvelopeWord may hold plain tuples
-                            plain = EnvelopeWord(ctx.mode, k, tuple(map(tuple, s)), tail)
-                            assert face_word(ctx, plain, i) == want, (label, w, i)
-                    w = EnvelopeWord(ctx.mode, k, s, ctx.group.identity)
+                    plain = tuple(map(tuple, s))
                     for i in range(k + 1):
-                        assert spec.face(k, s, i) == face_word(ctx, w, i).letters
+                        got = spec.face(k, s, i)
+                        # a tail changes no face's letters
+                        for tail in tails:
+                            w = EnvelopeWord(ctx.mode, k, s, tail)
+                            assert got == reference_face(ctx, w, i).letters, (label, w, i)
+                        # a word may be given as plain tuples
+                        assert spec.face(k, plain, i) == got, (label, s, i)
 
 
 def walk_words(spec, k):
@@ -71,9 +68,7 @@ def test_walk_matches_the_single_faces_in_any_order(registry):
             want = {}
             for s in words:
                 w = EnvelopeWord(ctx.mode, k, s, ctx.group.identity)
-                want[s] = tuple(face_word(ctx, w, i).letters for i in range(k + 1))
-                assert want[s] == tuple(reference_face(ctx, w, i).letters
-                                        for i in range(k + 1)), (label, s)
+                want[s] = tuple(reference_face(ctx, w, i).letters for i in range(k + 1))
             mixed = list(words)
             shuffle.shuffle(mixed)
             for order in (words, words[::-1], mixed):
@@ -119,14 +114,6 @@ def test_assembly_walks_each_degree_once(registry, monkeypatch):
     assert calls == [(k, comp.dim(k)) for k in range(1, 4)]
     monkeypatch.undo()
     assert comp.boundaries[1:] == reference_boundaries(spec, 2, 3)
-
-
-def test_face_word_returns_letters(registry):
-    spec = build_envelope(registry.precrossed["IDS3"])
-    for s in spec.simplices(2, 2):
-        w = EnvelopeWord(spec.ctx.mode, 2, s, spec.ctx.group.identity)
-        for i in range(3):
-            assert all(type(lt) is Letter for lt in face_word(spec.ctx, w, i).letters)
 
 
 def test_boundaries_match_the_reference_assembly(registry):
@@ -195,10 +182,12 @@ def test_generated_faces(contexts, name, data):
     ctx = contexts[name]
     w = data.draw(words(ctx))
     k = w.degree
-    for i in range(k + 1):
-        assert face_word(ctx, w, i) == reference_face(ctx, w, i), (w, i)
+    faces = next(word_faces(ctx, k, [w.letters]))
+    # the walk drops the tail, and a tail changes no face's letters
+    assert faces == tuple(reference_face(ctx, w, i).letters for i in range(k + 1)), w
     if k >= 2:
+        # d_i d_j = d_(j-1) d_i, from a second walk over the faces
+        again = list(word_faces(ctx, k - 1, faces))
         for j in range(1, k + 1):
             for i in range(j):
-                left = face_word(ctx, face_word(ctx, w, j), i)
-                assert left == face_word(ctx, face_word(ctx, w, i), j - 1), (w, i, j)
+                assert again[j][i] == again[i][j - 1], (w, i, j)

@@ -15,15 +15,17 @@ from precrossed.errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from precrossed.simplicial import (
     CoskeletonFamily,
     NerveSpec,
+    WordSpec,
     build_clauwens,
     build_coskeleton,
     build_envelope,
     build_nerve,
     canonical_to_coskeleton,
-    check_simplicial_identities,
     is_degenerate,
 )
 from precrossed.words import Letter, reduce
+
+from face_oracle import check_commutes, check_simplicial_identities
 
 
 def z2_trivial_module():
@@ -311,7 +313,7 @@ def test_coskeleton_trivial_carrier_collapses():
     for k in range(4):
         assert len(cosk.simplices(k)) == 1
     cmap = canonical_to_coskeleton(module)
-    cmap.check_commutes(3, 3)
+    check_commutes(cmap, 3, 3)
     for k in range(3):
         assert len(cmap.source.simplices(k, 3)) == 1
 
@@ -395,13 +397,28 @@ def test_canonical_map_values():
 def test_canonical_map_commutes():
     for group in (cyclic_group(2), cyclic_group(3)):
         cmap = canonical_to_coskeleton(conjugation_module(group))
-        cmap.check_commutes(3, 2)
+        check_commutes(cmap, 3, 2)
 
 
 def test_word_spec_requires_length_bound():
     spec = build_clauwens(one_rack())
     with pytest.raises(ResourceBound):
         spec.simplices(2)
+
+
+def test_degrees_above_the_length_bound_enumerate_nothing(registry, monkeypatch):
+    # no word of at most L letters meets k > L positions, so no alphabet is built
+    specs = [build_envelope(registry.augracks["TRANS"]), build_clauwens(registry.augracks["TRANS"]),
+             build_envelope(registry.precrossed["IDS3"])]
+
+    def refuse(self, k):
+        raise AssertionError(f"alphabet built in degree {k}")
+
+    monkeypatch.setattr(WordSpec, "_alphabet", refuse)
+    for spec in specs:
+        for bound in range(3):
+            for k in range(bound + 1, bound + 4):
+                assert spec.nondegenerate(k, bound) == [], (spec.describe(), k, bound)
 
 
 def test_coskeleton_with_multivalued_preimages():
@@ -417,4 +434,4 @@ def test_coskeleton_with_multivalued_preimages():
     check_simplicial_identities(cosk, 3)
     comp = chain_complex(cosk, 2)
     assert [homology(comp, m).render() for m in range(3)] == ["Z", "Z/2", "0"]
-    canonical_to_coskeleton(module).check_commutes(2, 2)
+    check_commutes(canonical_to_coskeleton(module), 2, 2)

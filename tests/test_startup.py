@@ -26,7 +26,8 @@ from precrossed.homology import (
 from precrossed.simplicial import build_coskeleton, build_envelope
 from precrossed.words import Letter, context_from_precrossed, reduce
 
-SRC = pathlib.Path(__file__).parents[1] / "src"
+ROOT = pathlib.Path(__file__).parents[1]
+SRC = ROOT / "src"
 
 # Standard-library modules no command needs: dataclasses and typing with what they
 # pull in, and the number tower: the Q route ranks on integers.
@@ -94,7 +95,7 @@ VALUE_TYPES = {
     "SparseIntMatrix": (lambda: SparseIntMatrix(1, 2, [{0: 2}, {0: 2}]),
                         ("rows", "cols", "columns")),
     "SNFResult": (lambda: smith_normal_form(SparseIntMatrix(2, 2, [{0: 2}, {1: 3}]),
-                                            transforms="both"),
+                                            transforms="rows"),
                   ("diag", "u_rows", "uinv_cols", "v_cols", "vinv_rows")),
     "HomologyGroup": (lambda: homology(_complex(), 1), ("degree", "coeff", "betti", "torsion")),
     "HomologyBasis": (lambda: homology_generators(_complex(), 1),
@@ -134,3 +135,13 @@ def test_value_type_contract(make, fields):
 def test_readme_library_example_repr():
     assert repr(homology(_complex(), 1)) == (
         "HomologyGroup(degree=1, coeff='Z', betti=0, torsion=(3,))")
+
+
+def test_the_benchmark_tracer_installs():
+    # perfbench/tracer.py binds package names at install; a rename fails here
+    # before the traced benchmark run would
+    code = "import precrossed.cli; from tracer import Tracer; Tracer().install()"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(SRC)]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
