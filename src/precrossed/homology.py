@@ -12,10 +12,12 @@ reduced at its leading (largest) row against one stored pivot vector per row:
 normalized to a leading 1 over GF(p), and reduced by fraction-free integer
 steps over Q.  The two coefficient routes share no code.
 
-Boundary matrices are stored column-major, one {row: value} dict per simplex,
-as the faces of each simplex produce them.  The d o d check reads those
-columns directly; the Smith form builds its own row and column structures
-from them, and the field ranks copy one column at a time.
+Boundary matrices are stored column-major, one tuple of (row, value) pairs
+per simplex, in the order the faces of the simplex first reach each row.
+Within one boundary, equal pairs are one object, so a column holds no
+container per entry.  The d o d check reads those columns directly; the Smith
+form builds its own row and column structures from them, and the field ranks
+copy one column at a time.
 """
 
 from __future__ import annotations
@@ -28,18 +30,18 @@ MATRIX_CAP = 5_000
 
 
 class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols columns")):
-    """Integer matrix stored column-major: ``columns[c]`` is {row: nonzero value}.
+    """Integer matrix stored column-major: ``columns[c]`` is a tuple of (row, value) pairs.
 
-    There are exactly ``cols`` column dicts, none holds a zero, and every row
-    lies in range(rows).  ``entries`` is a {(row, col): value} copy of the
-    same columns, for inspection only.
+    There are exactly ``cols`` column tuples; within one, rows are distinct and
+    lie in range(rows), and no value is zero.  ``entries`` is a
+    {(row, col): value} copy of the same columns, for inspection only.
     """
 
     __slots__ = ()
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:
-        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
+        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col}
 
 
 class SNFResult(namedtuple("SNFResult", "diag u_rows uinv_cols v_cols vinv_rows")):
@@ -88,8 +90,9 @@ class _Smith:
         self.cols: dict[int, set[int]] = {}
         for c, col in enumerate(mat.columns):
             if col:
-                self.cols[c] = set(col)
-                for r, v in col.items():
+                holders = self.cols[c] = set()
+                for r, v in col:
+                    holders.add(r)
                     self.rows.setdefault(r, {})[c] = v
         self.track_rows, self.track_cols = rows, cols
         if rows:
@@ -280,9 +283,9 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
     pivots: list[int] = []
     for j, col in enumerate(mat.columns):
         if p is None:
-            v = {r: x for r, x in col.items() if r not in drop}
+            v = {r: x for r, x in col if r not in drop}
         else:
-            v = {r: x % p for r, x in col.items() if r not in drop and x % p}
+            v = {r: x % p for r, x in col if r not in drop and x % p}
         while v:
             r = max(v)
             w = stored.get(r)
@@ -407,13 +410,12 @@ class ChainComplex:
         return self._rank_cache[k, p][0]
 
 
-def _assert_composes_to_zero(acols: list[dict[int, int]], bcols: list[dict[int, int]],
-                             k: int) -> None:
+def _assert_composes_to_zero(acols: list[tuple], bcols: list[tuple], k: int) -> None:
     """Raise unless d_(k-1) d_k = 0, both given by their stored columns."""
     for col in bcols:
         acc: dict[int, int] = {}
-        for mid, v in col.items():
-            for r, w in acols[mid].items():
+        for mid, v in col:
+            for r, w in acols[mid]:
                 acc[r] = acc.get(r, 0) + v * w
         if any(acc.values()):
             raise AssertionError(f"boundary composition in degree {k} is nonzero")
@@ -425,31 +427,36 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
 
     The basis in degree k is ``spec.nondegenerate(k, length_bound)``; the faces
     from ``spec.faces(k, basis)`` are looked up one simplex at a time in an index
-    of the basis below made for d_k alone, so no faces are kept and the top
-    basis gets no index.  ``cap`` bounds the nondegenerate simplices that
+    of the basis below made for d_k alone, so no faces are kept, the top basis
+    gets no index, and an empty basis takes no faces.  A column is summed in a
+    dict and stored as its (row, value) pairs, each taken from a table of the
+    pairs d_k has used so far.  ``cap`` bounds the nondegenerate simplices that
     enumeration counts, so a basis over it is never built; None keeps MATRIX_CAP.
     """
     cap = MATRIX_CAP if cap is None else cap
     bases: list[list] = []
     for k in range(m_max + 2):
         bases.append(spec.nondegenerate(k, length_bound, cap=cap))
-    boundaries = [SparseIntMatrix(0, len(bases[0]), [{} for _ in bases[0]])]
+    boundaries = [SparseIntMatrix(0, len(bases[0]), [()] * len(bases[0]))]
     for k in range(1, m_max + 2):
-        columns: list[dict[int, int]] = []
-        lookup = {s: i for i, s in enumerate(bases[k - 1])}
-        for faces in spec.faces(k, bases[k]):
-            col: dict[int, int] = {}
-            sign = 1
-            for face in faces:
-                r = lookup.get(face)
-                if r is not None:  # a degenerate face contributes zero
-                    val = col.get(r, 0) + sign
-                    if val:
-                        col[r] = val
-                    else:
-                        del col[r]
-                sign = -sign
-            columns.append(col)
+        columns: list[tuple] = []
+        if bases[k]:
+            lookup = {s: i for i, s in enumerate(bases[k - 1])}
+            shared: dict[tuple[int, int], tuple[int, int]] = {}
+            for faces in spec.faces(k, bases[k]):
+                col: dict[int, int] = {}
+                sign = 1
+                for face in faces:
+                    r = lookup.get(face)
+                    if r is not None:  # a degenerate face contributes zero
+                        val = col.get(r, 0) + sign
+                        if val:
+                            col[r] = val
+                        else:
+                            del col[r]
+                    sign = -sign
+                columns.append(tuple([shared.setdefault(pair, pair) for pair in col.items()]))
+            del lookup, shared  # gone before the d o d check
         boundaries.append(SparseIntMatrix(len(bases[k - 1]), len(bases[k]), columns))
     return ChainComplex(bases, boundaries, spec)
 
@@ -504,7 +511,7 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
         for i, val in row.items():
             vinv_cols[i][k] = val
     bnd = comp.boundaries[m + 1]
-    a_columns = [_kernel_coords(vinv_cols, r, col.items()) for col in bnd.columns]
+    a_columns = [tuple(_kernel_coords(vinv_cols, r, col).items()) for col in bnd.columns]
     asnf = smith_normal_form(SparseIntMatrix(kappa, bnd.cols, a_columns), transforms="rows")
     gens = []
     for i in range(kappa):
@@ -545,9 +552,9 @@ class InducedMap(namedtuple("InducedMap", "degree matrix source_orders target_or
         """
         if self.source_orders != self.target_orders:
             return False
-        columns = [{r: row[c] for r, row in enumerate(self.matrix) if row[c]}
+        columns = [tuple((r, row[c]) for r, row in enumerate(self.matrix) if row[c])
                    for c in range(len(self.source_orders))]
-        columns += [{r: d} for r, d in enumerate(self.target_orders) if d]
+        columns += [((r, d),) for r, d in enumerate(self.target_orders) if d]
         n = len(self.target_orders)
         diag = smith_normal_form(SparseIntMatrix(n, len(columns), columns)).diag
         return len(diag) == n and all(d == 1 for d in diag)

@@ -31,7 +31,8 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
     deleted entry acts on the prefix:
     d(x_1..x_n) = sum_i (-1)^i [ (x_1..^x_i..x_n) - (x_1^(pi x_i),..,x_{i-1}^(pi x_i),x_{i+1},..,x_n) ].
     Every tuple is a basis element, so ``cap`` (MATRIX_CAP when None) bounds
-    size**n before the degree-n tuples are built.
+    size**n before the degree-n tuples are built.  Columns are stored as in
+    ``chain_complex``: (row, value) pairs, one object per distinct pair.
     """
     if not isinstance(rack, AugmentedRack):
         raise ModeMismatch("the rack complex requires an augmented rack")
@@ -46,10 +47,11 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
                 f"rackcomplex degree {n} basis of size {size**n} exceeds matrix cap {cap}"
             )
         bases.append(list(itertools.product(range(size), repeat=n)))
-    boundaries = [SparseIntMatrix(0, len(bases[0]), [{}])]
+    boundaries = [SparseIntMatrix(0, len(bases[0]), [()])]
     for n in range(1, n_max + 1):
         index = {t: i for i, t in enumerate(bases[n - 1])}
-        columns: list[dict[int, int]] = []
+        shared: dict[tuple[int, int], tuple[int, int]] = {}  # one object per (row, value) pair
+        columns: list[tuple] = []
         for t in bases[n]:
             col: dict[int, int] = {}
             for i in range(1, n + 1):
@@ -63,7 +65,7 @@ def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> Cha
                         col[r] = new
                     else:
                         del col[r]
-            columns.append(col)
+            columns.append(tuple([shared.setdefault(pair, pair) for pair in col.items()]))
         boundaries.append(SparseIntMatrix(len(bases[n - 1]), len(bases[n]), columns))
     return ChainComplex(bases, boundaries)
 

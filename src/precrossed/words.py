@@ -22,7 +22,6 @@ in ``normalize_mixed``, which ``twist`` and ``multiply`` go through.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
@@ -201,12 +200,6 @@ def normalize_mixed(ctx: WordContext, degree: int, items, tail: int | None = Non
     return reduce(ctx, degree, letters, tail=g)
 
 
-@functools.cache
-def _face_map(k: int, i: int) -> tuple[int, ...]:
-    """Where d_i (i < k) sends the positions 0..k-1 of degree k; -1 drops the letter."""
-    return tuple(j if j < i else j - 1 for j in range(k))
-
-
 def word_faces(ctx: WordContext, degree: int, words: Iterable[tuple]) -> Iterator[tuple]:
     """``(d_0 w, ..., d_k w)`` for each tail-free word w, in input order, tails dropped.
 
@@ -227,8 +220,9 @@ def word_faces(ctx: WordContext, degree: int, words: Iterable[tuple]) -> Iterato
     mul, inv = group.table, group.inverse
     pi, action = ctx.pi, ctx.action
     top = k - 1
-    # moves[j][i]: where d_i (i < k) sends position j; -1 drops the letter
-    moves = [tuple(_face_map(k, i)[j] for i in range(k)) for j in range(k)]
+    # moves[j][i]: where d_i (i < k) sends position j, which is j - 1 for i <= j
+    # and j for i > j; -1 drops the letter
+    moves = [(j - 1,) * (j + 1) + (j,) * (k - 1 - j) for j in range(k)]
     # states[n]: (lower faces, top face, g) on the first n letters of prev
     states = [(((),) * k, (), group.identity)]
     prev: tuple = ()

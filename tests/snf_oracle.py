@@ -13,12 +13,13 @@ from precrossed.homology import SNFResult, SparseIntMatrix, smith_normal_form
 
 
 def from_entries(rows, cols, entries):
-    """The SparseIntMatrix of a {(row, col): value} dict; zeros are left out."""
-    columns = [{} for _ in range(cols)]
+    """The SparseIntMatrix of a {(row, col): value} dict; zeros are left out, and
+    each column holds its (row, value) pairs in the dict's order."""
+    columns = [[] for _ in range(cols)]
     for (r, c), v in entries.items():
         if v:
-            columns[c][r] = v
-    return SparseIntMatrix(rows, cols, columns)
+            columns[c].append((r, v))
+    return SparseIntMatrix(rows, cols, [tuple(col) for col in columns])
 
 
 def from_dense(rows, cols, dense):

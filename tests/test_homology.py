@@ -304,13 +304,13 @@ def tri_z3_complex():
 def columns(mat: SparseIntMatrix, keep) -> SparseIntMatrix:
     keep = set(keep)
     return SparseIntMatrix(
-        mat.rows, mat.cols, [col if c in keep else {} for c, col in enumerate(mat.columns)])
+        mat.rows, mat.cols, [col if c in keep else () for c, col in enumerate(mat.columns)])
 
 
 def test_compressed_field_ranks_match_plain_ranks():
     tri = tri_z3_complex()
     complexes = fixture_complexes() + [tri]
-    stored = [[dict(col) for col in mat.columns] for comp in complexes for mat in comp.boundaries]
+    stored = [list(mat.columns) for comp in complexes for mat in comp.boundaries]
     for comp in complexes:
         for p in (None, 2, 3, 5):
             for k, mat in enumerate(comp.boundaries):
@@ -562,16 +562,55 @@ def test_chain_complex_rejects_broken_boundaries():
         ChainComplex(good.bases, [good.boundaries[0], tampered, good.boundaries[2]])
 
 
-def test_boundaries_are_stored_one_column_dict_per_simplex(registry):
+def desk_complexes(registry):
+    """A small complex of every desk object through every pipeline that takes it."""
+    out = []
+    for rack in registry.augracks.values():
+        out += [chain_complex(build_envelope(rack), 2, 3),
+                chain_complex(build_clauwens(rack), 2, 3), rack_complex(rack, 3)]
+    for module in registry.precrossed.values():
+        out += [chain_complex(build_envelope(module), 2, 3),
+                chain_complex(build_coskeleton(module), 2),
+                rack_complex(module.as_augmented_rack(), 3)]
+    out += [chain_complex(build_nerve(group), 2) for group in registry.groups.values()]
+    return out
+
+
+def test_boundaries_are_stored_as_shared_pair_tuples(registry):
     racks = rack_complex(registry.augracks["TRANS"], 3)
-    for comp in fixture_complexes() + [racks]:
+    for comp in fixture_complexes() + desk_complexes(registry) + [racks]:
         for mat in comp.boundaries:
             assert len(mat.columns) == mat.cols
             for col in mat.columns:
-                assert type(col) is dict
-                assert all(v != 0 for v in col.values())
-                assert all(0 <= r < mat.rows for r in col)
+                assert type(col) is tuple
+                assert all(type(pair) is tuple and len(pair) == 2 for pair in col)
+                rows = [r for r, _ in col]
+                assert len(set(rows)) == len(rows)
+                assert all(0 <= r < mat.rows for r in rows)
+                assert all(v != 0 for _, v in col)
+            # equal pairs are one object within a boundary
+            pairs = [pair for col in mat.columns for pair in col]
+            assert len({id(pair) for pair in pairs}) == len(set(pairs))
     assert sum(len(col) for col in racks.boundaries[3].columns) == 60
+
+
+def test_no_faces_are_taken_of_an_empty_basis(registry):
+    # one-letter words meet one position, and the trivial group's nerve has no
+    # nondegenerate simplex above degree 0: every higher degree is empty
+    cases = [(build_envelope(registry.augracks["TRANS"]), 1), (build_nerve(trivial_group()), None)]
+    for spec, bound in cases:
+        walked = []
+        faces = spec.faces
+
+        def spy(k, simplices, faces=faces, walked=walked):
+            assert simplices, f"faces of an empty degree-{k} basis"
+            walked.append(k)
+            return faces(k, simplices)
+
+        spec.faces = spy
+        comp = chain_complex(spec, 6, bound)
+        assert walked == [k for k in range(1, 8) if comp.dim(k)]
+        assert [homology(comp, m).render() for m in range(2, 7)] == ["0"] * 5
 
 
 def test_composition_check_fires_on_a_broken_boundary(registry):
@@ -595,13 +634,13 @@ def test_kernel_coordinates_rebuild_every_boundary_column():
         for m in range(comp.max_degree):
             basis = homology_generators(comp, m)
             for column in comp.boundaries[m + 1].columns:
-                coords = _kernel_coords(basis.vinv_cols, basis.rank, column.items())
+                coords = _kernel_coords(basis.vinv_cols, basis.rank, column)
                 rebuilt = [0] * comp.dim(m)
                 for c, coeff in coords.items():
                     for r, v in basis.kernel[c].items():
                         rebuilt[r] += coeff * v
                 want = [0] * comp.dim(m)
-                for r, v in column.items():
+                for r, v in column:
                     want[r] = v
                 assert rebuilt == want
 

@@ -21,6 +21,8 @@ from precrossed.oracles import (
 )
 from precrossed.simplicial import build_clauwens, build_envelope
 
+from rack_oracle import check_etingof_grana
+
 
 def one_element_rack():
     z2 = cyclic_group(2)
@@ -72,8 +74,28 @@ def test_transposition_rack_degree_two_columns():
     index = {t: i for i, t in enumerate(itertools.product(range(3), repeat=1))}
     for c, (x, y) in enumerate(itertools.product(range(3), repeat=2)):
         acted = rack.induced.op[x][y]
-        expected = {index[(x,)]: 1, index[(acted,)]: -1} if acted != x else {}
+        expected = ((index[(x,)], 1), (index[(acted,)], -1)) if acted != x else ()
         assert comp.boundaries[2].columns[c] == expected
+
+
+def test_etingof_grana_over_prime_fields_on_desk_racks(registry):
+    # observed identities, not theorems of the package: see tests/rack_oracle.py.
+    # The field route and the Smith route both run on rack_complex's columns.
+    racks = dict(registry.augracks)
+    racks.update((name, module.as_augmented_rack()) for name, module in registry.precrossed.items())
+    # name: (|G_X|, #orbits, primes p with p not dividing |G_X|)
+    want = {
+        "ONE": (1, 1, [2, 3, 5, 7]), "TRANS": (6, 1, [5, 7]), "TR1": (1, 1, [2, 3, 5, 7]),
+        "TR2": (1, 2, [2, 3, 5, 7]), "Z2TRIV": (1, 2, [2, 3, 5, 7]),
+        "IDZ2": (1, 2, [2, 3, 5, 7]), "IDZ3": (1, 3, [2, 3, 5, 7]), "IDS3": (6, 3, [5, 7]),
+    }
+    got = {name: check_etingof_grana(rack, 3 if name == "IDS3" else 4)
+           for name, rack in racks.items()}
+    assert got == want
+    # the side condition matters: 3 divides |G_X| of TRANS, and H_3 over F3 is
+    # F3^2, not F3^(1^3), by the Z/3 in H_3 over Z
+    assert etingof_grana_betti(registry.augracks["TRANS"], 3) == 1
+    assert homology(rack_complex(registry.augracks["TRANS"], 4), 3, "F3").betti == 2
 
 
 def test_rack_homology_matches_clauwens_pipeline():

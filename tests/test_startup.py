@@ -92,9 +92,9 @@ VALUE_TYPES = {
                       ("carrier", "group", "action", "pi", "induced")),
     "PreCrossedModule": (_module, ("x_group", "group", "action", "pi")),
     "PrecrossedAction": (lambda: precrossed_action(_module()), ("phi", "image", "module")),
-    "SparseIntMatrix": (lambda: SparseIntMatrix(1, 2, [{0: 2}, {0: 2}]),
+    "SparseIntMatrix": (lambda: SparseIntMatrix(1, 2, [((0, 2),), ((0, 2),)]),
                         ("rows", "cols", "columns")),
-    "SNFResult": (lambda: smith_normal_form(SparseIntMatrix(2, 2, [{0: 2}, {1: 3}]),
+    "SNFResult": (lambda: smith_normal_form(SparseIntMatrix(2, 2, [((0, 2),), ((1, 3),)]),
                                             transforms="rows"),
                   ("diag", "u_rows", "uinv_cols", "v_cols", "vinv_rows")),
     "HomologyGroup": (lambda: homology(_complex(), 1), ("degree", "coeff", "betti", "torsion")),
