@@ -8,9 +8,11 @@ smallest nonzero magnitude with a row/column fill tie-break, with Euclid steps
 and a divisibility fix-up.  Transforms are tracked as sparse vectors.  Field
 Betti numbers use ranks by column insertion instead, computed bottom-up with
 the rows that the pivots one degree down account for dropped.  Each column is
-reduced at its leading (largest) row against one stored pivot vector per row:
-normalized to a leading 1 over GF(p), and reduced by fraction-free integer
-steps over Q.  The two coefficient routes share no code.
+reduced at its leading (largest) row against one stored pivot vector per row,
+kept in two row-indexed lists (leading entries, with dropped rows marked, and
+tuples of the other pairs): normalized to a leading 1 over GF(p), and reduced
+by fraction-free integer steps over Q.  The two coefficient routes share no
+code.
 
 Boundary matrices are stored column-major, one tuple of (row, value) pairs
 per simplex, in the order the faces of the simplex first reach each row.
@@ -271,27 +273,33 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
                   drop_rows=()) -> tuple[int, list[int]]:
     """(rank, pivot columns) by column insertion over GF(p), or over Q when p is None.
 
-    Each column, copied without ``drop_rows``, is reduced while its largest row
-    keys a stored pivot vector, and is stored under that row if left nonzero.
-    So a column is a pivot exactly when it is independent of the columns before
-    it: the pivot columns are the first column basis in index order.
+    The echelon is two lists indexed by row: the leading entry of the pivot
+    vector stored under that row (0 if there is none, None for a row in
+    ``drop_rows``) and the tuple of its other (row, entry) pairs.  Each column,
+    copied without the dropped rows, is reduced while its largest row keys a
+    stored pivot vector, and is stored under that row if left nonzero.  So a
+    column is a pivot exactly when it is independent of the columns before it:
+    the pivot columns are the first column basis in index order.
     """
-    drop = frozenset(drop_rows)
+    leads: list = [0] * mat.rows
+    rests: list = [()] * mat.rows
+    for r in drop_rows:
+        if not 0 <= r < mat.rows:
+            raise ValueError(f"drop row {r} is outside range({mat.rows})")
+        leads[r] = None
     if p is None:
         from math import gcd  # only the Q route needs it
-    stored: dict[int, tuple] = {}  # leading row: (leading entry, the other (row, entry) pairs)
     pivots: list[int] = []
     for j, col in enumerate(mat.columns):
         if p is None:
-            v = {r: x for r, x in col if r not in drop}
+            v = {r: x for r, x in col if leads[r] is not None}
         else:
-            v = {r: x % p for r, x in col if r not in drop and x % p}
+            v = {r: x % p for r, x in col if leads[r] is not None and x % p}
         while v:
             r = max(v)
-            w = stored.get(r)
-            if w is None:
+            lead = leads[r]
+            if not lead:
                 break
-            lead, rest = w
             b = v.pop(r)
             if p is None:  # v <- a v - b w, then divided by the gcd of its entries
                 g = gcd(lead, b)
@@ -300,7 +308,7 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
                     a, b = -a, -b
                 if a != 1:
                     v = {k: a * x for k, x in v.items()}
-            for k, x in rest:
+            for k, x in rests[r]:
                 nv = v.get(k, 0) - b * x
                 if p is not None:
                     nv %= p
@@ -317,7 +325,7 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
             if p is not None:  # scaled to a leading 1
                 inv, lead = pow(lead, -1, p), 1
                 v = {k: x * inv % p for k, x in v.items()}
-            stored[r] = lead, tuple(v.items())
+            leads[r], rests[r] = lead, tuple(v.items())
             pivots.append(j)
     return len(pivots), pivots
 

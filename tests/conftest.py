@@ -15,3 +15,8 @@ def desk_path() -> str:
 @pytest.fixture(scope="session")
 def registry(desk_path):
     return parse_input(desk_path)
+
+
+@pytest.fixture(scope="session")
+def rack_registry():
+    return parse_input(str(DATA / "racks.txt"))

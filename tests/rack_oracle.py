@@ -17,6 +17,9 @@ The two identities are pinned as observed, on the racks the tests pass in:
 from precrossed.homology import homology
 from precrossed.oracles import rack_complex
 
+# the top degree to which each rack of tests/data/racks.txt is checked
+RACK_TOPS = {"R5": 4, "S4T": 3, "S4C": 3, "A4C": 3, "CYC3": 5}
+
 
 def move_group(rack):
     """Every permutation of the carrier in G_X, as image tuples."""

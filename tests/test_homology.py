@@ -41,6 +41,7 @@ from precrossed.simplicial import (
 )
 
 from face_oracle import check_commutes
+from rack_oracle import RACK_TOPS
 from snf_oracle import (
     dense_det,
     dense_rank,
@@ -229,6 +230,15 @@ def test_gaussian_rank_pivots_are_the_first_column_basis():
             assert gaussian_rank(mat, p, drop_rows=drop) == (len(want), want), (dense, drop, p)
 
 
+def test_gaussian_rank_refuses_drop_rows_out_of_range():
+    mat = from_dense(2, 2, [[1, 0], [0, 1]])
+    for row in (-1, mat.rows):
+        with pytest.raises(ValueError, match="outside range"):
+            gaussian_rank(mat, 3, drop_rows=[row])
+        with pytest.raises(ValueError, match="outside range"):
+            gaussian_rank(mat, drop_rows=[row])
+
+
 def shuffled_bases(comp: ChainComplex, rng) -> ChainComplex:
     """The same complex, spec kept, with every basis permuted by ``rng`` and the
     boundaries permuted to match."""
@@ -279,18 +289,25 @@ def fixture_complexes():
     ]
 
 
-def test_field_betti_relations_on_fixtures():
-    for comp in fixture_complexes():
+def test_field_betti_relations_on_fixtures(registry, rack_registry):
+    # universal coefficients: the field route against the Smith route, which
+    # share no code; on the rack complexes p divides |G_X| for some p below
+    racks = {name: rack_complex(rack_registry.augracks[name], top + 1)
+             for name, top in RACK_TOPS.items()}
+    for comp in fixture_complexes() + desk_complexes(registry) + list(racks.values()):
         for m in range(comp.max_degree):
             hz = homology(comp, m)
             assert homology(comp, m, "Q").betti == hz.betti
-            for p in (2, 3, 5):
-                jump_below = sum(1 for t in hz.torsion if t % p == 0)
-                jump_above = sum(
-                    1 for t in homology(comp, m - 1).torsion if t % p == 0
-                ) if m else 0
-                got = homology(comp, m, f"F{p}").betti
-                assert got == hz.betti + jump_below + jump_above
+            torsion = hz.torsion + (homology(comp, m - 1).torsion if m else ())
+            for p in (2, 3, 5, 7):
+                jumps = sum(1 for t in torsion if t % p == 0)
+                assert homology(comp, m, f"F{p}").betti == hz.betti + jumps, (comp.spec, m, p)
+    r5, a4c = racks["R5"], racks["A4C"]
+    assert [homology(r5, m).render() for m in (3, 4)] == ["Z + Z/5", "Z + Z/5 + Z/5"]
+    assert [homology(r5, m, "F5").render() for m in (3, 4)] == ["F5^2", "F5^4"]
+    assert homology(a4c, 2).render() == "Z^4 + Z/2 + Z/2"
+    assert homology(a4c, 3).render() == "Z^8 + " + " + ".join(["Z/2"] * 8 + ["Z/4"] * 2)
+    assert [homology(a4c, m, "F2").render() for m in (2, 3)] == ["F2^6", "F2^20"]
 
 
 def tri_z3_complex():

@@ -21,7 +21,7 @@ from precrossed.oracles import (
 )
 from precrossed.simplicial import build_clauwens, build_envelope
 
-from rack_oracle import check_etingof_grana
+from rack_oracle import RACK_TOPS, check_etingof_grana
 
 
 def one_element_rack():
@@ -96,6 +96,19 @@ def test_etingof_grana_over_prime_fields_on_desk_racks(registry):
     # F3^2, not F3^(1^3), by the Z/3 in H_3 over Z
     assert etingof_grana_betti(registry.augracks["TRANS"], 3) == 1
     assert homology(rack_complex(registry.augracks["TRANS"], 4), 3, "F3").betti == 2
+
+
+def test_etingof_grana_over_prime_fields_beyond_the_desk(rack_registry):
+    # conjugacy classes of D5, S4 and A4, where |G_X| is 10, 24 and 12, and a
+    # cyclic rack; A4C is two orbits, the two classes of 3-cycles in A4
+    assert set(rack_registry.augracks) == set(RACK_TOPS)
+    want = {
+        "R5": (10, 1, [3, 7]), "S4T": (24, 1, [5, 7]), "S4C": (24, 1, [5, 7]),
+        "A4C": (12, 2, [5, 7]), "CYC3": (3, 1, [2, 5, 7]),
+    }
+    got = {name: check_etingof_grana(rack_registry.augracks[name], top)
+           for name, top in RACK_TOPS.items()}
+    assert got == want
 
 
 def test_rack_homology_matches_clauwens_pipeline():
