@@ -252,7 +252,7 @@ def _as_rack(kind: str, obj) -> AugmentedRack:
 def _pipeline_complex(kind, obj, pipeline, max_degree, length, cap):
     """Chain complex of an object through one pipeline, in degrees 0..max_degree+1."""
     if pipeline == "rackcomplex":
-        return rack_complex(_as_rack(kind, obj), max_degree + 1, cap=cap)
+        return rack_complex(_as_rack(kind, obj), max_degree, cap=cap)
     if pipeline == "clauwens":
         spec = build_clauwens(_as_rack(kind, obj))
     elif pipeline == "envelope" and kind in ("precrossed", "augrack"):

@@ -14,12 +14,14 @@ tuples of the other pairs): normalized to a leading 1 over GF(p), and reduced
 by fraction-free integer steps over Q.  The two coefficient routes share no
 code.
 
-Boundary matrices are stored column-major, one tuple of (row, value) pairs
-per simplex, in the order the faces of the simplex first reach each row.
-Within one boundary, equal pairs are one object, so a column holds no
-container per entry.  The d o d check reads those columns directly; the Smith
-form builds its own row and column structures from them, and the field ranks
-copy one column at a time.
+Boundary matrices are built by one function, ``assemble_complex``, for every
+complex: each simplex's faces are summed with signs +1, -1, ... in the order
+given.  They are stored column-major, one tuple of (row, value) pairs per
+simplex, in the order the faces of the simplex first reach each row.  Within
+one boundary, equal pairs are one object, so a column holds no container per
+entry.  The d o d check reads those columns directly; the Smith form builds
+its own row and column structures from them, and the field ranks copy one
+column at a time.
 """
 
 from __future__ import annotations
@@ -429,32 +431,27 @@ def _assert_composes_to_zero(acols: list[tuple], bcols: list[tuple], k: int) -> 
             raise AssertionError(f"boundary composition in degree {k} is nonzero")
 
 
-def chain_complex(spec, m_max: int, length_bound: int | None = None,
-                  cap: int | None = None) -> ChainComplex:
-    """Normalized chain complex of a spec in degrees 0..m_max+1.
+def assemble_complex(bases: list[list], faces, spec: object | None = None) -> ChainComplex:
+    """The chain complex on ``bases``: d_k sums each simplex's faces with signs +1, -1, ...
 
-    The basis in degree k is ``spec.nondegenerate(k, length_bound)``; the faces
-    from ``spec.faces(k, basis)`` are looked up one simplex at a time in an index
-    of the basis below made for d_k alone, so no faces are kept, the top basis
+    ``faces(k, basis)`` yields one iterable of faces per simplex of ``basis``,
+    in basis order.  They are looked up one simplex at a time in an index of
+    the basis below made for d_k alone, so no faces are kept, the top basis
     gets no index, and an empty basis takes no faces.  A column is summed in a
     dict and stored as its (row, value) pairs, each taken from a table of the
-    pairs d_k has used so far.  ``cap`` bounds the nondegenerate simplices that
-    enumeration counts, so a basis over it is never built; None keeps MATRIX_CAP.
+    pairs d_k has used so far; the table and the index go before the d o d
+    check.
     """
-    cap = MATRIX_CAP if cap is None else cap
-    bases: list[list] = []
-    for k in range(m_max + 2):
-        bases.append(spec.nondegenerate(k, length_bound, cap=cap))
     boundaries = [SparseIntMatrix(0, len(bases[0]), [()] * len(bases[0]))]
-    for k in range(1, m_max + 2):
+    for k in range(1, len(bases)):
         columns: list[tuple] = []
         if bases[k]:
             lookup = {s: i for i, s in enumerate(bases[k - 1])}
             shared: dict[tuple[int, int], tuple[int, int]] = {}
-            for faces in spec.faces(k, bases[k]):
+            for simplex_faces in faces(k, bases[k]):
                 col: dict[int, int] = {}
                 sign = 1
-                for face in faces:
+                for face in simplex_faces:
                     r = lookup.get(face)
                     if r is not None:  # a degenerate face contributes zero
                         val = col.get(r, 0) + sign
@@ -467,6 +464,18 @@ def chain_complex(spec, m_max: int, length_bound: int | None = None,
             del lookup, shared  # gone before the d o d check
         boundaries.append(SparseIntMatrix(len(bases[k - 1]), len(bases[k]), columns))
     return ChainComplex(bases, boundaries, spec)
+
+
+def chain_complex(spec, m_max: int, length_bound: int | None = None,
+                  cap: int | None = None) -> ChainComplex:
+    """Normalized chain complex of a spec in degrees 0..m_max+1, on the bases
+    ``spec.nondegenerate(k, length_bound, cap)`` and the faces ``spec.faces``.
+
+    Enumeration counts against ``cap`` (MATRIX_CAP when None), so a basis over
+    it is never built."""
+    cap = MATRIX_CAP if cap is None else cap
+    bases = [spec.nondegenerate(k, length_bound, cap=cap) for k in range(m_max + 2)]
+    return assemble_complex(bases, spec.faces, spec)
 
 
 def homology(comp: ChainComplex, m: int, coeff: str = "Z") -> HomologyGroup:

@@ -4,7 +4,9 @@ The classical rack chain complex, group homology through the bar model of
 the nerve, graded dimensions of free tensor algebras, the closed forms
 they imply for trivial racks, and the Etingof-Grana count of rational rack
 homology.  These never touch the envelope machinery, so
-agreement with it is meaningful.
+agreement with it is meaningful.  ``rack_complex(rack, m_max, cap=None)``
+lists bases and faces only, and hands them to ``homology.assemble_complex``,
+the linear-algebra step every chain complex shares.
 """
 
 from __future__ import annotations
@@ -17,61 +19,47 @@ from .homology import (
     MATRIX_CAP,
     ChainComplex,
     HomologyGroup,
-    SparseIntMatrix,
+    assemble_complex,
     chain_complex,
     homology,
 )
 from .simplicial import build_nerve
 
 
-def rack_complex(rack: AugmentedRack, n_max: int, cap: int | None = None) -> ChainComplex:
-    """Chain complex of the rack space: degree n is free on n-tuples of the carrier.
+def rack_complex(rack: AugmentedRack, m_max: int, cap: int | None = None) -> ChainComplex:
+    """Chain complex of the rack space in degrees 0..m_max+1: degree n is free on n-tuples.
 
     The differential deletes one entry and subtracts the variant where the
     deleted entry acts on the prefix:
     d(x_1..x_n) = sum_i (-1)^i [ (x_1..^x_i..x_n) - (x_1^(pi x_i),..,x_{i-1}^(pi x_i),x_{i+1},..,x_n) ].
     Every tuple is a basis element, so ``cap`` (MATRIX_CAP when None) bounds
-    size**n before the degree-n tuples are built.  Columns are stored as in
-    ``chain_complex``: (row, value) pairs, one object per distinct pair.
+    size**n before the degree-n tuples are built.  The 2n faces of a tuple
+    go to ``assemble_complex`` acted-first for odd i and deleted-first for
+    even i, so its signs +1, -1, ... give the (-1)^i above.
     """
     if not isinstance(rack, AugmentedRack):
         raise ModeMismatch("the rack complex requires an augmented rack")
-    size = rack.size
-    action = rack.action
-    pi = rack.pi
+    size, action, pi = rack.size, rack.action, rack.pi
     cap = MATRIX_CAP if cap is None else cap
-    bases: list[list[tuple[int, ...]]] = []
-    for n in range(n_max + 1):
+    for n in range(m_max + 2):
         if size**n > cap:
             raise ResourceBound(
                 f"rackcomplex degree {n} basis of size {size**n} exceeds matrix cap {cap}"
             )
-        bases.append(list(itertools.product(range(size), repeat=n)))
-    boundaries = [SparseIntMatrix(0, len(bases[0]), [()])]
-    for n in range(1, n_max + 1):
-        index = {t: i for i, t in enumerate(bases[n - 1])}
-        shared: dict[tuple[int, int], tuple[int, int]] = {}  # one object per (row, value) pair
-        columns: list[tuple] = []
-        for t in bases[n]:
-            col: dict[int, int] = {}
-            for i in range(1, n + 1):
-                sign = 1 if i % 2 == 0 else -1
-                deleted = t[: i - 1] + t[i:]
-                g = pi[t[i - 1]]
-                acted = tuple(action[x][g] for x in t[: i - 1]) + t[i:]
-                for r, val in ((index[deleted], sign), (index[acted], -sign)):
-                    new = col.get(r, 0) + val
-                    if new:
-                        col[r] = new
-                    else:
-                        del col[r]
-            columns.append(tuple([shared.setdefault(pair, pair) for pair in col.items()]))
-        boundaries.append(SparseIntMatrix(len(bases[n - 1]), len(bases[n]), columns))
-    return ChainComplex(bases, boundaries)
+    bases = [list(itertools.product(range(size), repeat=n)) for n in range(m_max + 2)]
+
+    def faces(t):  # one at a time, so a long tuple's 2n faces are never all held
+        for i in range(1, len(t) + 1):
+            deleted = t[: i - 1] + t[i:]
+            g = pi[t[i - 1]]
+            acted = tuple(action[x][g] for x in t[: i - 1]) + t[i:]
+            yield from (acted, deleted) if i % 2 else (deleted, acted)
+
+    return assemble_complex(bases, lambda n, basis: map(faces, basis))
 
 
 def rack_homology(rack: AugmentedRack, m: int, coeff: str = "Z") -> HomologyGroup:
-    return homology(rack_complex(rack, m + 1), m, coeff)
+    return homology(rack_complex(rack, m), m, coeff)
 
 
 def etingof_grana_betti(rack: AugmentedRack, n: int) -> int:

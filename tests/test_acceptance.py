@@ -78,6 +78,19 @@ def test_criterion_1_three_pipeline_agreement(registry):
         _passed(1, f"compare-ra {name}: three pipelines agree in degrees 0..2 at L=3", elapsed)
 
 
+def test_criterion_1_three_pipeline_agreement_beyond_the_desk(rack_registry):
+    # the racks of tests/data/racks.txt, with H_2 pinned as read at degree 2, L = 3
+    want = {"R5": "Z", "S4T": "Z + Z/2", "S4C": "Z + Z/4", "A4C": "Z^4 + Z/2 + Z/2", "CYC3": "Z"}
+    assert set(rack_registry.augracks) == set(want)
+    start = time.perf_counter()
+    for name, h2 in want.items():
+        report = cmd_compare_ra(rack_registry, name, 2, 3, cap=50000)
+        assert report.verdict == "AGREE", (name, report.lines)
+        assert report.lines[-1] == f"2 {h2} {h2} {h2}", (name, report.lines)
+    elapsed = time.perf_counter() - start
+    _passed(1, "compare-ra on the racks of racks.txt: three pipelines agree to degree 2", elapsed)
+
+
 def test_criterion_2_trivial_rack_closed_form(registry):
     start = time.perf_counter()
     for name, d in (("TR1", 1), ("TR2", 2)):

@@ -292,7 +292,7 @@ def fixture_complexes():
 def test_field_betti_relations_on_fixtures(registry, rack_registry):
     # universal coefficients: the field route against the Smith route, which
     # share no code; on the rack complexes p divides |G_X| for some p below
-    racks = {name: rack_complex(rack_registry.augracks[name], top + 1)
+    racks = {name: rack_complex(rack_registry.augracks[name], top)
              for name, top in RACK_TOPS.items()}
     for comp in fixture_complexes() + desk_complexes(registry) + list(racks.values()):
         for m in range(comp.max_degree):
@@ -554,7 +554,7 @@ def test_induced_map_needs_spec_built_complexes():
     cmap = canonical_to_coskeleton(module)
     env = chain_complex(cmap.source, 1, 2)
     cosk = chain_complex(build_coskeleton(module), 1)
-    racks = rack_complex(module.as_augmented_rack(), 2)
+    racks = rack_complex(module.as_augmented_rack(), 1)
     with pytest.raises(NotChainMap, match="spec-built"):
         induced_map(cmap, racks, cosk, 1)
     with pytest.raises(NotChainMap, match="spec-built"):
@@ -584,17 +584,17 @@ def desk_complexes(registry):
     out = []
     for rack in registry.augracks.values():
         out += [chain_complex(build_envelope(rack), 2, 3),
-                chain_complex(build_clauwens(rack), 2, 3), rack_complex(rack, 3)]
+                chain_complex(build_clauwens(rack), 2, 3), rack_complex(rack, 2)]
     for module in registry.precrossed.values():
         out += [chain_complex(build_envelope(module), 2, 3),
                 chain_complex(build_coskeleton(module), 2),
-                rack_complex(module.as_augmented_rack(), 3)]
+                rack_complex(module.as_augmented_rack(), 2)]
     out += [chain_complex(build_nerve(group), 2) for group in registry.groups.values()]
     return out
 
 
 def test_boundaries_are_stored_as_shared_pair_tuples(registry):
-    racks = rack_complex(registry.augracks["TRANS"], 3)
+    racks = rack_complex(registry.augracks["TRANS"], 2)
     for comp in fixture_complexes() + desk_complexes(registry) + [racks]:
         for mat in comp.boundaries:
             assert len(mat.columns) == mat.cols
