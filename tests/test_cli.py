@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import os
 import pathlib
 import subprocess
@@ -541,6 +543,142 @@ def test_help_exits_zero(capsys):
         main(["check-tri", "--help"])
     assert exc.value.code == 0
     assert "--lengths" in capsys.readouterr().out
+
+
+def test_top_level_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for name in ("validate", "homology", "compare-ra", "check-tri", "check-coskeleton", "sweep"):
+        assert name in out
+
+
+# The usage errors of the command line, each with its whole stderr; FILE stands
+# for the desk registry.
+Z2TRIV = ["homology", "FILE", "--object", "Z2TRIV", "--pipeline", "envelope", "--max-length", "2"]
+USAGE_ERRORS = {
+    "no-command": ([], "the following arguments are required: cmd"),
+    "unknown-command": (
+        ["bogus"],
+        "argument cmd: invalid choice: 'bogus' (choose from 'validate', 'homology', "
+        "'compare-ra', 'check-tri', 'check-coskeleton', 'sweep')",
+    ),
+    "no-file": (["validate"], "the following arguments are required: file"),
+    "two-files": (["validate", "FILE", "FILE"], "unrecognized arguments: FILE"),
+    "unknown-option": (["validate", "FILE", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    "trailing-option": (Z2TRIV + ["--max-degree"], "argument --max-degree: expected one argument"),
+    "bad-choice": (
+        ["homology", "FILE", "--object", "Z2TRIV", "--pipeline", "nerv", "--max-degree", "1",
+         "--max-length", "2"],
+        "argument --pipeline: invalid choice: 'nerv' (choose from 'envelope', 'clauwens', "
+        "'rackcomplex', 'coskeleton', 'nerve')",
+    ),
+    "bad-int": (Z2TRIV + ["--max-degree", "x"], "argument --max-degree: invalid int value: 'x'"),
+    "flag-with-value": (
+        Z2TRIV + ["--max-degree", "1", "--machine=1"],
+        "argument --machine: ignored explicit argument '1'",
+    ),
+    "missing-option": (
+        ["homology", "FILE", "--pipeline", "envelope", "--max-degree", "1", "--max-length", "2"],
+        "the following arguments are required: --object",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_exit_one_with_one_line(desk_path, capsys, argv, message):
+    code = main([desk_path if token == "FILE" else token for token in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INPUT, "")
+    assert captured.err == f"error: {message.replace('FILE', desk_path)}\n"
+
+
+# Spellings of PINNED["homology"] below: `=`, unique prefixes, the last of a
+# repeated option, and options before FILE.
+ACCEPTED = {
+    "equals": ["homology", "FILE", "--object=Z2TRIV", "--pipeline=envelope", "--max-degree=1",
+               "--max-length=2", "--coeff=Z"],
+    "prefixes": ["homology", "FILE", "--obj", "Z2TRIV", "--pipe", "envelope", "--max-deg", "1",
+                 "--max-len", "2", "--co", "Z"],
+    "last-wins": Z2TRIV + ["--max-degree", "3", "--coeff", "F2", "--max-degree", "1",
+                           "--coeff", "Z"],
+    "file-last": ["homology", "--object", "Z2TRIV", "--pipeline", "envelope", "--max-degree", "1",
+                  "--max-length", "2", "FILE"],
+}
+
+
+@pytest.mark.parametrize("argv", list(ACCEPTED.values()), ids=list(ACCEPTED))
+def test_accepted_spellings_give_the_pinned_report(desk_path, capsys, argv):
+    code, out = run([desk_path if token == "FILE" else token for token in argv], capsys)
+    assert (code, out) == (0, PINNED["homology"][1])
+
+
+# Valid command lines at L <= 2, and tokens to put into them: no mutation can
+# ask for a larger problem.
+VALID_ARGVS = [
+    ["check-tri", "FILE", "--object", "Z2", "--max-degree", "2", "--coeff", "F2",
+     "--lengths", "1,2"],
+    Z2TRIV + ["--max-degree", "1"],
+]
+GARBAGE = ["x", "", "-", "-x", "--x", "--", "=", "--m", "--max", "1,,2", "F7", "0", "-1", "-2"]
+
+
+@st.composite
+def mutated_argv(draw):
+    """A valid command line after one to three token edits."""
+    argv = list(draw(st.sampled_from(VALID_ARGVS)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, max(len(argv) - 1, 0)))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "garbage", "split", "join"]))
+        if edit == "garbage" or not argv:
+            argv.insert(at, draw(st.sampled_from(GARBAGE)))
+        elif edit == "drop":
+            del argv[at]
+        elif edit == "repeat":
+            argv.insert(at, argv[at])
+        elif edit == "swap":
+            other = draw(st.integers(0, len(argv) - 1))
+            argv[at], argv[other] = argv[other], argv[at]
+        elif edit == "split" and "=" in argv[at]:
+            argv[at:at + 1] = argv[at].split("=", 1)
+        elif edit == "join" and at + 1 < len(argv):
+            argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
+    return argv
+
+
+def last_values(argv):
+    """The last value each ``--name`` token is given, as ``--name V`` or ``--name=V``."""
+    values = {}
+    for i, token in enumerate(argv):
+        name, equals, value = token.partition("=")
+        if name.startswith("--"):
+            values[name] = value if equals else (argv[i + 1] if i + 1 < len(argv) else None)
+    return values
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argv=mutated_argv())
+def test_mutated_command_lines_exit_cleanly(desk_path, argv):
+    argv = [desk_path if token == "FILE" else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert len([line for line in err.splitlines() if not line.startswith("elapsed: ")]) <= 1
+    if code in (0, 2):
+        header = dict(line.split(": ", 1) for line in out.splitlines()
+                      if line.split(": ", 1)[0] in ("command", "object", "pipeline", "coeff",
+                                                    "max-degree", "max-length", "lengths"))
+        given_values = last_values(argv)
+        assert header.pop("command") == argv[0]
+        for key, value in header.items():
+            if key != "coeff" or "--coeff" in given_values:  # homology's coeff has a default
+                assert given_values["--" + key] == value
+    else:
+        assert out == "" and err.startswith("error: ")
 
 
 def test_check_tri_accepts_a_length_range(desk_path, capsys):
