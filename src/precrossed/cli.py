@@ -5,11 +5,14 @@ Input files are line-oriented: a block header ``group NAME`` / ``rack NAME`` /
 lines, with ``#`` starting a comment and tables written as comma-separated
 index rows joined by ``/``.  Reports are deterministic byte-for-byte; timing
 goes to stderr only.
+
+Command lines are read from one table, ``COMMANDS``, with argparse's rules and
+wording but without argparse: ``--opt value`` or ``--opt=value`` with FILE
+anywhere, unique prefixes, the last repeat winning, and ``-h`` at both levels.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -465,69 +468,119 @@ def _parse_lengths(text: str) -> list[int]:
     return values
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors raise ParseError, so they leave main like any other input error."""
+_REQUIRED = object()  # the default of an option every command line gives
+_HELP = ("--help", "help", None, None, False)
+_OBJECT = (("--object", "name", str, None, _REQUIRED), ("--cap", "cap", int, None, None))
+_MAX_DEGREE = ("--max-degree", "max_degree", int, None, _REQUIRED)
+_MAX_LENGTH = ("--max-length", "max_length", int, None, _REQUIRED)
+_PIPELINE = ("--pipeline", "pipeline", str, PIPELINES, _REQUIRED)
+_LENGTHS = ("--lengths", "lengths", _parse_lengths, None, _REQUIRED)
 
-    def error(self, message):
-        raise ParseError(message)
+# name -> (run function, help line, options); an option is (name, dest, converter,
+# choices, default), and a flag has converter None
+COMMANDS = {
+    "validate": (cmd_validate, "parse and validate a registry file", ()),
+    "homology": (cmd_homology, "homology of one object through one pipeline", (
+        *_OBJECT, _PIPELINE, _MAX_DEGREE, _MAX_LENGTH, ("--coeff", "coeff", str, COEFFS, "Z"),
+        ("--machine", "machine", None, None, False))),
+    "compare-ra": (cmd_compare_ra, "envelope vs Clauwens vs rack complex",
+                   (*_OBJECT, _MAX_DEGREE, _MAX_LENGTH)),
+    "check-tri": (cmd_check_tri, "trivial-action envelope vs tensor algebra", (
+        *_OBJECT, _MAX_DEGREE, ("--coeff", "coeff", str, COEFFS[1:], _REQUIRED), _LENGTHS)),
+    "check-coskeleton": (cmd_check_coskeleton, "coskeleton vs nerve plus induced map",
+                         (*_OBJECT, _MAX_DEGREE)),
+    "sweep": (cmd_sweep, "one homology degree across truncation lengths",
+              (*_OBJECT, _PIPELINE, ("--degree", "degree", int, None, _REQUIRED), _LENGTHS)),
+}
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="precrossed",
-        description="Homology of pre-crossed modules, racks, and groups at desk scale.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _option(token: str, options):
+    """The option a token names, in full or by a unique prefix; None for a value; "?" if unknown."""
+    if token[:1] != "-" or token == "-" or token[1:].isdecimal():  # -2 is a value
+        return None
+    name, table = token.split("=", 1)[0], (_HELP, *options)
+    found = [o for o in table if o[0] == ("--help" if name == "-h" else name)] or [
+        o for o in table if len(name) > 2 and name[:2] == "--" and o[0].startswith(name)]
+    if len(found) > 1:
+        raise ParseError(f"ambiguous option: {token} could match {', '.join(o[0] for o in found)}")
+    return found[0] if found else "?"
 
-    def command(name, run, text):
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(run=run)
-        p.add_argument("file")
-        if run is not cmd_validate:
-            p.add_argument("--object", dest="name", required=True)
-            p.add_argument("--cap", type=int, default=None,
-                           help="override the per-degree simplex cap and matrix cap")
-        return p
 
-    command("validate", cmd_validate, "parse and validate a registry file")
+def _scan(tokens: list[str], options, usage: str):
+    """(values by dest, FILE or None, unknown tokens) of one command's tokens, left to right."""
+    kinds = [_option(token, options) for token in tokens]
+    values, path, extras, i = {o[1]: o[4] for o in options}, None, [], 0
+    while i < len(tokens):
+        token, option, i = tokens[i], kinds[i], i + 1
+        _, explicit, value = token.partition("=")
+        if option is None and path is None:
+            path = token
+        elif option is None or option == "?":
+            extras.append(token)
+        elif option[2] is None and explicit:  # a flag given a value
+            what = "-h/--help" if option is _HELP else option[0]
+            raise ParseError(f"argument {what}: ignored explicit argument {value!r}")
+        elif option is _HELP:
+            print(usage)
+            raise SystemExit(0)
+        elif option[2] is None:
+            values[option[1]] = True
+        elif not explicit and (i == len(tokens) or kinds[i] is not None):
+            raise ParseError(f"argument {option[0]}: expected one argument")
+        else:
+            if not explicit:
+                value, i = tokens[i], i + 1
+            values[option[1]] = _converted(option, value)
+    return values, path, extras
 
-    p = command("homology", cmd_homology, "homology of one object through one pipeline")
-    p.add_argument("--pipeline", required=True, choices=PIPELINES)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--max-length", type=int, required=True)
-    p.add_argument("--coeff", default="Z", choices=COEFFS)
-    p.add_argument("--machine", action="store_true")
 
-    p = command("compare-ra", cmd_compare_ra, "envelope vs Clauwens vs rack complex")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--max-length", type=int, required=True)
+def _converted(option, value: str):
+    """An option's value, converted and checked against its choices."""
+    name, _, convert, choices, _ = option
+    try:
+        value = convert(value)
+    except ValueError:
+        raise ParseError(f"argument {name}: invalid {convert.__name__} value: {value!r}") from None
+    if choices and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise ParseError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    return value
 
-    p = command("check-tri", cmd_check_tri, "trivial-action envelope vs tensor algebra")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--coeff", required=True, choices=("Q", "F2", "F3", "F5"))
-    p.add_argument("--lengths", type=_parse_lengths, required=True)
 
-    p = command("check-coskeleton", cmd_check_coskeleton, "coskeleton vs nerve plus induced map")
-    p.add_argument("--max-degree", type=int, required=True)
+def _usage(command: str) -> str:
+    """A command's usage line and help line; an option in brackets has a default."""
+    words = [f"usage: precrossed {command} FILE"]
+    for name, dest, convert, choices, default in COMMANDS[command][2]:
+        word = name if convert is None else f"{name} {'|'.join(choices or [dest.upper()])}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words) + "\n  " + COMMANDS[command][1]
 
-    p = command("sweep", cmd_sweep, "one homology degree across truncation lengths")
-    p.add_argument("--pipeline", required=True, choices=PIPELINES)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--lengths", type=_parse_lengths, required=True)
-    return parser
+
+def parse_args(argv: list[str]):
+    """(run function, FILE, keyword arguments) of a command line, read as argparse read it."""
+    at = next((i for i, token in enumerate(argv) if _option(token, ()) is None), len(argv))
+    extras = _scan(argv[:at], (), "\n".join(map(_usage, COMMANDS)))[2]
+    if at == len(argv):
+        raise ParseError("the following arguments are required: cmd")
+    run, _, options = COMMANDS[_converted(("cmd", "cmd", str, COMMANDS, None), argv[at])]
+    values, path, more = _scan(argv[at + 1:], options, _usage(argv[at]))
+    missing = ["file"] * (path is None) + [o[0] for o in options if values[o[1]] is _REQUIRED]
+    if missing:
+        raise ParseError("the following arguments are required: " + ", ".join(missing))
+    if extras + more:
+        raise ParseError("unrecognized arguments: " + " ".join(extras + more))
+    return run, path, values
 
 
 def main(argv=None) -> int:
     try:
-        args = vars(build_arg_parser().parse_args(argv))
-        del args["cmd"]
-        command = args.pop("run")
+        command, path, args = parse_args(sys.argv[1:] if argv is None else list(argv))
         machine = args.pop("machine", False)
         for name, low in (("max_degree", 0), ("max_length", 0), ("degree", 0), ("cap", 1)):
             value = args.get(name)
             if value is not None and value < low:
                 raise ParseError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
-        reg = parse_input(args.pop("file"))
+        reg = parse_input(path)
         start = time.perf_counter()
         report = command(reg, **args)
         elapsed = time.perf_counter() - start

@@ -24,16 +24,20 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from enum import Enum
 
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import DegreeMismatch, IndexOutOfRange, ModeMismatch
 
 
-class WordMode(Enum):
-    GROUP_SYLLABLE = "group"
-    FREE_LETTER = "free"
-    MONOID_LETTER = "monoid"
+class WordMode(namedtuple("WordMode", "name value")):
+    """How letters reduce: one of the three members below, compared by identity."""
+
+    __slots__ = ()
+
+
+WordMode.GROUP_SYLLABLE = WordMode("GROUP_SYLLABLE", "group")
+WordMode.FREE_LETTER = WordMode("FREE_LETTER", "free")
+WordMode.MONOID_LETTER = WordMode("MONOID_LETTER", "monoid")
 
 
 class Letter(namedtuple("Letter", "base sign position")):
