@@ -16,11 +16,22 @@ The two identities are pinned as observed, on the racks the tests pass in:
 
 ``reference_rack_boundary`` writes d_n down from its formula, with its own
 tuple index and no code of ``homology`` or ``oracles``.
+
+``check_quandle_splitting`` holds H^R = H^Q + H^D for a quandle (x <| x = x):
+the tuples with some x_i = x_(i+1) span a subcomplex D of the rack complex,
+the quandle complex is the quotient Q = C/D, and the sequence of the two
+splits (Carter, Jelsovsky, Kamada, Langford and Saito, Trans. AMS 355
+(2003); Litherland and Nelson, J. Pure Appl. Algebra 178 (2003)).  Q and D
+are cut out of ``reference_rack_boundary``; only their Smith forms come from
+the package.
 """
 
 import itertools
+from collections import Counter
 
-from precrossed.homology import homology
+from snf_oracle import from_entries
+
+from precrossed.homology import homology, smith_normal_form
 from precrossed.oracles import rack_complex
 
 # the top degree to which each rack of tests/data/racks.txt is checked
@@ -105,3 +116,72 @@ def reference_rack_boundary(rack, n):
                 key = (index(face), col)
                 out[key] = out.get(key, 0) + v
     return {key: v for key, v in out.items() if v}
+
+
+def _degenerate(t):
+    return any(a == b for a, b in zip(t, t[1:]))
+
+
+def split_boundary(rack, n, keep):
+    """d_n of the reference complex on the tuples ``keep`` selects, as a
+    {(row, col): value} dict indexed by rank among the kept tuples: the
+    columns are the kept n-tuples, and the rows of other (n-1)-tuples drop."""
+    def ranks(k):
+        kept = [i for i, t in enumerate(itertools.product(range(rack.size), repeat=k)) if keep(t)]
+        return {i: r for r, i in enumerate(kept)}
+
+    rows, cols = ranks(n - 1), ranks(n)
+    matrix = {(rows[r], cols[c]): v for (r, c), v in reference_rack_boundary(rack, n).items()
+              if r in rows and c in cols}
+    return len(rows), len(cols), matrix
+
+
+def _prime_powers(orders):
+    """The multiset of prime-power orders of a sum of cyclic groups Z/t."""
+    out = Counter()
+    for t in orders:
+        for p in prime_factors(t):
+            q = 1
+            while t % (q * p) == 0:
+                q *= p
+            out[q] += 1
+    return out
+
+
+def _split_homology(rack, top, keep, what):
+    """(Betti number, prime-power torsion) of H_0..H_top of a complex cut out by ``keep``.
+
+    Raises AssertionError naming the degree where d_(n-1) d_n is not 0.
+    """
+    mats = [split_boundary(rack, n, keep) for n in range(1, top + 2)]
+    for n in range(2, top + 2):
+        low_columns, composed = {}, Counter()
+        for (r, k), u in mats[n - 2][2].items():
+            low_columns.setdefault(k, []).append((r, u))
+        for (k, c), v in mats[n - 1][2].items():
+            for r, u in low_columns.get(k, ()):
+                composed[r, c] += u * v
+        assert not any(composed.values()), f"{what}: d_{n - 1} d_{n} is not 0"
+    snfs = [smith_normal_form(from_entries(*mat)) for mat in mats]
+    dims = [mats[0][0]] + [cols for _, cols, _ in mats]
+    out = []
+    for n in range(top + 1):
+        rank_in = snfs[n - 1].rank if n else 0
+        out.append((dims[n] - rank_in - snfs[n].rank, _prime_powers(snfs[n].torsion)))
+    return out
+
+
+def check_quandle_splitting(rack, top):
+    """Hold H_n^R = H_n^Q + H_n^D for n = 0..top, as Betti numbers and prime-power torsion.
+
+    Returns [(H_n^Q, H_n^D)] with each group as (Betti number, {prime power: count});
+    raises AssertionError at a d_(n-1) d_n that is not 0 or at the first unequal degree.
+    """
+    quandle = _split_homology(rack, top, lambda t: not _degenerate(t), "quandle complex")
+    degenerate = _split_homology(rack, top, _degenerate, "degenerate complex")
+    comp = rack_complex(rack, top)
+    for n, ((bq, tq), (bd, td)) in enumerate(zip(quandle, degenerate)):
+        h = homology(comp, n)
+        assert (h.betti, _prime_powers(h.torsion)) == (bq + bd, tq + td), (
+            f"H_{n}: rack {h.render()}, quandle {bq, dict(tq)}, degenerate {bd, dict(td)}")
+    return [(q, d) for q, d in zip(quandle, degenerate)]

@@ -21,7 +21,12 @@ from precrossed.oracles import (
 )
 from precrossed.simplicial import build_clauwens, build_envelope
 
-from rack_oracle import RACK_TOPS, check_etingof_grana, reference_rack_boundary
+from rack_oracle import (
+    RACK_TOPS,
+    check_etingof_grana,
+    check_quandle_splitting,
+    reference_rack_boundary,
+)
 
 
 def one_element_rack():
@@ -197,6 +202,28 @@ def test_trivial_two_element_rack_links_to_tensor_algebra():
     rack = trivial_rack(2)
     for m in range(3):
         assert rack_homology(rack, m, "Q").betti == tensor_algebra_dims([(1, 2)], m)
+
+
+def test_quandle_splitting_beyond_the_desk(rack_registry):
+    # H^R = H^Q + H^D on the four quandles of racks.txt through H_3; per degree
+    # (H^Q, H^D), each as (Betti number, {prime power: count}).  R5 has
+    # H_3^Q = Z/5, and every D has homology from degree 2 on
+    z, free = (1, {}), (0, {})
+    want = {
+        "R5": [(z, free), (z, free), (free, z), ((0, {5: 1}), z)],
+        "S4T": [(z, free), (z, free), ((0, {2: 1}), z), ((0, {2: 1, 3: 1}), (1, {2: 1}))],
+        "S4C": [(z, free), (z, free), ((0, {4: 1}), z), ((0, {8: 1, 3: 1}), (1, {4: 1}))],
+        "A4C": [(z, free), ((2, {}), free), ((2, {2: 2}), (2, {})),
+                ((2, {2: 6, 4: 2}), (6, {2: 2}))],
+    }
+    got = {name: [tuple((betti, dict(torsion)) for betti, torsion in pair)
+                  for pair in check_quandle_splitting(rack_registry.augracks[name], 3)]
+           for name in want}
+    assert got == want
+    # CYC3 is no quandle (x <| x = x + 1): D is no subcomplex, and the quotient
+    # by it is no complex
+    with pytest.raises(AssertionError, match="quandle complex: d_2 d_3 is not 0"):
+        check_quandle_splitting(rack_registry.augracks["CYC3"], 3)
 
 
 def test_etingof_grana_matches_rational_rack_homology(registry):

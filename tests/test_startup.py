@@ -24,7 +24,7 @@ from precrossed.homology import (
     smith_normal_form,
 )
 from precrossed.simplicial import build_coskeleton, build_envelope
-from precrossed.words import Letter, context_from_precrossed, reduce
+from precrossed.words import Letter, WordMode, context_from_precrossed, reduce
 
 ROOT = pathlib.Path(__file__).parents[1]
 SRC = ROOT / "src"
@@ -114,6 +114,7 @@ VALUE_TYPES = {
                                     [Letter(1, 1, 0), Letter(2, 1, 1)], 1),
                      ("mode", "degree", "letters", "tail")),
     "Letter": (lambda: Letter(1, 1, 0), ("base", "sign", "position")),
+    "WordMode": (lambda: WordMode(*WordMode.FREE_LETTER), ("name", "value")),
 }
 
 
