@@ -122,7 +122,7 @@ def _degenerate(t):
     return any(a == b for a, b in zip(t, t[1:]))
 
 
-def split_boundary(rack, n, keep):
+def _split_boundary(rack, n, keep):
     """d_n of the reference complex on the tuples ``keep`` selects, as a
     {(row, col): value} dict indexed by rank among the kept tuples: the
     columns are the kept n-tuples, and the rows of other (n-1)-tuples drop."""
@@ -153,7 +153,7 @@ def _split_homology(rack, top, keep, what):
 
     Raises AssertionError naming the degree where d_(n-1) d_n is not 0.
     """
-    mats = [split_boundary(rack, n, keep) for n in range(1, top + 2)]
+    mats = [_split_boundary(rack, n, keep) for n in range(1, top + 2)]
     for n in range(2, top + 2):
         low_columns, composed = {}, Counter()
         for (r, k), u in mats[n - 2][2].items():
@@ -184,4 +184,4 @@ def check_quandle_splitting(rack, top):
         h = homology(comp, n)
         assert (h.betti, _prime_powers(h.torsion)) == (bq + bd, tq + td), (
             f"H_{n}: rack {h.render()}, quandle {bq, dict(tq)}, degenerate {bd, dict(td)}")
-    return [(q, d) for q, d in zip(quandle, degenerate)]
+    return list(zip(quandle, degenerate))
