@@ -41,10 +41,8 @@ from .homology import (
     smith_normal_form,
 )
 from .oracles import (
-    etingof_grana_betti,
     group_homology,
     rack_complex,
-    rack_homology,
     tensor_algebra_dims,
 )
 from .simplicial import (

@@ -5,7 +5,8 @@ precision integers, in two phases.  The unit phase goes column by column and
 eliminates each +-1 pivot exactly, taking the shortest row among the column's
 +-1 holders.  The residual phase reduces what is left, pivoting on the
 smallest nonzero magnitude with a row/column fill tie-break, with Euclid steps
-and a divisibility fix-up.  Transforms are tracked as sparse vectors.  Field
+and a divisibility fix-up.  A logged run records each elementary operation,
+and the generator route replays the log where it reads a transform.  Field
 Betti numbers use ranks by column insertion instead, computed bottom-up with
 the rows that the pivots one degree down account for dropped.  Each column is
 reduced at its leading (largest) row against one stored pivot vector per row,
@@ -48,12 +49,15 @@ class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols columns")):
         return {(r, c): v for c, col in enumerate(self.columns) for r, v in col}
 
 
-class SNFResult(namedtuple("SNFResult", "diag u_rows uinv_cols v_cols vinv_rows")):
-    """Diagonal d_1 | d_2 | ... plus optional unimodular transforms U M V = D.
+class SNFResult(namedtuple("SNFResult", "diag row_order col_order row_ops col_ops")):
+    """Diagonal d_1 | d_2 | ... plus, from a logged run, the record of U M V = D.
 
-    Tracked transforms are kept sparse, as {index: value} vectors: the rows of U
-    and V^-1 and the columns of U^-1 and V; a side not tracked is None.
-    """
+    The logs list the operations in the order made: (i, t, q) is "line i -=
+    q * line t" on rows or on columns, and (t, t, 0) negates row t.  With W
+    the product E_n ... E_1 of a log as row operations, U = P W(row_ops) and
+    V = W(col_ops)^T Q, where P M Q takes rows and columns in ``row_order``
+    and ``col_order``: the pivots, then the rest ascending.  An unlogged run
+    leaves these four None."""
 
     __slots__ = ()
 
@@ -76,19 +80,32 @@ def _axpy(x: dict[int, int], q: int, y: dict[int, int]) -> None:
             del x[k]
 
 
+def _replay(ops: list[tuple[int, int, int]], rows: dict[int, dict[int, int]],
+            inverse: bool = False, transpose: bool = False) -> None:
+    """rows <- A rows in place, A being W, W^-1, W^T or W^-T for the product W
+    of a Smith log (see SNFResult).  ``rows`` is a sparse row-major matrix,
+    {line: {column: value}}, with absent lines zero.  The log runs forward for
+    W and W^-T, backward for W^-1 and W^T."""
+    for i, t, q in ops if inverse == transpose else reversed(ops):
+        if transpose:
+            i, t = t, i
+        if not q:  # a negation (i = t) is its own inverse and transpose
+            rows[i] = {k: -v for k, v in rows.get(i, {}).items()}
+        elif t in rows:
+            _axpy(rows.setdefault(i, {}), q if inverse else -q, rows[t])
+
+
 class _Smith:
     """Sparse elimination state, in two phases of one algorithm.
 
     The unit phase eliminates every +-1 pivot in column order; the residual
     phase runs smallest-|v| pivoting with Euclid steps and a divisibility
     fix-up on what is left.  Nothing is swapped: each pivot is recorded as a
-    (row, col) pair, and the pivot permutation is applied to the transforms at
-    the end.  Row operations act on U (rows) and U^-1 (columns), column
-    operations on V (columns) and V^-1 (rows), so every tracked update is a
-    sparse vector update.
+    (row, col) pair.  With ``log`` set, each row and column operation is
+    appended to ``row_ops`` or ``col_ops``, in the format of SNFResult.
     """
 
-    def __init__(self, mat: SparseIntMatrix, rows: bool, cols: bool):
+    def __init__(self, mat: SparseIntMatrix, log: bool):
         self.ncols = mat.cols
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
@@ -98,17 +115,12 @@ class _Smith:
                 for r, v in col:
                     holders.add(r)
                     self.rows.setdefault(r, {})[c] = v
-        self.track_rows, self.track_cols = rows, cols
-        if rows:
-            self.u = [{i: 1} for i in range(mat.rows)]
-            self.uinv_t = [{i: 1} for i in range(mat.rows)]
-        if cols:
-            self.v_t = [{j: 1} for j in range(self.ncols)]
-            self.vinv = [{j: 1} for j in range(self.ncols)]
+        self.log = log
+        self.row_ops, self.col_ops = [], []  # (i, t, q) triples, as in SNFResult
         self.pivots: list[tuple[int, int]] = []
         self.diag: list[int] = []
 
-    # -- elementary operations (mirrored on the tracked transforms) ------------
+    # -- elementary operations (logged on request) ------------------------------
 
     def row_sub(self, i: int, t: int, q: int) -> None:
         """row_i -= q * row_t"""
@@ -126,9 +138,8 @@ class _Smith:
                 self.cols[c].discard(i)
         if not row_i:
             del self.rows[i]
-        if self.track_rows:
-            _axpy(self.u[i], -q, self.u[t])
-            _axpy(self.uinv_t[t], q, self.uinv_t[i])
+        if self.log:
+            self.row_ops.append((i, t, q))
 
     def col_sub(self, j: int, t: int, q: int) -> None:
         """col_j -= q * col_t"""
@@ -141,34 +152,29 @@ class _Smith:
             elif j in row:
                 del row[j]
                 self.cols[j].discard(r)
-        if self.track_cols:
-            _axpy(self.v_t[j], -q, self.v_t[t])
-            _axpy(self.vinv[t], q, self.vinv[j])
+        if self.log:
+            self.col_ops.append((j, t, q))
 
     def negate_row(self, t: int) -> None:
         row = self.rows[t]
         for c in row:
             row[c] = -row[c]
-        if self.track_rows:
-            for m in (self.u, self.uinv_t):
-                m[t] = {k: -v for k, v in m[t].items()}
+        if self.log:
+            self.row_ops.append((t, t, 0))
 
     def retire(self, i: int, j: int) -> None:
         """Record the positive pivot (i, j) and drop its row and column.
 
         Column j holds only the pivot.  Clearing the rest of row i with column
-        operations would change no other entry, so only V and V^-1 see them.
+        operations would change no other entry, so they are only logged.
         """
         row = self.rows.pop(i)
         for c in row:
             self.cols[c].discard(i)
         del self.cols[j]
         d = row.pop(j)
-        if self.track_cols:
-            for c, v in row.items():
-                q = v // d
-                _axpy(self.v_t[c], -q, self.v_t[j])
-                _axpy(self.vinv[j], q, self.vinv[c])
+        if self.log:
+            self.col_ops.extend((c, j, v // d) for c, v in row.items())
         self.pivots.append((i, j))
         self.diag.append(d)
 
@@ -243,32 +249,24 @@ class _Smith:
             self.retire(*self.clear(*self.pick()))
         return tuple(self.diag)
 
-    def ordered(self, vectors: list[dict[int, int]], side: int) -> list[dict[int, int]]:
-        """Transform vectors in pivot order, then the unpivoted ones ascending;
-        ``side`` 0 indexes them by row of M, 1 by column."""
-        order = [p[side] for p in self.pivots]
-        used = set(order)
-        return [vectors[k] for k in order + [k for k in range(len(vectors)) if k not in used]]
 
+def smith_normal_form(mat: SparseIntMatrix, log: bool = False) -> SNFResult:
+    """Diagonalize over Z; a logged run also records U M V = D, det(U), det(V) = +-1.
 
-def smith_normal_form(mat: SparseIntMatrix, transforms: str | None = None) -> SNFResult:
-    """Diagonalize over Z; the transforms satisfy U M V = D with det(U), det(V) = +-1.
-
-    ``transforms`` picks the side tracked: "rows" (U, U^-1), "cols" (V, V^-1)
-    or None; the other side is left None.  Tracking never changes a pivot, so
-    a "rows" and a "cols" run of one matrix make one two-sided U M V = D.
+    Logging never changes a pivot, so a logged and an unlogged run of one
+    matrix give the same diagonal.
     """
-    if transforms not in (None, "rows", "cols"):
-        raise ValueError(f"unknown transforms {transforms!r}")
-    rows, cols = transforms == "rows", transforms == "cols"
-    state = _Smith(mat, rows, cols)
+    state = _Smith(mat, log)
     diag = state.run()
     for a, b in zip(diag, diag[1:]):
         if b % a:
             raise AssertionError(f"invariant factors {a}, {b} break the divisibility chain")
-    u = (state.ordered(state.u, 0), state.ordered(state.uinv_t, 0)) if rows else (None, None)
-    v = (state.ordered(state.v_t, 1), state.ordered(state.vinv, 1)) if cols else (None, None)
-    return SNFResult(diag, *u, *v)
+    if not log:
+        return SNFResult(diag, None, None, None, None)
+    # the pivots' rows and columns, then the rest ascending
+    orders = [([p[side] for p in state.pivots], n) for side, n in ((0, mat.rows), (1, mat.cols))]
+    orders = [lines + sorted(set(range(n)).difference(lines)) for lines, n in orders]
+    return SNFResult(diag, *orders, state.row_ops, state.col_ops)
 
 
 def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
@@ -490,68 +488,69 @@ def homology(comp: ChainComplex, m: int, coeff: str = "Z") -> HomologyGroup:
     return HomologyGroup(m, coeff, dim - comp.field_rank(m, p) - comp.field_rank(m + 1, p), ())
 
 
-class HomologyBasis(namedtuple("HomologyBasis",
-                                "degree orders chains kernel vinv_cols rank ua")):
+class HomologyBasis(namedtuple("HomologyBasis", "degree orders chains snf asnf rows")):
     """Integral generators of H_m plus the data needed to classify any cycle.
 
     Vectors, the generator ``chains`` included, are sparse {index: value} dicts.
-    ``orders``: 0 marks a free generator, d > 1 torsion of order d; ``kernel``:
-    columns r.. of V from the Smith form U d_m V = D; ``vinv_cols``: columns
-    of V^-1; ``rank``: r, the rank of d_m; ``ua``: the rows of U (U A V' = D')
-    for the generators."""
+    ``orders``: 0 marks a free generator, d > 1 torsion of order d; ``snf``: the
+    logged Smith form U d_m V = D, of rank r, whose columns r.. of V are a basis
+    of the cycles; ``asnf``: the logged U' A V' = D' of the boundaries'
+    coordinates A in that basis; ``rows``: each generator's row of U'."""
 
     __slots__ = ()
 
 
-def _kernel_coords(vinv_cols, r: int, support) -> dict[int, int]:
-    """Coordinates (V^-1 b)[r:] in the kernel basis V[:, r:] of b, given as (row, value)
-    pairs.  V is unimodular, so they are unique; b is a cycle iff (V^-1 b)[:r] = 0."""
-    y: dict[int, int] = {}
-    for i, val in support:
-        _axpy(y, val, vinv_cols[i])
-    if any(k < r for k in y):
+def _transpose(rows: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """{line: {column: value}} -> {column: {line: value}}"""
+    out: dict[int, dict[int, int]] = {}
+    for i, row in rows.items():
+        for c, v in row.items():
+            out.setdefault(c, {})[i] = v
+    return out
+
+
+def _kernel_coords(snf: SNFResult, lines: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Rows r.. of V^-1 lines, renumbered from 0, for U d_m V = D of rank r: the
+    unique coordinates in the cycle basis V[:, r:] of the columns of ``lines``
+    (row-major, and spent), which are cycles iff the rows before r are 0."""
+    _replay(snf.col_ops, lines, inverse=True, transpose=True)
+    if any(lines.get(k) for k in snf.col_order[:snf.rank]):
         raise AssertionError("vector lies outside the kernel")
-    return {k - r: v for k, v in y.items()}
+    return {k: lines[i] for k, i in enumerate(snf.col_order[snf.rank:]) if lines.get(i)}
 
 
 def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
-    """Present H_m(Z) with explicit generator cycles."""
+    """Present H_m(Z) with explicit generator cycles (see HomologyBasis)."""
     if m < 0 or m + 1 > comp.max_degree:
         raise DegreeOutOfRange(f"H_{m} needs degree {m + 1}; complex stops at {comp.max_degree}")
-    dim = comp.dim(m)
-    sm = smith_normal_form(comp.boundaries[m], transforms="cols")
-    r = sm.rank
-    kappa = dim - r
-    kernel = sm.v_cols[r:]
-    vinv_cols: list[dict[int, int]] = [{} for _ in range(dim)]
-    for k, row in enumerate(sm.vinv_rows):
-        for i, val in row.items():
-            vinv_cols[i][k] = val
+    snf = smith_normal_form(comp.boundaries[m], log=True)
     bnd = comp.boundaries[m + 1]
-    a_columns = [tuple(_kernel_coords(vinv_cols, r, col).items()) for col in bnd.columns]
-    asnf = smith_normal_form(SparseIntMatrix(kappa, bnd.cols, a_columns), transforms="rows")
-    gens = []
-    for i in range(kappa):
-        d = asnf.diag[i] if i < asnf.rank else 0
-        if d == 1:
-            continue
-        chain: dict[int, int] = {}
-        for c, coeff in asnf.uinv_cols[i].items():
-            _axpy(chain, coeff, kernel[c])
-        gens.append((d, chain, asnf.u_rows[i]))
+    # d_(m+1) row by row, then its kernel coordinates by column, each freed once A holds it
+    coords = _transpose(_kernel_coords(snf, _transpose(dict(enumerate(map(dict, bnd.columns))))))
+    a = SparseIntMatrix(comp.dim(m) - snf.rank, bnd.cols,
+                        [tuple(coords.pop(c, {}).items()) for c in range(bnd.cols)])
+    asnf = smith_normal_form(a, log=True)
+    rows = [i for i in range(a.rows) if i >= asnf.rank or asnf.diag[i] > 1]
+    # V[:, r:] U'^-1 on the unit vectors of the rows whose factor in D' is not 1
+    picked = {asnf.row_order[i]: {g: 1} for g, i in enumerate(rows)}
+    _replay(asnf.row_ops, picked, inverse=True)
+    lines = {snf.col_order[snf.rank + k]: row for k, row in picked.items()}
+    _replay(snf.col_ops, lines, transpose=True)
+    chains = _transpose(lines)
+    gens = [(asnf.diag[i] if i < asnf.rank else 0, chains[g], i) for g, i in enumerate(rows)]
     # torsion orders ascending, free generators last; generators of one order
     # are listed shortest chain first, then by support
     gens.sort(key=lambda g: (g[0] == 0, g[0], len(g[1]), sorted(g[1])))
-    orders = [d for d, _, _ in gens]
-    chains = [chain for _, chain, _ in gens]
-    ua = [row for _, _, row in gens]
-    return HomologyBasis(m, orders, chains, kernel, vinv_cols, r, ua)
+    return HomologyBasis(m, [d for d, _, _ in gens], [chain for _, chain, _ in gens],
+                         snf, asnf, [i for _, _, i in gens])
 
 
 def classify_cycle(basis: HomologyBasis, vec: dict[int, int]) -> tuple[int, ...]:
-    """Generator coordinates of the class of a cycle, given as an {index: value} vector."""
-    y = _kernel_coords(basis.vinv_cols, basis.rank, [(i, v) for i, v in vec.items() if v])
-    w = [sum(v * y.get(c, 0) for c, v in row.items()) for row in basis.ua]
+    """Generator coordinates of the class of a cycle, given as an {index: value}
+    vector: U' applied to its coordinates (V^-1 vec)[r:], at the generators' rows."""
+    coords = _kernel_coords(basis.snf, {i: {0: v} for i, v in vec.items() if v})
+    _replay(basis.asnf.row_ops, coords)
+    w = [coords.get(basis.asnf.row_order[i], {}).get(0, 0) for i in basis.rows]
     return tuple(x % d if d else x for x, d in zip(w, basis.orders))
 
 

@@ -1,10 +1,9 @@
 """Independent reference computations.
 
 The classical rack chain complex, group homology through the bar model of
-the nerve, graded dimensions of free tensor algebras, the closed forms
-they imply for trivial racks, and the Etingof-Grana count of rational rack
-homology.  These never touch the envelope machinery, so
-agreement with it is meaningful.  ``rack_complex(rack, m_max, cap=None)``
+the nerve, and graded dimensions of free tensor algebras, with the closed
+forms they imply for trivial racks.  These never touch the envelope
+machinery, so agreement with it is meaningful.  ``rack_complex(rack, m_max, cap=None)``
 lists bases and faces only, and hands them to ``homology.assemble_complex``,
 the linear-algebra step every chain complex shares.
 """
@@ -56,33 +55,6 @@ def rack_complex(rack: AugmentedRack, m_max: int, cap: int | None = None) -> Cha
             yield from (acted, deleted) if i % 2 else (deleted, acted)
 
     return assemble_complex(bases, lambda n, basis: map(faces, basis))
-
-
-def rack_homology(rack: AugmentedRack, m: int, coeff: str = "Z") -> HomologyGroup:
-    return homology(rack_complex(rack, m), m, coeff)
-
-
-def etingof_grana_betti(rack: AugmentedRack, n: int) -> int:
-    """Q-Betti number of rack homology in degree n, from a closed form that builds no complex.
-
-    It is (number of orbits)^n, the orbits being those of the carrier under
-    the moves x -> x^(pi y), counted here by union-find (Etingof and Grana,
-    "On rack cohomology", J. Pure Appl. Algebra 177 (2003)).
-    """
-    if not isinstance(rack, AugmentedRack):
-        raise ModeMismatch("the Etingof-Grana count requires an augmented rack")
-    parent = list(range(rack.size))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, row in enumerate(rack.induced.op):
-        for moved in row:
-            parent[root(x)] = root(moved)
-    return sum(1 for x in range(rack.size) if root(x) == x) ** n
 
 
 def tensor_algebra_dims(generator_dims: list[tuple[int, int]], m: int) -> int:

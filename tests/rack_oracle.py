@@ -3,8 +3,7 @@ checks on the package's rack complex.
 
 G_X is the permutation group of a rack's carrier that the moves x -> x^pi(y)
 generate, one move per y.  It is built here by closing the moves under
-composition, and its orbits are read off the closure, so nothing is shared
-with the union-find of ``oracles.etingof_grana_betti``.
+composition, and its orbits are read off the closure (``orbit_count``).
 
 The two identities are pinned as observed, on the racks the tests pass in:
 
@@ -56,6 +55,12 @@ def move_group(rack):
     return seen
 
 
+def orbit_count(rack):
+    """The number of orbits of the carrier under G_X."""
+    group = move_group(rack)
+    return len({frozenset(perm[x] for perm in group) for x in range(rack.size)})
+
+
 def prime_factors(n):
     out, d = set(), 2
     while d * d <= n:
@@ -76,7 +81,7 @@ def check_etingof_grana(rack, top, primes=(2, 3, 5, 7)):
     """
     group = move_group(rack)
     order = len(group)
-    orbits = len({frozenset(perm[x] for perm in group) for x in range(rack.size)})
+    orbits = orbit_count(rack)
     coprime = [p for p in primes if order % p]
     comp = rack_complex(rack, top)
     for n in range(top + 1):

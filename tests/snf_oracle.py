@@ -4,12 +4,13 @@ Deliberately separate from the package implementation: dense list-of-lists
 storage, corner-first pivoting, and Fraction Gaussian elimination, so that
 agreement with the sparse production code is meaningful.  ``from_entries``
 and ``from_dense`` build the package's column-major matrices for the tests,
-and ``two_sided`` joins the package's two one-sided Smith forms.
+and ``dense_transforms`` rebuilds U and V from a logged Smith form by
+reading its log afresh, without the package's replay.
 """
 
 from fractions import Fraction
 
-from precrossed.homology import SNFResult, SparseIntMatrix, smith_normal_form
+from precrossed.homology import SparseIntMatrix
 
 
 def from_entries(rows, cols, entries):
@@ -26,16 +27,6 @@ def from_dense(rows, cols, dense):
     """The SparseIntMatrix of a list of rows."""
     return from_entries(rows, cols, {
         (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)})
-
-
-def two_sided(mat):
-    """One Smith form with all four transforms: U and U^-1 from a "rows" run,
-    V and V^-1 from a "cols" run.  Tracking never changes a pivot, so the two
-    runs take the same pivots and give one U M V = D; their diagonals agree."""
-    rows = smith_normal_form(mat, transforms="rows")
-    cols = smith_normal_form(mat, transforms="cols")
-    assert rows.diag == cols.diag
-    return SNFResult(rows.diag, rows.u_rows, rows.uinv_cols, cols.v_cols, cols.vinv_rows)
 
 
 def dense_smith(matrix):
@@ -160,20 +151,37 @@ def dense_det(matrix):
 
 
 def dense_transforms(snf):
-    """Dense U, U^-1, V, V^-1 of a Smith form, each None where the side was not tracked.
+    """Dense U, U^-1, V, V^-1 of a logged Smith form, so that U M V = D.
 
-    A Smith result keeps U and V^-1 by rows and U^-1 and V by columns, as
-    sparse {index: value} vectors; they are copied here entry by entry.
+    Each logged (i, t, q) is "line i -= q * line t", and (t, t, 0) negates row
+    t: U starts as the identity and takes each row operation, V each column
+    operation, and their inverses take the inverse operations on the other
+    side.  Then the pivot orders put D on the diagonal: U's rows and V's
+    columns are taken in ``row_order`` and ``col_order``.
     """
-    def square(vectors, by_columns):
-        if vectors is None:
-            return None
-        n = len(vectors)
-        m = [[vec.get(j, 0) for j in range(n)] for vec in vectors]
-        return [list(c) for c in zip(*m)] if by_columns else m
+    def eye(n):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
 
-    return (square(snf.u_rows, False), square(snf.uinv_cols, True),
-            square(snf.v_cols, True), square(snf.vinv_rows, False))
+    rows, cols = snf.row_order, snf.col_order
+    u, uinv = eye(len(rows)), eye(len(rows))
+    for i, t, q in snf.row_ops:
+        if i == t:
+            assert q == 0
+            u[t] = [-x for x in u[t]]
+            for line in uinv:
+                line[t] = -line[t]
+        else:
+            u[i] = [a - q * b for a, b in zip(u[i], u[t])]
+            for line in uinv:  # U^-1 <- U^-1 (I + q e_i e_t^T)
+                line[t] += q * line[i]
+    v, vinv = eye(len(cols)), eye(len(cols))
+    for j, t, q in snf.col_ops:
+        assert j != t
+        for line in v:
+            line[j] -= q * line[t]
+        vinv[t] = [a + q * b for a, b in zip(vinv[t], vinv[j])]
+    return ([u[i] for i in rows], [[line[i] for i in rows] for line in uinv],
+            [[line[j] for j in cols] for line in v], [vinv[j] for j in cols])
 
 
 def matmul(a, b):

@@ -827,6 +827,55 @@ induced H_0 isomorphism: yes
 verdict: AGREE
 """,
     ),
+    # the generator route at its largest in tier-1: degree 4 replays the Smith
+    # logs of d_4 and of d_5's kernel coordinates
+    "check-coskeleton IDZ3 degree 4": (
+        ["check-coskeleton", "--object", "IDZ3", "--max-degree", "4", "--cap", "200000"],
+        """\
+command: check-coskeleton
+object: IDZ3
+max-degree: 4
+max-length: 5
+pi-surjective: yes
+cap: 200000
+degree coskeleton nerve
+0 Z Z
+1 Z/3 Z/3
+2 0 0
+3 Z/3 Z/3
+4 0 0
+induced H_0 matrix: [[1]]
+induced H_1 matrix: [[2]]
+induced H_2 matrix: []
+induced H_3 matrix: [[1, 0, 0]]
+induced H_4 matrix: []
+induced H_0 isomorphism: yes
+verdict: AGREE
+""",
+    ),
+    # the envelope's three H_3 generators go to 3, 3 and 1 in the coskeleton's Z/6
+    "check-coskeleton IDS3 degree 3": (
+        ["check-coskeleton", "--object", "IDS3", "--max-degree", "3", "--cap", "20000"],
+        """\
+command: check-coskeleton
+object: IDS3
+max-degree: 3
+max-length: 4
+pi-surjective: yes
+cap: 20000
+degree coskeleton nerve
+0 Z Z
+1 Z/2 Z/2
+2 0 0
+3 Z/6 Z/6
+induced H_0 matrix: [[1]]
+induced H_1 matrix: [[1]]
+induced H_2 matrix: []
+induced H_3 matrix: [[3, 3, 1]]
+induced H_0 isomorphism: yes
+verdict: AGREE
+""",
+    ),
     "sweep": (
         SWEEP + ["--degree", "1", "--lengths", "1..3"],
         """\

@@ -21,6 +21,7 @@ from precrossed.homology import (
     HomologyGroup,
     InducedMap,
     _kernel_coords,
+    _replay,
     SparseIntMatrix,
     chain_complex,
     classify_cycle,
@@ -53,7 +54,6 @@ from snf_oracle import (
     from_entries,
     image_invariants,
     matmul,
-    two_sided,
     unit_heavy_matrix,
 )
 
@@ -129,7 +129,7 @@ def test_smith_transforms_are_unimodular_and_exact():
     inputs += [unit_heavy_matrix(unit_rng) for _ in range(60)]
     for dense in inputs:
         rows, cols = len(dense), len(dense[0])
-        snf = two_sided(from_dense(rows, cols, dense))
+        snf = smith_normal_form(from_dense(rows, cols, dense), log=True)
         u, uinv, v, vinv = dense_transforms(snf)
         product = matmul(matmul(u, dense), v)
         for i in range(rows):
@@ -147,20 +147,14 @@ def test_smith_transforms_are_unimodular_and_exact():
         ]
 
 
-def test_one_sided_smith_matches_two_sided():
+def test_logged_smith_matches_unlogged():
     rng = random.Random(31)
     unit_rng = random.Random(32)
     inputs = [random_matrix(rng, max_dim=9) for _ in range(60)]
     inputs += [unit_heavy_matrix(unit_rng) for _ in range(60)]
     for dense in inputs:
         mat = from_dense(len(dense), len(dense[0]), dense)
-        plain = smith_normal_form(mat)
-        rows = smith_normal_form(mat, transforms="rows")
-        cols = smith_normal_form(mat, transforms="cols")
-        assert rows.diag == cols.diag == plain.diag
-        (u, uinv, v, vinv), r, c = (dense_transforms(s) for s in (two_sided(mat), rows, cols))
-        assert r == (u, uinv, None, None)
-        assert c == (None, None, v, vinv)
+        assert smith_normal_form(mat, log=True).diag == smith_normal_form(mat).diag
 
 
 def test_smith_unit_block_beside_torsion():
@@ -172,7 +166,7 @@ def test_smith_unit_block_beside_torsion():
         [0, 0, 0, 2, 0],
         [0, 0, 0, 0, 3],
     ]
-    snf = two_sided(from_dense(5, 5, dense))
+    snf = smith_normal_form(from_dense(5, 5, dense), log=True)
     assert snf.diag == (1, 1, 1, 1, 6) and list(snf.diag) == dense_smith(dense)
     u, uinv, v, vinv = dense_transforms(snf)
     product = matmul(matmul(u, dense), v)
@@ -183,13 +177,7 @@ def test_smith_unit_block_beside_torsion():
 
 def test_smith_without_transforms_tracks_none():
     snf = smith_normal_form(from_dense(2, 2, [[2, 0], [0, 3]]))
-    assert snf.diag == (1, 6)
-    assert dense_transforms(snf) == (None, None, None, None)
-
-
-def test_smith_rejects_unknown_side():
-    with pytest.raises(ValueError):
-        smith_normal_form(from_dense(1, 1, [[1]]), transforms="left")
+    assert snf == ((1, 6), None, None, None, None)
 
 
 def test_divisibility_chain_on_random_matrices():
@@ -647,19 +635,21 @@ def generator_complexes():
 
 
 def test_kernel_coordinates_rebuild_every_boundary_column():
+    def rows_of(mat):
+        lines = {}
+        for c, col in enumerate(mat.columns):
+            for r, v in col:
+                lines.setdefault(r, {})[c] = v
+        return lines
+
     for comp in generator_complexes():
         for m in range(comp.max_degree):
-            basis = homology_generators(comp, m)
-            for column in comp.boundaries[m + 1].columns:
-                coords = _kernel_coords(basis.vinv_cols, basis.rank, column)
-                rebuilt = [0] * comp.dim(m)
-                for c, coeff in coords.items():
-                    for r, v in basis.kernel[c].items():
-                        rebuilt[r] += coeff * v
-                want = [0] * comp.dim(m)
-                for r, v in column:
-                    want[r] = v
-                assert rebuilt == want
+            snf = homology_generators(comp, m).snf
+            coords = _kernel_coords(snf, rows_of(comp.boundaries[m + 1]))
+            # V[:, r:] times the coordinates, with V replayed from the log
+            rebuilt = {snf.col_order[snf.rank + k]: row for k, row in coords.items()}
+            _replay(snf.col_ops, rebuilt, transpose=True)
+            assert {r: row for r, row in rebuilt.items() if row} == rows_of(comp.boundaries[m + 1])
 
 
 def test_generators_classify_as_unit_vectors():

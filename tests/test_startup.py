@@ -101,11 +101,11 @@ VALUE_TYPES = {
     "SparseIntMatrix": (lambda: SparseIntMatrix(1, 2, [((0, 2),), ((0, 2),)]),
                         ("rows", "cols", "columns")),
     "SNFResult": (lambda: smith_normal_form(SparseIntMatrix(2, 2, [((0, 2),), ((1, 3),)]),
-                                            transforms="rows"),
-                  ("diag", "u_rows", "uinv_cols", "v_cols", "vinv_rows")),
+                                            log=True),
+                  ("diag", "row_order", "col_order", "row_ops", "col_ops")),
     "HomologyGroup": (lambda: homology(_complex(), 1), ("degree", "coeff", "betti", "torsion")),
     "HomologyBasis": (lambda: homology_generators(_complex(), 1),
-                      ("degree", "orders", "chains", "kernel", "vinv_cols", "rank", "ua")),
+                      ("degree", "orders", "chains", "snf", "asnf", "rows")),
     "InducedMap": (lambda: InducedMap(1, [[2]], [3], [3]),
                    ("degree", "matrix", "source_orders", "target_orders")),
     "CoskeletonFamily": (lambda: build_coskeleton(_module()).nondegenerate(2)[-1],
