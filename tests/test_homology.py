@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pathlib
 import random
@@ -661,6 +662,34 @@ def test_generators_classify_as_unit_vectors():
                     int(i == k) % d if d else int(i == k) for k, d in enumerate(basis.orders)
                 )
                 assert classify_cycle(basis, chain) == unit
+
+
+# homology_generators on generator_complexes(), degree by degree: (orders, rows,
+# the first 16 hex digits of the sha256 of repr([sorted(chain.items()) ...]))
+GENERATOR_PINS = [
+    [([0], [0], "262e139c97fa9ad9"), ([2], [0], "262e139c97fa9ad9")],
+    [([0], [0], "262e139c97fa9ad9"), ([2], [0], "262e139c97fa9ad9"), ([], [], "4f53cda18c2baa0c")],
+    [([0], [0], "262e139c97fa9ad9"), ([3], [1], "89b6fe3ecc2b1204"), ([], [], "4f53cda18c2baa0c")],
+    [([0], [0], "262e139c97fa9ad9"), ([3], [1], "262e139c97fa9ad9"), ([], [], "4f53cda18c2baa0c")],
+    [([0], [0], "262e139c97fa9ad9"), ([3], [1], "262e139c97fa9ad9"), ([3], [53], "50991901eb2847a3"),
+     ([3, 3, 3], [280, 279, 281], "8af73b112308b0d2")],
+    [([0], [0], "262e139c97fa9ad9"), ([0], [119], "8ad7c04eecaad059"), ([0], [1194], "0e46c2351c917a6c"),
+     ([3, 0], [1882, 1883], "40af5782b965d8a3")],
+    [([0], [0], "262e139c97fa9ad9"), ([2], [4], "8ad7c04eecaad059"), ([2], [294], "81f8c058a4e1ee5e")],
+]
+
+
+def test_generators_are_pinned():
+    # the generator route's pivots fix every printed induced matrix
+    got = []
+    for comp in generator_complexes():
+        row = []
+        for m in range(comp.max_degree):
+            basis = homology_generators(comp, m)
+            chains = repr([sorted(chain.items()) for chain in basis.chains]).encode()
+            row.append((basis.orders, basis.rows, hashlib.sha256(chains).hexdigest()[:16]))
+        got.append(row)
+    assert got == GENERATOR_PINS
 
 
 def test_classify_cycle_rejects_a_non_cycle():
