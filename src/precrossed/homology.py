@@ -5,14 +5,17 @@ precision integers, in two phases.  The unit phase goes column by column and
 eliminates each +-1 pivot exactly, taking the shortest row among the column's
 +-1 holders.  The residual phase reduces what is left, pivoting on the
 smallest nonzero magnitude with a row/column fill tie-break, with Euclid steps
-and a divisibility fix-up.  A logged run records each elementary operation,
-and the generator route replays the log where it reads a transform.  Field
-Betti numbers use ranks by column insertion instead, computed bottom-up with
-the rows that the pivots one degree down account for dropped.  Each column is
-reduced at its leading (largest) row against one stored pivot vector per row,
-kept in two row-indexed lists (leading entries, with dropped rows marked, and
-tuples of the other pairs): normalized to a leading 1 over GF(p), and reduced
-by fraction-free integer steps over Q.  The two coefficient routes share no
+and a divisibility fix-up.  ``ChainComplex.snf`` goes bottom-up and drops the
+rows of d_k that are unit-phase pivot columns of d_(k-1) before it reduces
+d_k, which keeps the invariant factors.  A logged run records the elementary
+operations of one side, rows or columns, and the generator route replays the
+side it reads where it needs a transform.  Field Betti numbers use ranks by
+column insertion instead, computed bottom-up with the rows that the pivots
+one degree down account for dropped.  Each column is reduced at its leading
+(largest) row against one stored pivot vector per row, kept in two
+row-indexed lists (leading entries, with dropped rows marked, and tuples of
+the other pairs): normalized to a leading 1 over GF(p), and reduced by
+fraction-free integer steps over Q.  The two coefficient routes share no
 code.
 
 Boundary matrices are built by one function, ``assemble_complex``, for every
@@ -21,8 +24,8 @@ given.  They are stored column-major, one tuple of (row, value) pairs per
 simplex, in the order the faces of the simplex first reach each row.  Within
 one boundary, equal pairs are one object, so a column holds no container per
 entry.  The d o d check reads those columns directly; the Smith form builds
-its own row and column structures from them, and the field ranks copy one
-column at a time.
+its own row dicts and column holder dicts from them, and the field ranks copy
+one column at a time.
 """
 
 from __future__ import annotations
@@ -49,15 +52,18 @@ class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols columns")):
         return {(r, c): v for c, col in enumerate(self.columns) for r, v in col}
 
 
-class SNFResult(namedtuple("SNFResult", "diag row_order col_order row_ops col_ops")):
-    """Diagonal d_1 | d_2 | ... plus, from a logged run, the record of U M V = D.
+class SNFResult(namedtuple("SNFResult", "diag row_order col_order row_ops col_ops unit_cols")):
+    """Diagonal d_1 | d_2 | ..., the unit phase's pivot columns, and from a
+    logged run one side of the record of U M V = D.
 
-    The logs list the operations in the order made: (i, t, q) is "line i -=
-    q * line t" on rows or on columns, and (t, t, 0) negates row t.  With W
-    the product E_n ... E_1 of a log as row operations, U = P W(row_ops) and
-    V = W(col_ops)^T Q, where P M Q takes rows and columns in ``row_order``
-    and ``col_order``: the pivots, then the rest ascending.  An unlogged run
-    leaves these four None."""
+    A log lists the operations of one side in the order made: (i, t, q) is
+    "line i -= q * line t" on rows or on columns, and (t, t, 0) negates row t.
+    With W the product E_n ... E_1 of a log as row operations, U = P
+    W(row_ops) and V = W(col_ops)^T Q, where P M Q takes rows and columns in
+    ``row_order`` and ``col_order``: the pivots, then the rest ascending.  A
+    run logged on "rows" leaves ``col_ops`` None, one on "cols" leaves
+    ``row_ops`` None, and an unlogged run leaves all four None.
+    ``unit_cols`` are the columns that the unit phase pivoted on, in order."""
 
     __slots__ = ()
 
@@ -101,24 +107,31 @@ class _Smith:
     The unit phase eliminates every +-1 pivot in column order; the residual
     phase runs smallest-|v| pivoting with Euclid steps and a divisibility
     fix-up on what is left.  Nothing is swapped: each pivot is recorded as a
-    (row, col) pair.  With ``log`` set, each row and column operation is
-    appended to ``row_ops`` or ``col_ops``, in the format of SNFResult.
+    (row, col) pair.  ``rows`` maps a row to its {col: value} entries, and
+    ``cols`` maps a column to its holder rows, a dict used as a key set.
+    With ``log`` "rows" or "cols", each operation on that side is appended to
+    ``row_ops`` or ``col_ops``, in the format of SNFResult.  The rows in
+    ``drop`` are left out, as if they were zero.
     """
 
-    def __init__(self, mat: SparseIntMatrix, log: bool):
+    def __init__(self, mat: SparseIntMatrix, log: str | None, drop=frozenset()):
         self.ncols = mat.cols
         self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, set[int]] = {}
+        self.cols: dict[int, dict[int, None]] = {}
         for c, col in enumerate(mat.columns):
-            if col:
-                holders = self.cols[c] = set()
-                for r, v in col:
-                    holders.add(r)
+            holders = {}
+            for r, v in col:
+                if r not in drop:
+                    holders[r] = None
                     self.rows.setdefault(r, {})[c] = v
-        self.log = log
-        self.row_ops, self.col_ops = [], []  # (i, t, q) triples, as in SNFResult
+            if holders:
+                self.cols[c] = holders
+        # (i, t, q) triples, as in SNFResult, on the logged side only
+        self.row_ops = [] if log == "rows" else None
+        self.col_ops = [] if log == "cols" else None
         self.pivots: list[tuple[int, int]] = []
         self.diag: list[int] = []
+        self.units = 0  # the unit phase's pivots are pivots[:units]
 
     # -- elementary operations (logged on request) ------------------------------
 
@@ -132,13 +145,13 @@ class _Smith:
             nv = row_i.get(c, 0) - q * v
             if nv:
                 row_i[c] = nv
-                self.cols.setdefault(c, set()).add(i)
+                self.cols.setdefault(c, {})[i] = None
             elif c in row_i:
                 del row_i[c]
-                self.cols[c].discard(i)
+                del self.cols[c][i]
         if not row_i:
             del self.rows[i]
-        if self.log:
+        if self.row_ops is not None:
             self.row_ops.append((i, t, q))
 
     def col_sub(self, j: int, t: int, q: int) -> None:
@@ -148,18 +161,18 @@ class _Smith:
             nv = row.get(j, 0) - q * row[t]
             if nv:
                 row[j] = nv
-                self.cols.setdefault(j, set()).add(r)
+                self.cols.setdefault(j, {})[r] = None
             elif j in row:
                 del row[j]
-                self.cols[j].discard(r)
-        if self.log:
+                del self.cols[j][r]
+        if self.col_ops is not None:
             self.col_ops.append((j, t, q))
 
     def negate_row(self, t: int) -> None:
         row = self.rows[t]
         for c in row:
             row[c] = -row[c]
-        if self.log:
+        if self.row_ops is not None:
             self.row_ops.append((t, t, 0))
 
     def retire(self, i: int, j: int) -> None:
@@ -170,10 +183,10 @@ class _Smith:
         """
         row = self.rows.pop(i)
         for c in row:
-            self.cols[c].discard(i)
+            del self.cols[c][i]
         del self.cols[j]
         d = row.pop(j)
-        if self.log:
+        if self.col_ops is not None:
             self.col_ops.extend((c, j, v // d) for c, v in row.items())
         self.pivots.append((i, j))
         self.diag.append(d)
@@ -245,28 +258,38 @@ class _Smith:
 
     def run(self) -> tuple[int, ...]:
         self.eliminate_units()
+        self.units = len(self.pivots)
         while self.rows:
             self.retire(*self.clear(*self.pick()))
         return tuple(self.diag)
 
 
-def smith_normal_form(mat: SparseIntMatrix, log: bool = False) -> SNFResult:
-    """Diagonalize over Z; a logged run also records U M V = D, det(U), det(V) = +-1.
+def smith_normal_form(mat: SparseIntMatrix, log: str | None = None, *,
+                      drop_rows=()) -> SNFResult:
+    """Diagonalize over Z; a run logged on "rows" or "cols" also records that
+    side of U M V = D, det(U), det(V) = +-1.
 
-    Logging never changes a pivot, so a logged and an unlogged run of one
-    matrix give the same diagonal.
+    Logging never changes a pivot, so every run of one matrix gives the same
+    diagonal and pivots.  The rows in ``drop_rows`` are taken as zero.
     """
-    state = _Smith(mat, log)
+    if log not in (None, "rows", "cols"):
+        raise ValueError(f"log must be None, 'rows' or 'cols', not {log!r}")
+    drop = frozenset(drop_rows)
+    for r in drop:
+        if not 0 <= r < mat.rows:
+            raise ValueError(f"drop row {r} is outside range({mat.rows})")
+    state = _Smith(mat, log, drop)
     diag = state.run()
     for a, b in zip(diag, diag[1:]):
         if b % a:
             raise AssertionError(f"invariant factors {a}, {b} break the divisibility chain")
-    if not log:
-        return SNFResult(diag, None, None, None, None)
+    unit_cols = tuple(j for _, j in state.pivots[:state.units])
+    if log is None:
+        return SNFResult(diag, None, None, None, None, unit_cols)
     # the pivots' rows and columns, then the rest ascending
     orders = [([p[side] for p in state.pivots], n) for side, n in ((0, mat.rows), (1, mat.cols))]
     orders = [lines + sorted(set(range(n)).difference(lines)) for lines, n in orders]
-    return SNFResult(diag, *orders, state.row_ops, state.col_ops)
+    return SNFResult(diag, *orders, state.row_ops, state.col_ops, unit_cols)
 
 
 def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
@@ -398,8 +421,21 @@ class ChainComplex:
         return len(self.bases[k])
 
     def snf(self, k: int) -> SNFResult:
-        if k not in self._snf_cache:
-            self._snf_cache[k] = smith_normal_form(self.boundaries[k])
+        """Unlogged Smith form of d_k, computed bottom-up with unit-pivot compression.
+
+        Before d_k is reduced, its rows indexed by the unit phase's pivot
+        columns Q of d_(k-1) are dropped.  The unit phase only adds multiples
+        of pivot rows to other rows, so the minor of d_(k-1) on its pivot rows
+        R and on Q has determinant +-1.  On ker d_(k-1), which holds im d_k,
+        the R rows then make the Q coordinates an integral function of the
+        rest: dropping Q is an isomorphism of that saturated lattice onto
+        Z^(rest), so the rank and the invariant factors of d_k are kept.
+        Pivots of the residual phase give no such minor and are not dropped.
+        """
+        for j in range(k + 1):
+            if j not in self._snf_cache:
+                below = self._snf_cache[j - 1].unit_cols if j else ()
+                self._snf_cache[j] = smith_normal_form(self.boundaries[j], drop_rows=below)
         return self._snf_cache[k]
 
     def field_rank(self, k: int, p: int | None) -> int:
@@ -493,9 +529,10 @@ class HomologyBasis(namedtuple("HomologyBasis", "degree orders chains snf asnf r
 
     Vectors, the generator ``chains`` included, are sparse {index: value} dicts.
     ``orders``: 0 marks a free generator, d > 1 torsion of order d; ``snf``: the
-    logged Smith form U d_m V = D, of rank r, whose columns r.. of V are a basis
-    of the cycles; ``asnf``: the logged U' A V' = D' of the boundaries'
-    coordinates A in that basis; ``rows``: each generator's row of U'."""
+    Smith form U d_m V = D, of rank r, logged on columns, whose columns r.. of V
+    are a basis of the cycles; ``asnf``: U' A V' = D' of the boundaries'
+    coordinates A in that basis, logged on rows; ``rows``: each generator's
+    row of U'."""
 
     __slots__ = ()
 
@@ -523,13 +560,13 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
     """Present H_m(Z) with explicit generator cycles (see HomologyBasis)."""
     if m < 0 or m + 1 > comp.max_degree:
         raise DegreeOutOfRange(f"H_{m} needs degree {m + 1}; complex stops at {comp.max_degree}")
-    snf = smith_normal_form(comp.boundaries[m], log=True)
+    snf = smith_normal_form(comp.boundaries[m], log="cols")
     bnd = comp.boundaries[m + 1]
     # d_(m+1) row by row, then its kernel coordinates by column, each freed once A holds it
     coords = _transpose(_kernel_coords(snf, _transpose(dict(enumerate(map(dict, bnd.columns))))))
     a = SparseIntMatrix(comp.dim(m) - snf.rank, bnd.cols,
                         [tuple(coords.pop(c, {}).items()) for c in range(bnd.cols)])
-    asnf = smith_normal_form(a, log=True)
+    asnf = smith_normal_form(a, log="rows")
     rows = [i for i in range(a.rows) if i >= asnf.rank or asnf.diag[i] > 1]
     # V[:, r:] U'^-1 on the unit vectors of the rows whose factor in D' is not 1
     picked = {asnf.row_order[i]: {g: 1} for g, i in enumerate(rows)}

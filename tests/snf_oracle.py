@@ -4,8 +4,9 @@ Deliberately separate from the package implementation: dense list-of-lists
 storage, corner-first pivoting, and Fraction Gaussian elimination, so that
 agreement with the sparse production code is meaningful.  ``from_entries``
 and ``from_dense`` build the package's column-major matrices for the tests,
-and ``dense_transforms`` rebuilds U and V from a logged Smith form by
-reading its log afresh, without the package's replay.
+and ``dense_transforms`` rebuilds U and V from a rows-logged and a
+cols-logged Smith form by reading their logs afresh, without the package's
+replay.
 """
 
 from fractions import Fraction
@@ -150,8 +151,10 @@ def dense_det(matrix):
     return det
 
 
-def dense_transforms(snf):
-    """Dense U, U^-1, V, V^-1 of a logged Smith form, so that U M V = D.
+def dense_transforms(rows_run, cols_run):
+    """Dense U, U^-1, V, V^-1 of a Smith form, so that U M V = D, from two
+    runs of it: U and U^-1 from the one logged on "rows", V and V^-1 from the
+    one logged on "cols".
 
     Each logged (i, t, q) is "line i -= q * line t", and (t, t, 0) negates row
     t: U starts as the identity and takes each row operation, V each column
@@ -162,9 +165,9 @@ def dense_transforms(snf):
     def eye(n):
         return [[int(i == j) for j in range(n)] for i in range(n)]
 
-    rows, cols = snf.row_order, snf.col_order
+    rows, cols = rows_run.row_order, cols_run.col_order
     u, uinv = eye(len(rows)), eye(len(rows))
-    for i, t, q in snf.row_ops:
+    for i, t, q in rows_run.row_ops:
         if i == t:
             assert q == 0
             u[t] = [-x for x in u[t]]
@@ -175,7 +178,7 @@ def dense_transforms(snf):
             for line in uinv:  # U^-1 <- U^-1 (I + q e_i e_t^T)
                 line[t] += q * line[i]
     v, vinv = eye(len(cols)), eye(len(cols))
-    for j, t, q in snf.col_ops:
+    for j, t, q in cols_run.col_ops:
         assert j != t
         for line in v:
             line[j] -= q * line[t]
@@ -192,11 +195,12 @@ def matmul(a, b):
     ]
 
 
-def unit_heavy_matrix(rng, max_dim=14):
+def unit_heavy_matrix(rng, max_dim=14, rows=None, cols=None):
     """A sparse boundary-like test input: mostly +-1 entries, where most pivots
-    are units, with a few planted 2s and 3s that leave a residual block."""
-    rows = rng.randint(1, max_dim)
-    cols = rng.randint(1, max_dim)
+    are units, with a few planted 2s and 3s that leave a residual block.  A
+    dimension not given is drawn from 1..max_dim."""
+    rows = rows or rng.randint(1, max_dim)
+    cols = cols or rng.randint(1, max_dim)
     dense = [
         [rng.choice((1, -1)) if rng.random() < 0.25 else 0 for _ in range(cols)]
         for _ in range(rows)

@@ -21,6 +21,7 @@ from precrossed.homology import (
     ChainComplex,
     HomologyGroup,
     InducedMap,
+    _Smith,
     _kernel_coords,
     _replay,
     SparseIntMatrix,
@@ -43,7 +44,7 @@ from precrossed.simplicial import (
 )
 
 from face_oracle import check_commutes
-from rack_oracle import RACK_TOPS
+from rack_oracle import RACK_TOPS, reference_rack_boundary
 from snf_oracle import (
     dense_det,
     dense_rank,
@@ -123,6 +124,13 @@ def test_smith_matches_dense_oracle_on_random_matrices():
         assert list(got) == dense_smith(dense)
 
 
+def logged_transforms(mat):
+    """The rows-logged Smith form of ``mat`` and its dense U, U^-1, V and
+    V^-1; V and V^-1 come from a second run, logged on columns."""
+    rows_run = smith_normal_form(mat, log="rows")
+    return (rows_run, *dense_transforms(rows_run, smith_normal_form(mat, log="cols")))
+
+
 def test_smith_transforms_are_unimodular_and_exact():
     rng = random.Random(99)
     unit_rng = random.Random(100)
@@ -130,8 +138,7 @@ def test_smith_transforms_are_unimodular_and_exact():
     inputs += [unit_heavy_matrix(unit_rng) for _ in range(60)]
     for dense in inputs:
         rows, cols = len(dense), len(dense[0])
-        snf = smith_normal_form(from_dense(rows, cols, dense), log=True)
-        u, uinv, v, vinv = dense_transforms(snf)
+        snf, u, uinv, v, vinv = logged_transforms(from_dense(rows, cols, dense))
         product = matmul(matmul(u, dense), v)
         for i in range(rows):
             for j in range(cols):
@@ -149,13 +156,33 @@ def test_smith_transforms_are_unimodular_and_exact():
 
 
 def test_logged_smith_matches_unlogged():
+    # a run logged on either side has the pivots of an unlogged run, and only its own log
     rng = random.Random(31)
     unit_rng = random.Random(32)
     inputs = [random_matrix(rng, max_dim=9) for _ in range(60)]
     inputs += [unit_heavy_matrix(unit_rng) for _ in range(60)]
     for dense in inputs:
         mat = from_dense(len(dense), len(dense[0]), dense)
-        assert smith_normal_form(mat, log=True).diag == smith_normal_form(mat).diag
+        plain = smith_normal_form(mat)
+        # the pivot orders of an unlogged elimination
+        state = _Smith(mat, None)
+        state.run()
+        orders = [[p[side] for p in state.pivots] for side in (0, 1)]
+        orders = [lines + sorted(set(range(n)).difference(lines))
+                  for lines, n in zip(orders, (mat.rows, mat.cols))]
+        rows_run, cols_run = smith_normal_form(mat, log="rows"), smith_normal_form(mat, log="cols")
+        for run in (rows_run, cols_run):
+            assert (run.diag, [run.row_order, run.col_order], run.unit_cols) == (
+                plain.diag, orders, plain.unit_cols)
+        assert rows_run.col_ops is None and cols_run.row_ops is None
+        assert type(rows_run.row_ops) is list and type(cols_run.col_ops) is list
+
+
+def test_smith_refuses_an_unknown_log_side():
+    mat = from_dense(2, 2, [[2, 0], [0, 3]])
+    for log in (True, "both", ""):
+        with pytest.raises(ValueError, match="log must be"):
+            smith_normal_form(mat, log=log)
 
 
 def test_smith_unit_block_beside_torsion():
@@ -167,9 +194,8 @@ def test_smith_unit_block_beside_torsion():
         [0, 0, 0, 2, 0],
         [0, 0, 0, 0, 3],
     ]
-    snf = smith_normal_form(from_dense(5, 5, dense), log=True)
+    snf, u, uinv, v, vinv = logged_transforms(from_dense(5, 5, dense))
     assert snf.diag == (1, 1, 1, 1, 6) and list(snf.diag) == dense_smith(dense)
-    u, uinv, v, vinv = dense_transforms(snf)
     product = matmul(matmul(u, dense), v)
     assert product == [[snf.diag[i] if i == j else 0 for j in range(5)] for i in range(5)]
     eye = [[int(i == j) for j in range(5)] for i in range(5)]
@@ -178,7 +204,7 @@ def test_smith_unit_block_beside_torsion():
 
 def test_smith_without_transforms_tracks_none():
     snf = smith_normal_form(from_dense(2, 2, [[2, 0], [0, 3]]))
-    assert snf == ((1, 6), None, None, None, None)
+    assert snf == ((1, 6), None, None, None, None, ())
 
 
 def test_divisibility_chain_on_random_matrices():
@@ -330,6 +356,88 @@ def test_compressed_field_ranks_match_plain_ranks():
     assert [mat.columns for comp in complexes for mat in comp.boundaries] == stored
     assert [tri.dim(k) for k in range(6)] == [1, 2, 120, 1680, 4992, 3840]
     assert [tri.field_rank(k, 3) for k in range(6)] == [0, 0, 1, 117, 1559, 3425]
+
+
+def dense_of(mat: SparseIntMatrix) -> list[list[int]]:
+    dense = [[0] * mat.cols for _ in range(mat.rows)]
+    for c, col in enumerate(mat.columns):
+        for r, v in col:
+            dense[r][c] = v
+    return dense
+
+
+def assert_compressed_smith_is_plain(comp: ChainComplex, oracle_entries: int = 40_000) -> int:
+    """Every compressed diagonal of ``comp`` equals the plain one, and the
+    dense oracle's up to ``oracle_entries`` matrix entries; returns the number
+    of rows compression dropped."""
+    dropped = 0
+    for k, mat in enumerate(comp.boundaries):
+        plain = smith_normal_form(mat).diag
+        assert comp.snf(k).diag == plain, (comp.spec, k)
+        if 0 < mat.rows * mat.cols <= oracle_entries:
+            assert list(plain) == dense_smith(dense_of(mat)), (comp.spec, k)
+        dropped += len(comp.snf(k - 1).unit_cols) if k else 0
+    return dropped
+
+
+def unit_heavy_chain(rng) -> ChainComplex:
+    """0 <- Z^n <- Z^(m+q) <- Z^(q+s) <- Z^s from unit-heavy X (n x m), Y (m x q)
+    and W (q x s): d_1 = [X | XY], d_2 = [Y YW; -I -W] and d_3 = [W; -I], so
+    d o d = 0, with the two middle bases shuffled.  The planted 2s and 3s,
+    and the products, leave residual blocks beside the unit pivots."""
+    x = unit_heavy_matrix(rng, max_dim=8)
+    y = unit_heavy_matrix(rng, max_dim=8, rows=len(x[0]))
+    w = unit_heavy_matrix(rng, max_dim=8, rows=len(y[0]))
+    n, m, q, s = len(x), len(y), len(w), len(w[0])
+    xy, yw = matmul(x, y), matmul(y, w)
+    eye = [[-int(i == j) for j in range(q)] for i in range(q)]
+    d1 = [a + b for a, b in zip(x, xy)]
+    d2 = [a + b for a, b in zip(y, yw)] + [a + [-v for v in b] for a, b in zip(eye, w)]
+    d3 = w + [[-int(i == j) for j in range(s)] for i in range(s)]
+    p1, p2 = list(range(m + q)), list(range(q + s))
+    rng.shuffle(p1)
+    rng.shuffle(p2)
+    boundaries = [
+        from_entries(0, n, {}),
+        from_entries(n, m + q, {(r, p1[c]): v for r, row in enumerate(d1) for c, v in enumerate(row)}),
+        from_entries(m + q, q + s, {(p1[r], p2[c]): v for r, row in enumerate(d2)
+                                    for c, v in enumerate(row)}),
+        from_entries(q + s, s, {(p2[r], c): v for r, row in enumerate(d3) for c, v in enumerate(row)}),
+    ]
+    return ChainComplex([list(range(d)) for d in (n, m + q, q + s, s)], boundaries)
+
+
+def test_compressed_smith_matches_plain_smith_and_the_dense_oracle(registry):
+    # d_1 = (2 3), d_2 = (3 -2)^T has no unit pivot: nothing may be dropped
+    readme = ChainComplex([[0], [0, 1], [0]], [from_entries(0, 1, {}), from_dense(1, 2, [[2, 3]]),
+                                                from_dense(2, 1, [[3], [-2]])])
+    assert assert_compressed_smith_is_plain(readme) == 0
+    assert [homology(readme, m).render() for m in (0, 1)] == ["0", "0"]
+    dropped = sum(assert_compressed_smith_is_plain(comp)
+                  for comp in fixture_complexes() + desk_complexes(registry))
+    rng = random.Random(2801)
+    chains = [assert_compressed_smith_is_plain(unit_heavy_chain(rng)) for _ in range(150)]
+    # compression was at work: 1689 rows on the fixtures and the desk, some in every chain
+    assert dropped > 1000 and min(chains) > 0
+
+
+def test_compressed_smith_on_rack_complexes_matches_the_formula(rack_registry):
+    for name, rack in rack_registry.augracks.items():
+        comp = rack_complex(rack, 3)
+        for n in range(1, 5):
+            formula = from_entries(rack.size ** (n - 1), rack.size ** n,
+                                   reference_rack_boundary(rack, n))
+            want = smith_normal_form(formula).diag
+            assert comp.snf(n).diag == smith_normal_form(comp.boundaries[n]).diag == want, (name, n)
+    assert homology(comp, 3).render() == "Z"  # CYC3, the last rack
+
+
+def test_smith_refuses_drop_rows_out_of_range():
+    mat = from_dense(2, 2, [[1, 0], [0, 1]])
+    for row in (-1, mat.rows):
+        with pytest.raises(ValueError, match="outside range"):
+            smith_normal_form(mat, drop_rows=[row])
+    assert smith_normal_form(mat, drop_rows=[1]).diag == (1,)
 
 
 def test_homology_generators_match_group():
@@ -688,6 +796,8 @@ def test_generators_are_pinned():
             basis = homology_generators(comp, m)
             chains = repr([sorted(chain.items()) for chain in basis.chains]).encode()
             row.append((basis.orders, basis.rows, hashlib.sha256(chains).hexdigest()[:16]))
+            # each Smith form keeps only the log the route reads
+            assert basis.snf.row_ops is None and basis.asnf.col_ops is None
         got.append(row)
     assert got == GENERATOR_PINS
 

@@ -101,8 +101,8 @@ VALUE_TYPES = {
     "SparseIntMatrix": (lambda: SparseIntMatrix(1, 2, [((0, 2),), ((0, 2),)]),
                         ("rows", "cols", "columns")),
     "SNFResult": (lambda: smith_normal_form(SparseIntMatrix(2, 2, [((0, 2),), ((1, 3),)]),
-                                            log=True),
-                  ("diag", "row_order", "col_order", "row_ops", "col_ops")),
+                                            log="rows"),
+                  ("diag", "row_order", "col_order", "row_ops", "col_ops", "unit_cols")),
     "HomologyGroup": (lambda: homology(_complex(), 1), ("degree", "coeff", "betti", "torsion")),
     "HomologyBasis": (lambda: homology_generators(_complex(), 1),
                       ("degree", "orders", "chains", "snf", "asnf", "rows")),
