@@ -1,8 +1,10 @@
 """Start-up cost: what `import precrossed.cli` loads, and the value types that keep it small."""
 
+import copy
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -137,6 +139,16 @@ def test_value_type_contract(make, fields):
         setattr(a, fields[0], getattr(a, fields[0]))
     with pytest.raises(AttributeError):
         a.note = 1
+    assert isinstance(a, tuple)
+    made = type(a)._make(list(a))
+    assert type(made) is type(a) and made == a
+    # copy and pickle rebuild the value from its fields
+    for twin in (copy.copy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a) and twin == a
+    with pytest.raises(TypeError):
+        type(a)(*a, None)
+    with pytest.raises(TypeError):
+        type(a)(*a[:-1])
 
 
 def test_readme_library_example_repr():
