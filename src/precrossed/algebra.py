@@ -8,8 +8,7 @@ a group acting on itself by conjugation ``x^g = g^{-1} x g``.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
+from ._values import value_type
 from .errors import (
     ActionInvalid,
     NoIdentity,
@@ -25,7 +24,7 @@ from .errors import (
 )
 
 
-class FiniteGroup(namedtuple("FiniteGroup", "elements table identity inverse")):
+class FiniteGroup(value_type("FiniteGroup", "elements table identity inverse")):
     """A finite group as a Cayley table on element indices."""
 
     __slots__ = ()
@@ -48,13 +47,13 @@ class FiniteGroup(namedtuple("FiniteGroup", "elements table identity inverse")):
         return self.elements[a]
 
 
-class Rack(namedtuple("Rack", "size op")):
+class Rack(value_type("Rack", "size op")):
     """A finite rack: op[x][y] = x <| y."""
 
     __slots__ = ()
 
 
-class AugmentedRack(namedtuple("AugmentedRack", "carrier group action pi induced")):
+class AugmentedRack(value_type("AugmentedRack", "carrier group action pi induced")):
     """A G-set X with an equivariant map pi: X -> G (G acting on itself by conjugation);
     ``action[x][g]`` is x^g and ``induced`` is the derived operation x <| y = x^(pi y)."""
 
@@ -65,7 +64,7 @@ class AugmentedRack(namedtuple("AugmentedRack", "carrier group action pi induced
         return len(self.carrier)
 
 
-class PreCrossedModule(namedtuple("PreCrossedModule", "x_group group action pi")):
+class PreCrossedModule(value_type("PreCrossedModule", "x_group group action pi")):
     """An augmented rack whose carrier is a group, with G acting by automorphisms;
     ``action[x][g]`` is x^g."""
 
@@ -331,7 +330,7 @@ def conjugation_module(group: FiniteGroup) -> PreCrossedModule:
     )
 
 
-class PrecrossedAction(namedtuple("PrecrossedAction", "phi image module")):
+class PrecrossedAction(value_type("PrecrossedAction", "phi image module")):
     """The action of X on itself through pi, with its image automorphism group:
     ``phi[y]`` is the permutation x -> x^(pi y), ``module`` is X -> image, revalidated."""
 

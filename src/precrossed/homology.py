@@ -30,14 +30,13 @@ one column at a time.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
+from ._values import value_type
 from .errors import DegreeOutOfRange, NotChainMap
 
 MATRIX_CAP = 5_000
 
 
-class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols columns")):
+class SparseIntMatrix(value_type("SparseIntMatrix", "rows cols columns")):
     """Integer matrix stored column-major: ``columns[c]`` is a tuple of (row, value) pairs.
 
     There are exactly ``cols`` column tuples; within one, rows are distinct and
@@ -52,7 +51,7 @@ class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols columns")):
         return {(r, c): v for c, col in enumerate(self.columns) for r, v in col}
 
 
-class SNFResult(namedtuple("SNFResult", "diag row_order col_order row_ops col_ops unit_cols")):
+class SNFResult(value_type("SNFResult", "diag row_order col_order row_ops col_ops unit_cols")):
     """Diagonal d_1 | d_2 | ..., the unit phase's pivot columns, and from a
     logged run one side of the record of U M V = D.
 
@@ -365,7 +364,7 @@ def field_characteristic(coeff: str) -> int | None:
     raise ValueError(f"unknown field coefficient tag {coeff!r}")
 
 
-class HomologyGroup(namedtuple("HomologyGroup", "degree coeff betti torsion")):
+class HomologyGroup(value_type("HomologyGroup", "degree coeff betti torsion")):
     """H_degree with coefficients ``coeff``: a Betti rank plus torsion orders (over Z only)."""
 
     __slots__ = ()
@@ -524,7 +523,7 @@ def homology(comp: ChainComplex, m: int, coeff: str = "Z") -> HomologyGroup:
     return HomologyGroup(m, coeff, dim - comp.field_rank(m, p) - comp.field_rank(m + 1, p), ())
 
 
-class HomologyBasis(namedtuple("HomologyBasis", "degree orders chains snf asnf rows")):
+class HomologyBasis(value_type("HomologyBasis", "degree orders chains snf asnf rows")):
     """Integral generators of H_m plus the data needed to classify any cycle.
 
     Vectors, the generator ``chains`` included, are sparse {index: value} dicts.
@@ -591,7 +590,7 @@ def classify_cycle(basis: HomologyBasis, vec: dict[int, int]) -> tuple[int, ...]
     return tuple(x % d if d else x for x, d in zip(w, basis.orders))
 
 
-class InducedMap(namedtuple("InducedMap", "degree matrix source_orders target_orders")):
+class InducedMap(value_type("InducedMap", "degree matrix source_orders target_orders")):
     """Matrix of a simplicial map on homology generators (rows: target, cols: source)."""
 
     __slots__ = ()

@@ -20,11 +20,12 @@ count is closed under faces, so every length bound yields a simplicial subset.
 
 from __future__ import annotations
 
-import functools
-import itertools
-from collections import namedtuple
-from collections.abc import Callable
+# Callable in annotations is collections.abc.Callable; PEP 563 keeps annotations
+# as strings, so that module is never imported
 
+import itertools
+
+from ._values import value_type
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from .words import (
@@ -115,9 +116,12 @@ class WordSpec(SimplicialSpec):
         if nondegenerate and k > length_bound:
             return []
         what = "nondegenerate simplices" if nondegenerate else "simplices"
-        alphabet, push = self._alphabet(k), self.ctx.push
-        # nl may follow lt iff push appends it rather than merging or cancelling
-        follow = {lt: [nl for nl in alphabet if len(push((lt,), *nl)) == 2] for lt in alphabet}
+        push = self.ctx.push
+        # each letter with the bit of its position; nl may follow lt iff push
+        # appends it rather than merging or cancelling
+        alphabet = [(lt, 1 << lt.position) for lt in self._alphabet(k)]
+        follow = {lt: [(nl, bit) for nl, bit in alphabet if len(push((lt,), *nl)) == 2]
+                  for lt, _ in alphabet}
         full = (1 << k) - 1
         found: list[tuple[Letter, ...]] = []
 
@@ -135,8 +139,8 @@ class WordSpec(SimplicialSpec):
         for left in range(length_bound - 1, -1, -1):
             grown = []
             for word, seen in frontier:
-                for lt in follow[word[-1]] if word else alphabet:
-                    now = seen | 1 << lt.position
+                for lt, bit in follow[word[-1]] if word else alphabet:
+                    now = seen | bit
                     if nondegenerate and k - now.bit_count() > left:
                         continue
                     longer = word + (lt,)
@@ -169,47 +173,65 @@ class WordSpec(SimplicialSpec):
         return f"{self.name}[{self.ctx.mode.value}]"
 
 
-class CoskeletonFamily(namedtuple("CoskeletonFamily", "vertices edges")):
+class CoskeletonFamily(value_type("CoskeletonFamily", "vertices edges")):
     """Vertices v_0..v_k (v_k = identity) plus one connecting letter x_ab per
     pair a<b, the ``edges`` in lexicographic pair order."""
 
     __slots__ = ()
 
 
-@functools.cache
+class _Memo(dict):
+    """``table[key]`` is ``build(key)``, built on the first read and kept, so a
+    hit is a plain dict lookup with no Python call."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(key)
+        return value
+
+
+@_Memo
 def _pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(k + 1) for b in range(a + 1, k + 1))
 
 
-@functools.cache
-def _face_edges(k: int, i: int) -> tuple[int, ...]:
+@_Memo
+def _face_edges(key: tuple[int, int]) -> tuple[int, ...]:
     """For d_i in degree k: where each degree-(k-1) edge sits among the degree-k edges."""
-    old_index = {p: n for n, p in enumerate(_pairs(k))}
+    k, i = key
+    old_index = {p: n for n, p in enumerate(_pairs[k])}
 
     def delta(a):
         return a if a < i else a + 1
 
-    return tuple(old_index[delta(a), delta(b)] for a, b in _pairs(k - 1))
+    return tuple(old_index[delta(a), delta(b)] for a, b in _pairs[k - 1])
 
 
-@functools.cache
-def _degeneracy_edges(k: int, i: int) -> tuple[int, ...]:
+@_Memo
+def _degeneracy_edges(key: tuple[int, int]) -> tuple[int, ...]:
     """For s_i in degree k: where each degree-(k+1) edge sits among the degree-k
     edges; -1 marks the identity edge over the repeated vertex."""
-    old_index = {p: n for n, p in enumerate(_pairs(k))}
+    k, i = key
+    old_index = {p: n for n, p in enumerate(_pairs[k])}
 
     def sigma(a):
         return a if a <= i else a - 1
 
     return tuple(-1 if sigma(a) == sigma(b) else old_index[sigma(a), sigma(b)]
-                 for a, b in _pairs(k + 1))
+                 for a, b in _pairs[k + 1])
 
 
-@functools.cache
-def _degenerate_edges(k: int, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+@_Memo
+def _degenerate_edges(key: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
     """For s_i d_i in degree k: the index of x_(i,i+1), and the index pairs of
     the edges x_(a,i), x_(a,i+1) (a < i) and x_(i,b), x_(i+1,b) (b > i+1)."""
-    index = {p: n for n, p in enumerate(_pairs(k))}
+    k, i = key
+    index = {p: n for n, p in enumerate(_pairs[k])}
     same = [(index[a, i], index[a, i + 1]) for a in range(i)]
     same += [(index[i, b], index[i + 1, b]) for b in range(i + 2, k + 1)]
     return index[i, i + 1], tuple(same)
@@ -228,6 +250,8 @@ class CoskeletonSpec(SimplicialSpec):
     def __init__(self, module: PreCrossedModule):
         self.module = module
         g = module.group
+        # the base group's tables, read on every face
+        self.table, self.inverse, self.identity = g.table, g.inverse, g.identity
         self.preimages: list[list[int]] = [[] for _ in range(g.order)]
         for x, v in enumerate(module.pi):
             self.preimages[v].append(x)
@@ -241,13 +265,13 @@ class CoskeletonSpec(SimplicialSpec):
         b > i+1.
         """
         what = "nondegenerate simplices" if nondegenerate else "simplices"
-        g, xe = self.module.group, self.module.x_group.identity
-        pairs = _pairs(k)
-        rules = [_degenerate_edges(k, i) for i in range(k)] if nondegenerate else []
+        table, inv, xe = self.table, self.inverse, self.module.x_group.identity
+        pairs = _pairs[k]
+        rules = [_degenerate_edges[k, i] for i in range(k)] if nondegenerate else []
         out = []
-        for base in itertools.product(range(g.order), repeat=k):
-            vertices = base + (g.identity,)
-            choices = [self.preimages[g.mul(vertices[a], g.inv(vertices[b]))] for a, b in pairs]
+        for base in itertools.product(range(len(table)), repeat=k):
+            vertices = base + (self.identity,)
+            choices = [self.preimages[table[vertices[a]][inv[vertices[b]]]] for a, b in pairs]
             if not all(choices):
                 continue
             for edges in itertools.product(*choices):
@@ -263,26 +287,26 @@ class CoskeletonSpec(SimplicialSpec):
     def face(self, k, fam, i):
         if k == 0 or not 0 <= i <= k:
             raise IndexOutOfRange(f"face {i} undefined in degree {k}")
-        g = self.module.group
-        edges = tuple([fam.edges[n] for n in _face_edges(k, i)])
-        vertices = fam.vertices[:i] + fam.vertices[i + 1:]
-        if i == k and vertices[-1] != g.identity:
-            tinv = g.inv(vertices[-1])
-            vertices = tuple([g.mul(v, tinv) for v in vertices])
+        vertices, edges = fam
+        edges = tuple([edges[n] for n in _face_edges[k, i]])
+        vertices = vertices[:i] + vertices[i + 1:]
+        if i == k and vertices[-1] != self.identity:
+            table, tinv = self.table, self.inverse[vertices[-1]]
+            vertices = tuple([table[v][tinv] for v in vertices])
         return CoskeletonFamily(vertices, edges)
 
     def degeneracy(self, k, fam, i):
         if not 0 <= i <= k:
             raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
-        old, e = fam.edges, self.module.x_group.identity
-        edges = tuple([e if n < 0 else old[n] for n in _degeneracy_edges(k, i)])
-        return CoskeletonFamily(fam.vertices[: i + 1] + fam.vertices[i:], edges)
+        (vertices, old), e = fam, self.module.x_group.identity
+        edges = tuple([e if n < 0 else old[n] for n in _degeneracy_edges[k, i]])
+        return CoskeletonFamily(vertices[: i + 1] + vertices[i:], edges)
 
     def encode(self, fam):
-        g = self.module.group
-        x = self.module.x_group
-        verts = ",".join(g.label(v) for v in fam.vertices)
-        edges = ",".join(x.label(e) for e in fam.edges)
+        labels, x_labels = self.module.group.elements, self.module.x_group.elements
+        vertices, edges = fam
+        verts = ",".join([labels[v] for v in vertices])
+        edges = ",".join([x_labels[e] for e in edges])
         return f"{verts};{edges}"
 
 
@@ -408,7 +432,7 @@ def canonical_to_coskeleton(module: PreCrossedModule) -> SimplicialMap:
             for b in range(j + 1):
                 verts[b] = mul[verts[b]][p]
         out = []
-        for a, b in _pairs(k):
+        for a, b in _pairs[k]:
             x = edges[a][b]
             if mul[pi[x]][verts[b]] != verts[a]:
                 raise AssertionError("vertex/edge evaluations do not match")

@@ -22,14 +22,15 @@ in ``normalize_mixed``, which ``twist`` and ``multiply`` go through.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterable, Iterator
+# Iterable and Iterator in annotations are the collections.abc classes; PEP 563
+# keeps annotations as strings, so that module is never imported
 
+from ._values import value_type
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import DegreeMismatch, IndexOutOfRange, ModeMismatch
 
 
-class WordMode(namedtuple("WordMode", "name value")):
+class WordMode(value_type("WordMode", "name value")):
     """How letters reduce: one of the three members below, compared by identity."""
 
     __slots__ = ()
@@ -40,13 +41,13 @@ WordMode.FREE_LETTER = WordMode("FREE_LETTER", "free")
 WordMode.MONOID_LETTER = WordMode("MONOID_LETTER", "monoid")
 
 
-class Letter(namedtuple("Letter", "base sign position")):
+class Letter(value_type("Letter", "base sign position")):
     """One letter: a base index, a sign (+1, or -1 only in FREE_LETTER mode), a position."""
 
     __slots__ = ()
 
 
-class EnvelopeWord(namedtuple("EnvelopeWord", "mode degree letters tail")):
+class EnvelopeWord(value_type("EnvelopeWord", "mode degree letters tail")):
     """A word in degree ``degree``: its reduced ``letters`` and the group element ``tail``."""
 
     __slots__ = ()

@@ -172,6 +172,63 @@ def test_edited_registries_raise_only_package_errors(desk_path, data):
         pass
 
 
+REGISTRY_LINES = {name: (pathlib.Path(__file__).parent / "data" / name).read_text(
+    encoding="utf-8").splitlines() for name in ("desk.txt", "racks.txt")}
+BAD_ENTRIES = ["x", "two", "1.5", "-", "0x1", "1e2", " "]
+
+
+@st.composite
+def mutated_registry(draw):
+    """A bundled registry with one key line dropped, repeated or given a bad value:
+    a non-integer entry, a row one entry short or long, an empty row, or two
+    entries of one row swapped (a permutation of ``pi:``, say)."""
+    lines = list(REGISTRY_LINES[draw(st.sampled_from(sorted(REGISTRY_LINES)))])
+    at = draw(st.sampled_from([n for n, line in enumerate(lines)
+                               if line.startswith("  ") and ": " in line]))
+    key, value = lines[at].split(": ", 1)
+    kind = draw(st.sampled_from(["drop", "repeat", "non-integer", "short", "long",
+                                 "empty row", "swap"]))
+    if kind == "drop":
+        del lines[at]
+    elif kind == "repeat":
+        lines.insert(at, lines[at])
+    else:
+        rows = [row.split(",") for row in value.split(" / ")]
+        r = draw(st.integers(0, len(rows) - 1))
+        row = rows[r]
+        c = draw(st.integers(0, len(row) - 1))
+        if kind == "non-integer":
+            row[c] = draw(st.sampled_from(BAD_ENTRIES))
+        elif kind == "short":
+            del row[c]
+        elif kind == "long":
+            row.insert(c, row[c])
+        elif kind == "empty row":
+            rows[r] = []
+        else:
+            d = draw(st.integers(0, len(row) - 1))
+            row[c], row[d] = row[d], row[c]
+        lines[at] = key + ": " + " / ".join(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=mutated_registry())
+def test_mutated_registries_validate_or_fail_in_one_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("registry") / "mutated.txt"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])  # a traceback would raise here
+    if code == 0:
+        assert out.getvalue().startswith("command: validate\n")
+    else:
+        assert code == EXIT_INPUT
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_validate_command(desk_path, capsys):
     code, out = run(["validate", desk_path], capsys)
     assert code == 0

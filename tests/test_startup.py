@@ -34,21 +34,27 @@ SRC = ROOT / "src"
 # Standard-library modules no command needs: dataclasses and typing with what they
 # pull in, and the number tower: the Q route ranks on integers.
 FORBIDDEN = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
-# what argparse and enum pull in: the command table parses every command line
-# without them, so neither the import nor a command run loads any of these
-NOT_LOADED = {"argparse", "re", "gettext", "locale", "shutil", "enum"}
+# what argparse and enum pull in, and what namedtuple and functools.cache did: the
+# command table parses every command line without them, and the value types and
+# memo tables need neither, so neither the import nor a command run loads any of these
+NOT_LOADED = {"argparse", "re", "gettext", "locale", "shutil", "enum",
+              "collections", "collections.abc", "functools", "keyword", "reprlib"}
 
-# json loads re, so the probe imports it only once the command has run
+# contextlib and json load collections, functools and re, so the probe swaps the
+# standard streams by hand and imports json only once the command has run
 PROBE = """
 import sys
 before = set(sys.modules)
 import precrossed.cli
 imported = set(sys.modules) - before
-import contextlib, io
+import io
 mid = set(sys.modules)
-out = io.StringIO()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+out, streams = io.StringIO(), (sys.stdout, sys.stderr)
+sys.stdout, sys.stderr = out, io.StringIO()
+try:
     code = precrossed.cli.main(sys.argv[1:])
+finally:
+    sys.stdout, sys.stderr = streams
 ran = set(sys.modules) - mid
 import json
 print(json.dumps({"imported": sorted(imported), "ran": sorted(ran),
@@ -68,19 +74,32 @@ H_1 = Q
 H_2 = Q
 """
 
+# one small run of each command, on the desk registry
+COMMAND_RUNS = {
+    "homology": ["--object", "TRANS", "--pipeline", "envelope", "--max-degree", "2",
+                 "--max-length", "3", "--coeff", "Q"],
+    "compare-ra": ["--object", "TRANS", "--max-degree", "1", "--max-length", "2"],
+    "check-tri": ["--object", "Z3", "--coeff", "F3", "--max-degree", "2", "--lengths", "1..3"],
+    "check-coskeleton": ["--object", "IDS3", "--max-degree", "2"],
+    "sweep": ["--object", "Z2TRIV", "--pipeline", "envelope", "--degree", "1",
+              "--lengths", "1..3"],
+    "validate": [],
+}
+
 
 def test_cli_import_loads_no_unneeded_module(desk_path):
-    argv = ["homology", desk_path, "--object", "TRANS", "--pipeline", "envelope",
-            "--max-degree", "2", "--max-length", "3", "--coeff", "Q"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    got = json.loads(proc.stdout)
-    assert FORBIDDEN.isdisjoint(got["imported"])
-    assert NOT_LOADED.isdisjoint(got["imported"])
-    assert NOT_LOADED.isdisjoint(got["ran"])
-    assert (got["code"], got["report"]) == (0, Q_REPORT)
-    assert "fractions" not in got["ran"]
+    for command, options in COMMAND_RUNS.items():
+        proc = subprocess.run([sys.executable, "-S", "-c", PROBE, command, desk_path, *options],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        got = json.loads(proc.stdout)
+        assert FORBIDDEN.isdisjoint(got["imported"])
+        assert NOT_LOADED.isdisjoint(got["imported"])
+        assert NOT_LOADED.isdisjoint(got["ran"]), command
+        assert "fractions" not in got["ran"]
+        assert got["code"] == 0, command
+        if command == "homology":
+            assert got["report"] == Q_REPORT
 
 
 def _module():
