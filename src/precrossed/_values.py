@@ -29,10 +29,7 @@ def value_type(name: str, fields: str) -> type:
         return new(cls, values)
 
     def _make(cls, iterable):
-        value = new(cls, iterable)
-        if len(value) != arity:
-            raise TypeError(f"{name} takes {arity} values, not {len(value)}")
-        return value
+        return cls(*iterable)
 
     def __repr__(self):
         shown = ", ".join([f"{field}={v!r}" for field, v in zip(names, self)])

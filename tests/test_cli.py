@@ -180,13 +180,14 @@ BAD_ENTRIES = ["x", "two", "1.5", "-", "0x1", "1e2", " "]
 @st.composite
 def mutated_registry(draw):
     """A bundled registry with one key line dropped, repeated or given a bad value:
-    a non-integer entry, a row one entry short or long, an empty row, or two
-    entries of one row swapped (a permutation of ``pi:``, say)."""
+    a non-integer entry, another small integer (which can break equivariance of
+    ``pi:``), a row one entry short or long, an empty row, or two entries of one
+    row swapped."""
     lines = list(REGISTRY_LINES[draw(st.sampled_from(sorted(REGISTRY_LINES)))])
     at = draw(st.sampled_from([n for n, line in enumerate(lines)
                                if line.startswith("  ") and ": " in line]))
     key, value = lines[at].split(": ", 1)
-    kind = draw(st.sampled_from(["drop", "repeat", "non-integer", "short", "long",
+    kind = draw(st.sampled_from(["drop", "repeat", "non-integer", "integer", "short", "long",
                                  "empty row", "swap"]))
     if kind == "drop":
         del lines[at]
@@ -199,6 +200,8 @@ def mutated_registry(draw):
         c = draw(st.integers(0, len(row) - 1))
         if kind == "non-integer":
             row[c] = draw(st.sampled_from(BAD_ENTRIES))
+        elif kind == "integer":
+            row[c] = str(draw(st.integers(0, 5)))
         elif kind == "short":
             del row[c]
         elif kind == "long":
