@@ -6,6 +6,10 @@
 and the ``exec`` that builds each class took a third of the CLI start-up.
 A field is read through ``operator.itemgetter``, about 15 ns slower than
 namedtuple's C getter, so hot loops unpack a value once instead.
+
+``Memo`` is the package's table filled on first read, in place of
+``functools.cache``: the coskeleton's edge tables and each word context's
+per-degree code and face tables.
 """
 
 from operator import itemgetter
@@ -45,3 +49,18 @@ def value_type(name: str, fields: str) -> type:
     for i, field in enumerate(names):
         namespace[field] = property(itemgetter(i), doc=f"Item {i} of the tuple.")
     return type(name, (tuple,), namespace)
+
+
+class Memo(dict):
+    """``table[key]`` is ``build(key)``, built on the first read and kept, so a
+    hit is a plain dict lookup with no Python call."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(key)
+        return value

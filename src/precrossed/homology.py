@@ -626,7 +626,7 @@ def induced_map(f, c_src: ChainComplex, c_tgt: ChainComplex, m: int) -> InducedM
             for i, face in enumerate(faces):
                 if f.apply(k - 1, face) != c_tgt.spec.face(k, fs, i):
                     raise NotChainMap(
-                        f"rule fails d_{i} at degree-{k} simplex {c_src.spec.encode(s)}"
+                        f"rule fails d_{i} at degree-{k} simplex {c_src.spec.encode(k, s)}"
                     )
         c_src._faces_checked[f, c_tgt] = k
     b_src = homology_generators(c_src, m)

@@ -10,9 +10,10 @@ Four builders share one interface:
   pre-crossed module, coset-normalized so the last vertex is the identity.
 * NERVE      -- the bar model of a finite group.
 
-A simplex is the builder's own hashable value -- a letter tuple, a
-``CoskeletonFamily`` or a group tuple -- and its degree k is passed next to
-it.  Faces act letterwise on words; a letter at the top position maps to a
+A simplex is the builder's own hashable value -- the int code of a word's
+letters (see ``words.Coding``), a ``CoskeletonFamily`` or a group tuple --
+and its degree k is passed next to it, which a word code needs to be read.
+Faces act letterwise on words; a letter at the top position maps to a
 group element, which is pushed into the tail, and the quotient by the right
 group action simply forgets the tail.  Degree-k truncation by total letter
 count is closed under faces, so every length bound yields a simplicial subset.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._values import value_type
+from ._values import Memo, value_type
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from .words import (
@@ -36,7 +37,9 @@ from .words import (
     context_from_rack,
     degeneracy_letters,
     letter_text,
+    word_code,
     word_faces,
+    word_letters,
 )
 
 SIMPLEX_CAP = 200_000
@@ -79,7 +82,7 @@ class SimplicialSpec:
     def degeneracy(self, k: int, simplex, i: int):
         raise NotImplementedError
 
-    def encode(self, simplex) -> str:
+    def encode(self, k: int, simplex) -> str:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -87,43 +90,50 @@ class SimplicialSpec:
 
 
 class WordSpec(SimplicialSpec):
-    """Envelope and Clauwens quotients: a simplex is the letter tuple of a tail-free normal form."""
+    """Envelope and Clauwens quotients: a simplex is the code of a tail-free normal form.
+
+    The code of a degree-k word is an int whose digits are its letters' codes
+    in ``ctx.codings[k]``; ``letters(k, w)`` and ``word(k, letters)`` convert.
+    """
 
     def __init__(self, name: str, ctx: WordContext):
         self.name = name
         self.ctx = ctx
 
-    def _alphabet(self, k: int) -> list[Letter]:
-        """Every letter that ``push`` keeps on the empty word, in the order of its text."""
-        ctx = self.ctx
-        signs = (1, -1) if ctx.mode is WordMode.FREE_LETTER else (1,)
-        letters = [Letter(b, s, j) for j in range(k) for b in range(ctx.alphabet_size)
-                   for s in signs if ctx.push((), b, s, j)]
-        return sorted(letters, key=lambda lt: letter_text(ctx, (lt,)))
+    def letters(self, k: int, w: int) -> tuple[Letter, ...]:
+        """The letters of the degree-k word code ``w``."""
+        return word_letters(self.ctx, k, w)
+
+    def word(self, k: int, letters) -> int:
+        """The degree-k code of the normal form of ``letters``."""
+        return word_code(self.ctx, k, letters)
 
     def _enumerate(self, k, length_bound, cap, nondegenerate):
         """Normal-form words of length <= length_bound, in (length, text) order.
 
-        The walk adds letters in alphabet order and letter texts are prefix-free
-        (no label holds ``@``), so no sort is needed.  ``cap`` is checked per
-        word.  With ``nondegenerate`` only words meeting every position 0..k-1
-        are kept (s_i leaves position i empty), and a prefix is dropped as soon
-        as it misses more positions than it has letters left to add; so in a
-        degree k above ``length_bound`` nothing is enumerated at all.
+        The walk adds letters in code order, which is the order of their
+        texts, and letter texts are prefix-free (no label holds ``@``), so the
+        codes come out increasing and no sort is needed.  ``cap`` is checked
+        per word.  With ``nondegenerate`` only words meeting every position
+        0..k-1 are kept (s_i leaves position i empty), and a prefix is dropped
+        as soon as it misses more positions than it has letters left to add;
+        so in a degree k above ``length_bound`` nothing is enumerated at all.
         """
         if length_bound is None:
             raise ResourceBound(f"{self.name} enumeration needs a length bound")
         if nondegenerate and k > length_bound:
             return []
         what = "nondegenerate simplices" if nondegenerate else "simplices"
-        push = self.ctx.push
-        # each letter with the bit of its position; nl may follow lt iff push
-        # appends it rather than merging or cancelling
-        alphabet = [(lt, 1 << lt.position) for lt in self._alphabet(k)]
-        follow = {lt: [(nl, bit) for nl, bit in alphabet if len(push((lt,), *nl)) == 2]
-                  for lt, _ in alphabet}
+        coding = self.ctx.codings[k]
+        push, radix = coding.push, coding.radix
+        # follow[c]: each code with the bit of its position that push appends
+        # after the last code c, rather than merging or cancelling; the empty
+        # word's last digit is 0, which every code may follow
+        alphabet = [(c, 1 << lt[2]) for c, lt in enumerate(coding.letters) if c]
+        follow = [alphabet] + [[(n, bit) for n, bit in alphabet if push(c, n) == c * radix + n]
+                               for c, _ in alphabet]
         full = (1 << k) - 1
-        found: list[tuple[Letter, ...]] = []
+        found: list[int] = []
 
         def keep(word):
             found.append(word)
@@ -133,17 +143,17 @@ class WordSpec(SimplicialSpec):
                 )
 
         if not nondegenerate or k == 0:
-            keep(())
+            keep(0)
         # (word, bit mask of the positions it meets); `left` letters may follow
-        frontier: list[tuple[tuple[Letter, ...], int]] = [((), 0)]
+        frontier: list[tuple[int, int]] = [(0, 0)]
         for left in range(length_bound - 1, -1, -1):
             grown = []
             for word, seen in frontier:
-                for lt, bit in follow[word[-1]] if word else alphabet:
+                for c, bit in follow[word % radix]:
                     now = seen | bit
                     if nondegenerate and k - now.bit_count() > left:
                         continue
-                    longer = word + (lt,)
+                    longer = word * radix + c
                     if not nondegenerate or now == full:
                         keep(longer)
                     if left:
@@ -154,7 +164,7 @@ class WordSpec(SimplicialSpec):
         return found
 
     def face(self, k, simplex, i):
-        """The reduced letters of d_i, tail dropped, as plain ``(base, sign, position)`` tuples."""
+        """The code of d_i, tail dropped."""
         if not 0 <= i <= k:
             raise IndexOutOfRange(f"face {i} undefined in degree {k}")
         return next(word_faces(self.ctx, k, (simplex,)))[i]
@@ -164,10 +174,10 @@ class WordSpec(SimplicialSpec):
         return word_faces(self.ctx, k, simplices)
 
     def degeneracy(self, k, simplex, i):
-        return degeneracy_letters(self.ctx, k, simplex, i)
+        return self.word(k + 1, degeneracy_letters(self.ctx, k, self.letters(k, simplex), i))
 
-    def encode(self, simplex):
-        return letter_text(self.ctx, simplex)
+    def encode(self, k, simplex):
+        return letter_text(self.ctx, self.letters(k, simplex))
 
     def describe(self):
         return f"{self.name}[{self.ctx.mode.value}]"
@@ -180,27 +190,12 @@ class CoskeletonFamily(value_type("CoskeletonFamily", "vertices edges")):
     __slots__ = ()
 
 
-class _Memo(dict):
-    """``table[key]`` is ``build(key)``, built on the first read and kept, so a
-    hit is a plain dict lookup with no Python call."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        self[key] = value = self.build(key)
-        return value
-
-
-@_Memo
+@Memo
 def _pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(k + 1) for b in range(a + 1, k + 1))
 
 
-@_Memo
+@Memo
 def _face_edges(key: tuple[int, int]) -> tuple[int, ...]:
     """For d_i in degree k: where each degree-(k-1) edge sits among the degree-k edges."""
     k, i = key
@@ -212,7 +207,7 @@ def _face_edges(key: tuple[int, int]) -> tuple[int, ...]:
     return tuple(old_index[delta(a), delta(b)] for a, b in _pairs[k - 1])
 
 
-@_Memo
+@Memo
 def _degeneracy_edges(key: tuple[int, int]) -> tuple[int, ...]:
     """For s_i in degree k: where each degree-(k+1) edge sits among the degree-k
     edges; -1 marks the identity edge over the repeated vertex."""
@@ -226,7 +221,7 @@ def _degeneracy_edges(key: tuple[int, int]) -> tuple[int, ...]:
                  for a, b in _pairs[k + 1])
 
 
-@_Memo
+@Memo
 def _degenerate_edges(key: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
     """For s_i d_i in degree k: the index of x_(i,i+1), and the index pairs of
     the edges x_(a,i), x_(a,i+1) (a < i) and x_(i,b), x_(i+1,b) (b > i+1)."""
@@ -281,7 +276,7 @@ class CoskeletonSpec(SimplicialSpec):
                 out.append(CoskeletonFamily(vertices, edges))
                 if len(out) > cap:
                     raise ResourceBound(f"coskeleton degree {k} exceeds {cap} {what}")
-        out.sort(key=self.encode)
+        out.sort(key=lambda s: self.encode(k, s))
         return out
 
     def face(self, k, fam, i):
@@ -302,7 +297,7 @@ class CoskeletonSpec(SimplicialSpec):
         edges = tuple([e if n < 0 else old[n] for n in _degeneracy_edges[k, i]])
         return CoskeletonFamily(vertices[: i + 1] + vertices[i:], edges)
 
-    def encode(self, fam):
+    def encode(self, k, fam):
         labels, x_labels = self.module.group.elements, self.module.x_group.elements
         vertices, edges = fam
         verts = ",".join([labels[v] for v in vertices])
@@ -327,7 +322,7 @@ class NerveSpec(SimplicialSpec):
             what = "nondegenerate simplices" if nondegenerate else "simplices"
             raise ResourceBound(f"nerve degree {k} exceeds {cap} {what}")
         out = list(itertools.product(entries, repeat=k))
-        out.sort(key=self.encode)
+        out.sort(key=lambda s: self.encode(k, s))
         return out
 
     def face(self, k, t, i):
@@ -344,7 +339,7 @@ class NerveSpec(SimplicialSpec):
             raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
         return t[:i] + (self.group.identity,) + t[i:]
 
-    def encode(self, t):
+    def encode(self, k, t):
         return "(" + ",".join(self.group.label(v) for v in t) + ")"
 
 
@@ -420,10 +415,12 @@ def canonical_to_coskeleton(module: PreCrossedModule) -> SimplicialMap:
     pi, act = module.pi, module.action
     xmul, xe = module.x_group.table, module.x_group.identity
 
-    def rule(k: int, letters: tuple) -> CoskeletonFamily:
+    letters = source.letters
+
+    def rule(k: int, w: int) -> CoskeletonFamily:
         verts = [e] * (k + 1)  # verts[b]: pi-product of the letters so far with j >= b
         edges = [[xe] * (k + 1) for _ in range(k)]  # edges[a][b]: x_ab so far
-        for x, _, j in letters:
+        for x, _, j in letters(k, w):
             for b in range(j + 1, k + 1):
                 twisted = act[x][inv[verts[b]]]
                 for a in range(j + 1):

@@ -12,12 +12,18 @@ a single group element (the tail).  Three modes share the machinery:
 The tail sits rightmost; pushing a group element g left-to-right past a
 letter twists the letter base, g * (x)_j = (x^(g^-1))_j * g.
 
-Each mode's merge/cancel rule is written once, as ``WordContext.push``,
-which adds one plain ``(base, sign, position)`` tuple to a reduced tuple.
-``reduce`` and the degeneracies fold letters through it; ``word_faces``
-pushes letters through it along the prefixes that consecutive words share,
-and is the one face routine.  The twist is written once for whole words,
-in ``normalize_mixed``, which ``twist`` and ``multiply`` go through.
+A word of degree k is also a single int, its code: each letter is coded by
+its rank in the degree's alphabet, listed in the order of the letter texts
+and counted from 1, and the codes are the word's digits in radix (alphabet
+size + 1), first letter most significant (see ``Coding``).  Each mode's
+merge/cancel rule is written once, as the ``push`` of a degree's
+``Coding``, which adds one letter code to a word code.  ``word_faces`` walks
+the digits of word codes along the prefixes that consecutive words share,
+and is the one face routine.  ``word_code`` and ``word_letters`` convert
+between codes and letter tuples, and ``reduce`` and the degeneracies fold
+letters through ``push`` at that boundary.  The tables of a degree are
+built on its first use.  The twist is written once for whole words, in
+``normalize_mixed``, which ``twist`` and ``multiply`` go through.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 # Iterable and Iterator in annotations are the collections.abc classes; PEP 563
 # keeps annotations as strings, so that module is never imported
 
-from ._values import value_type
+from ._values import Memo, value_type
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import DegreeMismatch, IndexOutOfRange, ModeMismatch
 
@@ -62,6 +68,8 @@ class WordContext:
 
     ``action[b][g]`` is the base twist b^g, ``pi[b]`` the group value of a
     letter base; ``x_table``/``x_identity`` are set only in GROUP_SYLLABLE mode.
+    ``codings[k]`` and ``face_tables[k]`` are built on the first read of each
+    degree k and kept.
     """
 
     def __init__(self, mode: WordMode, group: FiniteGroup, pi: tuple[int, ...],
@@ -76,36 +84,108 @@ class WordContext:
         self.alphabet_size = len(labels)
         self.x_table = x_table
         self.x_identity = x_identity
-        self.push = self._push_rule()
+        self.codings = Memo(self._coding)
+        self.face_tables = Memo(self._face_table)
 
-    def _push_rule(self):
-        """The reduction rule of the mode, one letter at a time.
+    def alphabet(self, k: int) -> list[Letter]:
+        """Every letter that does not vanish on its own in degree k, in the order of its text.
 
-        ``push(stack, base, sign, position)`` returns the reduced letter tuple
-        ``stack`` with the letter added on the right: group syllables at one
-        position merge through the X table and identities vanish, free letters
-        cancel against an adjacent exact inverse, monoid letters never reduce.
+        Those are the group syllables other than the identity, free letters
+        of either sign and monoid letters, at positions 0..k-1.
         """
-        if self.mode is WordMode.GROUP_SYLLABLE:
-            table, e = self.x_table, self.x_identity
+        signs = (1, -1) if self.mode is WordMode.FREE_LETTER else (1,)
+        letters = [Letter(b, s, j) for j in range(k) for b in range(self.alphabet_size)
+                   for s in signs if b != self.x_identity]
+        return sorted(letters, key=lambda lt: letter_text(self, (lt,)))
 
-            def push(stack, b, s, j):
-                if b == e:
-                    return stack
-                if stack and stack[-1][2] == j:
-                    # the new top has a different position, so one merge suffices
-                    merged = table[stack[-1][0]][b]
-                    return stack[:-1] + ((merged, 1, j),) if merged != e else stack[:-1]
-                return stack + ((b, s, j),)
+    def _coding(self, k: int) -> Coding:
+        """The codes of degree k, and the reduction rule of the mode on them.
+
+        ``push(w, c)`` returns the word code ``w`` with the letter of code c
+        added on the right: group syllables at one position merge through
+        the X table and identities vanish, free letters cancel against an
+        adjacent exact inverse, monoid letters never reduce.  The empty word
+        is 0, whose last digit 0 is no letter's code.
+        """
+        letters = [None, *self.alphabet(k)]
+        radix = len(letters)
+        codes = {lt: c for c, lt in enumerate(letters) if c}
+        if self.mode is WordMode.GROUP_SYLLABLE:
+            table = self.x_table
+            pos = [-1] + [j for _, _, j in letters[1:]]
+            # merged[t][c]: the code of the syllable t.c, 0 for the identity;
+            # read only where t and c share a position
+            merged = [()] + [[0] + [codes.get((table[a][b], 1, i), 0) if j == i else 0
+                                    for b, _, j in letters[1:]]
+                             for a, _, i in letters[1:]]
+
+            def push(w, c):
+                t = w % radix
+                if pos[t] != pos[c]:
+                    return w * radix + c
+                # the new last letter has another position, so one merge suffices
+                m = merged[t][c]
+                return w - t + m if m else w // radix
         elif self.mode is WordMode.FREE_LETTER:
-            def push(stack, b, s, j):
-                if stack and stack[-1] == (b, -s, j):
-                    return stack[:-1]
-                return stack + ((b, s, j),)
+            inverse = [0] + [codes[b, -s, j] for b, s, j in letters[1:]]
+
+            def push(w, c):
+                if w % radix == inverse[c]:
+                    return w // radix
+                return w * radix + c
         else:
-            def push(stack, b, s, j):
-                return stack + ((b, s, j),)
-        return push
+            def push(w, c):
+                return w * radix + c
+        return Coding(letters, codes, radix, push)
+
+    def _face_table(self, k: int) -> tuple[list, list, list]:
+        """What each degree-k code c becomes in the faces of a word (k >= 1).
+
+        ``lowered[c][i]`` is the degree-(k-1) code of c in d_i for i < k, 0
+        where d_0 drops a letter at position 0.  For d_k, a letter at the top
+        position k-1 becomes the group element ``value[c]``, pi(base)^sign;
+        any other letter twisted by g^-1 has the code ``twisted[c][g]``, and
+        ``twisted[c]`` is None at the top position.
+        """
+        top = k - 1
+        below = self.codings[top].codes
+        inv, pi, action = self.group.inverse, self.pi, self.action
+        lowered: list = [()]
+        twisted: list = [None]
+        value: list = [None]
+        for b, s, j in self.codings[k].letters[1:]:
+            # d_i sends position j to j - 1 for i <= j and keeps it for j < i < k;
+            # below holds no letter at position k - 1, which only d_k reaches
+            moved = below[b, s, j - 1] if j else 0
+            lowered.append((moved,) * (j + 1) + (below.get((b, s, j)),) * (top - j))
+            if j == top:
+                twisted.append(None)
+                value.append(pi[b] if s > 0 else inv[pi[b]])
+            else:
+                # inv[g] is g^-1, so entry g is the code of (b^(g^-1), s, j)
+                twisted.append(tuple([below[action[b][h], s, j] for h in inv]))
+                value.append(None)
+        return lowered, twisted, value
+
+
+class Coding:
+    """The letters of one degree as integer codes, and the mode's push rule on them.
+
+    ``letters[c]`` is the letter of code c, its rank in the alphabet counted
+    from 1 (``letters[0]`` is None), and ``codes`` maps each letter back to
+    its code.  A word c_1 ... c_n is the int sum of c_i R^(n-i), R =
+    ``radix`` = len(letters): the first letter is the most significant digit.
+    So a longer word is a larger int, and words of one length compare as
+    their texts do.
+    """
+
+    __slots__ = ("letters", "codes", "radix", "push")
+
+    def __init__(self, letters: list, codes: dict, radix: int, push):
+        self.letters = letters
+        self.codes = codes
+        self.radix = radix
+        self.push = push
 
 
 def context_from_precrossed(module: PreCrossedModule) -> WordContext:
@@ -132,28 +212,51 @@ def context_from_rack(rack: AugmentedRack, mode: WordMode) -> WordContext:
     )
 
 
-def _check_letter(ctx: WordContext, lt: Letter, degree: int) -> None:
-    if not 0 <= lt.position < degree:
-        raise IndexOutOfRange(f"letter position {lt.position} outside degree {degree}")
-    if not 0 <= lt.base < ctx.alphabet_size:
-        raise IndexOutOfRange(f"letter base {lt.base} outside the carrier")
-    if lt.sign not in (1, -1) or (lt.sign == -1 and ctx.mode is not WordMode.FREE_LETTER):
-        raise ModeMismatch(f"sign {lt.sign} not allowed in mode {ctx.mode.name}")
+def _check_letter(ctx: WordContext, lt: tuple[int, int, int], degree: int) -> None:
+    base, sign, position = lt
+    if not 0 <= position < degree:
+        raise IndexOutOfRange(f"letter position {position} outside degree {degree}")
+    if not 0 <= base < ctx.alphabet_size:
+        raise IndexOutOfRange(f"letter base {base} outside the carrier")
+    if sign not in (1, -1) or (sign == -1 and ctx.mode is not WordMode.FREE_LETTER):
+        raise ModeMismatch(f"sign {sign} not allowed in mode {ctx.mode.name}")
 
 
-def _normal_form(ctx: WordContext, letters: Iterable[tuple[int, int, int]],
-                 move: tuple[int, ...]) -> tuple:
-    """Re-index letter positions through ``move`` (-1 drops a letter), then reduce.
+def _fold(ctx: WordContext, degree: int, letters: Iterable[tuple[int, int, int]],
+          move: tuple[int, ...] | None = None) -> int:
+    """The degree-``degree`` code of ``letters`` re-indexed through ``move``, reduced.
 
-    Letters are ``(base, sign, position)`` tuples and come back as plain
-    tuples, folded one at a time through the mode's ``push`` rule.
+    Letters are ``(base, sign, position)`` tuples, pushed one at a time
+    through the mode's rule; a letter outside the alphabet is an identity
+    syllable, which vanishes.
     """
-    push = ctx.push
-    out: tuple = ()
+    coding = ctx.codings[degree]
+    codes, push = coding.codes, coding.push
+    w = 0
     for b, s, j in letters:
-        if (j := move[j]) >= 0:
-            out = push(out, b, s, j)
-    return out
+        c = codes.get((b, s, j if move is None else move[j]))
+        if c:
+            w = push(w, c)
+    return w
+
+
+def word_code(ctx: WordContext, degree: int, letters: Iterable[tuple[int, int, int]]) -> int:
+    """The normal form of a letter sequence as a degree-``degree`` word code.  Every letter is checked."""
+    letters = list(letters)
+    for lt in letters:
+        _check_letter(ctx, lt, degree)
+    return _fold(ctx, degree, letters)
+
+
+def word_letters(ctx: WordContext, degree: int, w: int) -> tuple[Letter, ...]:
+    """The letters of a degree-``degree`` word code, as ``Letter`` values."""
+    coding = ctx.codings[degree]
+    letters, radix = coding.letters, coding.radix
+    out = []
+    while w:
+        w, c = divmod(w, radix)
+        out.append(letters[c])
+    return tuple(reversed(out))
 
 
 def _as_letters(letters: tuple) -> tuple[Letter, ...]:
@@ -162,11 +265,7 @@ def _as_letters(letters: tuple) -> tuple[Letter, ...]:
 
 def reduce(ctx: WordContext, degree: int, letters: Iterable[Letter], tail: int | None = None) -> EnvelopeWord:
     """Normal form of a letter sequence; idempotent.  Every letter is checked."""
-    letters = list(letters)
-    for lt in letters:
-        _check_letter(ctx, lt, degree)
-    letters = _normal_form(ctx, letters, tuple(range(degree)))
-    return EnvelopeWord(ctx.mode, degree, _as_letters(letters),
+    return EnvelopeWord(ctx.mode, degree, word_letters(ctx, degree, word_code(ctx, degree, letters)),
                         ctx.group.identity if tail is None else tail)
 
 
@@ -205,45 +304,54 @@ def normalize_mixed(ctx: WordContext, degree: int, items, tail: int | None = Non
     return reduce(ctx, degree, letters, tail=g)
 
 
-def word_faces(ctx: WordContext, degree: int, words: Iterable[tuple]) -> Iterator[tuple]:
-    """``(d_0 w, ..., d_k w)`` for each tail-free word w, in input order, tails dropped.
+def word_faces(ctx: WordContext, degree: int, words: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """``(d_0 w, ..., d_k w)`` for each degree-k word code w, in input order,
+    as degree-(k-1) codes, tails dropped.
 
     The faces are computed along shared prefixes.  For each prefix length n
-    of the previous word the walk keeps the reduced letters of d_0..d_(k-1)
-    on its first n letters, and the reduced letters and the group element g
+    of the previous word the walk keeps the reduced codes of d_0..d_(k-1)
+    on its first n letters, and the reduced code and the group element g
     of d_k.  A word resumes from the state of its longest common prefix with
     the previous word and pushes only the letters after it: d_i with i < k
     pushes the letter re-indexed through its face map, d_k multiplies a top
     letter's pi(base)^sign into g and pushes any other letter twisted by
-    g^-1.  Any input order is correct; sorted input shares the most.
+    g^-1, each read off ``ctx.face_tables[k]``.  Any input order is
+    correct; sorted input shares the most.
     """
     k = degree
     if k == 0:
         raise IndexOutOfRange(f"face 0 undefined in degree {k}")
-    push = ctx.push
-    group = ctx.group
-    mul, inv = group.table, group.inverse
-    pi, action = ctx.pi, ctx.action
-    top = k - 1
-    # moves[j][i]: where d_i (i < k) sends position j, which is j - 1 for i <= j
-    # and j for i > j; -1 drops the letter
-    moves = [(j - 1,) * (j + 1) + (j,) * (k - 1 - j) for j in range(k)]
+    radix = ctx.codings[k].radix
+    push = ctx.codings[k - 1].push
+    lowered, twisted, value = ctx.face_tables[k]
+    mul = ctx.group.table
     # states[n]: (lower faces, top face, g) on the first n letters of prev
-    states = [(((),) * k, (), group.identity)]
-    prev: tuple = ()
+    states = [((0,) * k, 0, ctx.group.identity)]
+    prev = 0
     for word in words:
-        p, n = 0, min(len(word), len(prev))
-        while p < n and word[p] == prev[p]:
-            p += 1
-        del states[p + 1:]
-        lower, upper, g = states[p]
-        for b, s, j in word[p:]:
-            lower = tuple([push(st, b, s, m) if m >= 0 else st
-                           for st, m in zip(lower, moves[j])])
-            if j == top:
-                g = mul[g][pi[b] if s > 0 else inv[pi[b]]]
+        # the digits of word after its longest common prefix with prev, last
+        # first: strip a digit off both until they agree.  Codes of one
+        # length agree on their common prefix; otherwise both run down to 0,
+        # and the shorter one's padding zeros, which are no code, are dropped
+        suffix, w, q = [], word, prev
+        while w != q:
+            w, c = divmod(w, radix)
+            q //= radix
+            suffix.append(c)
+        if w:
+            del states[len(states) - len(suffix):]
+        else:
+            while suffix and not suffix[-1]:
+                suffix.pop()
+            del states[1:]
+        lower, upper, g = states[-1]
+        for c in reversed(suffix):
+            lower = tuple([push(st, m) if m else st for st, m in zip(lower, lowered[c])])
+            t = twisted[c]
+            if t is None:
+                g = mul[g][value[c]]
             else:
-                upper = push(upper, action[b][inv[g]], s, j)
+                upper = push(upper, t[g])
             states.append((lower, upper, g))
         prev = word
         yield lower + (upper,)
@@ -254,7 +362,8 @@ def degeneracy_letters(ctx: WordContext, degree: int, letters: tuple, i: int) ->
     k = degree
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
-    return _normal_form(ctx, letters, tuple(j if j < i else j + 1 for j in range(k)))
+    w = _fold(ctx, k + 1, letters, tuple(j if j < i else j + 1 for j in range(k)))
+    return word_letters(ctx, k + 1, w)
 
 
 def letter_text(ctx: WordContext, letters: tuple) -> str:

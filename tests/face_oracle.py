@@ -8,6 +8,9 @@ agreement with the table-driven face routine is meaningful.  The canonical
 map to the coskeleton is rebuilt here by iterated faces, and coskeleton
 faces and degeneracies through a pair index built on every call, so they
 check the one-sweep map and the cached edge tables of ``simplicial``.
+``reference_words`` lists the normal forms by growing letter tuples under
+the same letterwise reduction and sorting them by length, then text, so
+the enumerated word codes can be decoded and compared with it.
 
 The identity checkers at the end are different: they run the package's own
 faces and degeneracies, and check the simplicial identities among them and
@@ -38,6 +41,39 @@ def _push(ctx, out, lt):
         out.append(lt)
     else:
         out.append(lt)
+
+
+def _reduce(ctx, letters):
+    out = []
+    for lt in letters:
+        _push(ctx, out, Letter(*lt))
+    return tuple(out)
+
+
+def _text(ctx, letters):
+    return "".join(f"({ctx.labels[b]}@{j})" if s > 0 else f"({ctx.labels[b]}^-1@{j})"
+                   for b, s, j in letters) or "1"
+
+
+def reference_words(ctx, k, length_bound, nondegenerate=False):
+    """Every tail-free normal form of degree k with at most ``length_bound``
+    letters, as ``Letter`` tuples sorted by length, then text; with
+    ``nondegenerate`` only those meeting every position 0..k-1.
+
+    A word is grown by any letter after which the reference reduction
+    changes nothing, and sorted at the end."""
+    signs = (1, -1) if ctx.mode is WordMode.FREE_LETTER else (1,)
+    letters = [Letter(b, s, j) for j in range(k) for b in range(ctx.alphabet_size)
+               for s in signs]
+    level = [()]
+    words = [()]
+    for _ in range(length_bound):
+        level = [w + (lt,) for w in level for lt in letters
+                 if _reduce(ctx, w + (lt,)) == w + (lt,)]
+        words += level
+    if nondegenerate:
+        words = [w for w in words if {j for _, _, j in w} == set(range(k))]
+    return sorted(words, key=lambda w: (len(w), _text(ctx, w)))
 
 
 def reference_face(ctx, word, i):
@@ -80,10 +116,10 @@ def reference_boundaries(spec, m_max, length_bound):
     bases = [spec.nondegenerate(k, length_bound) for k in range(m_max + 2)]
     out = []
     for k in range(1, m_max + 2):
-        index = {letters: r for r, letters in enumerate(bases[k - 1])}
+        index = {spec.letters(k - 1, s): r for r, s in enumerate(bases[k - 1])}
         entries = {}
-        for c, letters in enumerate(bases[k]):
-            w = EnvelopeWord(ctx.mode, k, letters, ctx.group.identity)
+        for c, s in enumerate(bases[k]):
+            w = EnvelopeWord(ctx.mode, k, spec.letters(k, s), ctx.group.identity)
             for i in range(k + 1):
                 r = index.get(reference_face(ctx, w, i).letters)
                 if r is not None:
@@ -166,7 +202,7 @@ def check_simplicial_identities(spec, k_max, length_bound=None):
     face, degeneracy = spec.face, spec.degeneracy
     for k in range(k_max + 1):
         for s in spec.simplices(k, length_bound):
-            label = f"{spec.describe()} degree {k} simplex {spec.encode(s)}"
+            label = f"{spec.describe()} degree {k} simplex {spec.encode(k, s)}"
             if k >= 2:
                 for j in range(1, k + 1):
                     dj = face(k, s, j)
@@ -201,7 +237,7 @@ def check_commutes(smap, k_max, length_bound=None):
     for k in range(k_max + 1):
         for s in source.simplices(k, length_bound):
             fs = smap.apply(k, s)
-            label = f"degree {k} simplex {source.encode(s)}"
+            label = f"degree {k} simplex {source.encode(k, s)}"
             for i in range(k + 1):
                 if k >= 1:
                     identities += 1

@@ -234,12 +234,13 @@ def test_criterion_6d_independence_of_base_group(registry):
         for k in range(3):
             left = a.simplices(k, 2)
             right = b.simplices(k, 2)
-            assert [a.encode(s) for s in left] == [b.encode(s) for s in right]
+            assert [a.encode(k, s) for s in left] == [b.encode(k, s) for s in right]
             for sa, sb in zip(left, right):
                 for i in range(k + 1):
                     if k >= 1:
-                        assert a.encode(a.face(k, sa, i)) == b.encode(b.face(k, sb, i))
-                    assert a.encode(a.degeneracy(k, sa, i)) == b.encode(b.degeneracy(k, sb, i))
+                        assert a.encode(k - 1, a.face(k, sa, i)) == b.encode(k - 1, b.face(k, sb, i))
+                    assert (a.encode(k + 1, a.degeneracy(k, sa, i))
+                            == b.encode(k + 1, b.degeneracy(k, sb, i)))
     elapsed = time.perf_counter() - start
     _passed(6, "(d) envelope of a module and of its self-action reduction coincide", elapsed)
 

@@ -16,7 +16,9 @@ from precrossed.words import (
     Letter,
     WordMode,
     reduce,
+    word_code,
     word_faces,
+    word_letters,
 )
 
 
@@ -38,15 +40,17 @@ def test_face_matches_the_reference_on_desk_words(registry):
         for bound in range(4):
             for k in range(1, 4):
                 for s in spec.simplices(k, bound):
-                    plain = tuple(map(tuple, s))
+                    letters = spec.letters(k, s)
+                    plain = tuple(map(tuple, letters))
                     for i in range(k + 1):
                         got = spec.face(k, s, i)
                         # a tail changes no face's letters
                         for tail in tails:
-                            w = EnvelopeWord(ctx.mode, k, s, tail)
-                            assert got == reference_face(ctx, w, i).letters, (label, w, i)
+                            w = EnvelopeWord(ctx.mode, k, letters, tail)
+                            assert spec.letters(k - 1, got) == reference_face(ctx, w, i).letters, (
+                                label, w, i)
                         # a word may be given as plain tuples
-                        assert spec.face(k, plain, i) == got, (label, s, i)
+                        assert spec.face(k, spec.word(k, plain), i) == got, (label, s, i)
 
 
 def walk_words(spec, k):
@@ -67,7 +71,7 @@ def test_walk_matches_the_single_faces_in_any_order(registry):
             words = walk_words(spec, k)
             want = {}
             for s in words:
-                w = EnvelopeWord(ctx.mode, k, s, ctx.group.identity)
+                w = EnvelopeWord(ctx.mode, k, spec.letters(k, s), ctx.group.identity)
                 want[s] = tuple(reference_face(ctx, w, i).letters for i in range(k + 1))
             mixed = list(words)
             shuffle.shuffle(mixed)
@@ -75,7 +79,7 @@ def test_walk_matches_the_single_faces_in_any_order(registry):
                 got = list(spec.faces(k, order))
                 assert len(got) == len(order), (label, k)
                 for s, faces in zip(order, got):
-                    assert faces == want[s], (label, s)
+                    assert tuple(spec.letters(k - 1, f) for f in faces) == want[s], (label, s)
 
 
 def test_walk_repeats_and_restarts(registry):
@@ -83,11 +87,11 @@ def test_walk_repeats_and_restarts(registry):
     words = spec.simplices(2, 3)
     single = {s: next(word_faces(spec.ctx, 2, [s])) for s in words}
     # each word twice in a row, then the empty word, then everything again
-    order = [s for s in words for _ in range(2)] + [()] + words
+    order = [s for s in words for _ in range(2)] + [0] + words
     assert list(word_faces(spec.ctx, 2, order)) == [single[s] for s in order]
     assert list(word_faces(spec.ctx, 2, [])) == []
     with pytest.raises(IndexOutOfRange):
-        list(word_faces(spec.ctx, 0, [()]))
+        list(word_faces(spec.ctx, 0, [0]))
 
 
 def test_default_faces_call_face(registry):
@@ -182,9 +186,10 @@ def test_generated_faces(contexts, name, data):
     ctx = contexts[name]
     w = data.draw(words(ctx))
     k = w.degree
-    faces = next(word_faces(ctx, k, [w.letters]))
+    faces = next(word_faces(ctx, k, [word_code(ctx, k, w.letters)]))
     # the walk drops the tail, and a tail changes no face's letters
-    assert faces == tuple(reference_face(ctx, w, i).letters for i in range(k + 1)), w
+    assert tuple(word_letters(ctx, k - 1, f) for f in faces) == tuple(
+        reference_face(ctx, w, i).letters for i in range(k + 1)), w
     if k >= 2:
         # d_i d_j = d_(j-1) d_i, from a second walk over the faces
         again = list(word_faces(ctx, k - 1, faces))

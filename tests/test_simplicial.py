@@ -15,7 +15,6 @@ from precrossed.errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from precrossed.simplicial import (
     CoskeletonFamily,
     NerveSpec,
-    WordSpec,
     build_clauwens,
     build_coskeleton,
     build_envelope,
@@ -23,7 +22,7 @@ from precrossed.simplicial import (
     canonical_to_coskeleton,
     is_degenerate,
 )
-from precrossed.words import Letter, reduce
+from precrossed.words import Letter, WordContext, reduce
 
 from face_oracle import check_commutes, check_simplicial_identities
 
@@ -48,7 +47,7 @@ def transposition_rack():
 
 def nondegenerate_encodings(spec, k, length):
     return [
-        spec.encode(s)
+        spec.encode(k, s)
         for s in spec.simplices(k, length)
         if not is_degenerate(spec, k, s)
     ]
@@ -94,19 +93,19 @@ def test_clauwens_empty_carrier_is_a_point():
     spec = build_clauwens(empty)
     for k in range(4):
         sims = spec.simplices(k, 3)
-        assert [spec.encode(s) for s in sims] == ["1"]
+        assert [spec.encode(k, s) for s in sims] == ["1"]
 
 
 def test_face_of_degree_one_word_is_basepoint():
     spec = build_envelope(z2_trivial_module())
-    w = reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters
-    assert spec.encode(spec.face(1, w, 0)) == "1"
+    w = spec.word(1, reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters)
+    assert spec.encode(0, spec.face(1, w, 0)) == "1"
 
 
 def test_face_merges_positions_to_basepoint():
     spec = build_envelope(z2_trivial_module())
-    w = reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters
-    assert spec.encode(spec.face(2, w, 1)) == "1"
+    w = spec.word(2, reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters)
+    assert spec.encode(1, spec.face(2, w, 1)) == "1"
 
 
 def test_top_face_applies_pi_and_twists():
@@ -114,32 +113,32 @@ def test_top_face_applies_pi_and_twists():
     g = spec.ctx.group
     for y in range(1, 6):
         for x in range(1, 6):
-            w = reduce(spec.ctx, 2, [Letter(y, 1, 1), Letter(x, 1, 0)]).letters
+            w = spec.word(2, reduce(spec.ctx, 2, [Letter(y, 1, 1), Letter(x, 1, 0)]).letters)
             result = spec.face(2, w, 2)
             expected = spec.ctx.action[x][g.inv(spec.ctx.pi[y])]
             want = reduce(spec.ctx, 1, [Letter(expected, 1, 0)])
-            assert result == want.letters
+            assert spec.letters(1, result) == want.letters
 
 
 def test_degeneracies_shift_positions():
     spec = build_envelope(z2_trivial_module())
-    w = reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters
-    assert spec.encode(spec.degeneracy(1, w, 0)) == "(1@1)"
-    assert spec.encode(spec.degeneracy(1, w, 1)) == "(1@0)"
+    w = spec.word(1, reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters)
+    assert spec.encode(2, spec.degeneracy(1, w, 0)) == "(1@1)"
+    assert spec.encode(2, spec.degeneracy(1, w, 1)) == "(1@0)"
 
 
 def test_degeneracy_of_basepoint_is_basepoint():
     spec = build_envelope(z2_trivial_module())
-    assert spec.encode(spec.degeneracy(1, (), 0)) == "1"
+    assert spec.encode(2, spec.degeneracy(1, spec.word(1, ()), 0)) == "1"
 
 
 def test_is_degenerate_cases():
     spec = build_envelope(z2_trivial_module())
-    single = reduce(spec.ctx, 2, [Letter(1, 1, 1)]).letters
+    single = spec.word(2, reduce(spec.ctx, 2, [Letter(1, 1, 1)]).letters)
     assert is_degenerate(spec, 2, single)
-    mixed = reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters
+    mixed = spec.word(2, reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters)
     assert not is_degenerate(spec, 2, mixed)
-    assert is_degenerate(spec, 3, ())
+    assert is_degenerate(spec, 3, spec.word(3, ()))
 
 
 def test_enumeration_counts():
@@ -234,7 +233,7 @@ def test_word_bases_come_out_in_length_text_order(registry):
                     except ResourceBound:
                         continue
                     checked += 1
-                    want = sorted(got, key=lambda s: (len(s), spec.encode(s)))
+                    want = sorted(got, key=lambda s: (len(spec.letters(k, s)), spec.encode(k, s)))
                     assert got == want, (spec.describe(), words.__name__, k, bound)
     assert checked == 973
 
@@ -359,10 +358,11 @@ def test_face_never_lengthens_and_degeneracy_preserves_length():
     ):
         for k in range(1, 4):
             for s in spec.simplices(k, bound):
+                length = len(spec.letters(k, s))
                 for i in range(k + 1):
-                    assert len(spec.face(k, s, i)) <= len(s)
+                    assert len(spec.letters(k - 1, spec.face(k, s, i))) <= length
                 for i in range(k + 1):
-                    assert len(spec.degeneracy(k, s, i)) == len(s)
+                    assert len(spec.letters(k + 1, spec.degeneracy(k, s, i))) == length
 
 
 def test_independence_of_base_group():
@@ -378,19 +378,20 @@ def test_independence_of_base_group():
         for k in range(3):
             left = a.simplices(k, 2)
             right = b.simplices(k, 2)
-            assert [a.encode(s) for s in left] == [b.encode(s) for s in right]
+            assert [a.encode(k, s) for s in left] == [b.encode(k, s) for s in right]
             for sa, sb in zip(left, right):
                 for i in range(k + 1):
                     if k >= 1:
-                        assert a.encode(a.face(k, sa, i)) == b.encode(b.face(k, sb, i))
-                    assert a.encode(a.degeneracy(k, sa, i)) == b.encode(b.degeneracy(k, sb, i))
+                        assert a.encode(k - 1, a.face(k, sa, i)) == b.encode(k - 1, b.face(k, sb, i))
+                    assert (a.encode(k + 1, a.degeneracy(k, sa, i))
+                            == b.encode(k + 1, b.degeneracy(k, sb, i)))
 
 
 def test_canonical_map_values():
     module = conjugation_module(cyclic_group(2))
     cmap = canonical_to_coskeleton(module)
-    assert cmap.apply(2, ()) == CoskeletonFamily((0, 0, 0), (0, 0, 0))
-    edge = reduce(cmap.source.ctx, 1, [Letter(1, 1, 0)]).letters
+    assert cmap.apply(2, cmap.source.word(2, ())) == CoskeletonFamily((0, 0, 0), (0, 0, 0))
+    edge = cmap.source.word(1, reduce(cmap.source.ctx, 1, [Letter(1, 1, 0)]).letters)
     assert cmap.apply(1, edge) == CoskeletonFamily((1, 0), (1,))
 
 
@@ -407,14 +408,14 @@ def test_word_spec_requires_length_bound():
 
 
 def test_degrees_above_the_length_bound_enumerate_nothing(registry, monkeypatch):
-    # no word of at most L letters meets k > L positions, so no alphabet is built
+    # no word of at most L letters meets k > L positions, so no alphabet or code table is built
     specs = [build_envelope(registry.augracks["TRANS"]), build_clauwens(registry.augracks["TRANS"]),
              build_envelope(registry.precrossed["IDS3"])]
 
     def refuse(self, k):
         raise AssertionError(f"alphabet built in degree {k}")
 
-    monkeypatch.setattr(WordSpec, "_alphabet", refuse)
+    monkeypatch.setattr(WordContext, "alphabet", refuse)
     for spec in specs:
         for bound in range(3):
             for k in range(bound + 1, bound + 4):
