@@ -10,6 +10,12 @@ namedtuple's C getter, so hot loops unpack a value once instead.
 ``Memo`` is the package's table filled on first read, in place of
 ``functools.cache``: the coskeleton's edge tables and each word context's
 per-degree code and face tables.
+
+``pack`` stores a sequence of ints as one ``bytes`` of machine integers, and
+``unpacked`` reads them back in place: the boundary matrices and the word
+bases are held this way.  ``array`` would do the same, but it loads
+``collections``; ``struct`` loads only ``_struct``, and only on the first
+pack.
 """
 
 from operator import itemgetter
@@ -64,3 +70,24 @@ class Memo(dict):
     def __missing__(self, key):
         self[key] = value = self.build(key)
         return value
+
+
+def pack(ints, code: str):
+    """The sequence ``ints`` as one ``bytes`` of native ``struct`` ``code``
+    integers, or as a tuple if one of them does not fit the code.
+
+    ``struct`` raises on a value outside the code's range rather than wrap
+    it, so the ints read back are always the ones given.
+    """
+    import struct  # on the first pack: importing the package loads no struct
+
+    try:
+        return struct.pack(f"{len(ints)}{code}", *ints)
+    except struct.error:
+        return tuple(ints)
+
+
+def unpacked(field, code: str):
+    """The ints of a field made by ``pack`` with ``code``, read in place: its
+    bytes as a memoryview cast to ``code``, or the tuple itself."""
+    return memoryview(field).cast(code) if type(field) is bytes else field

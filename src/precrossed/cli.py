@@ -587,6 +587,10 @@ def main(argv=None) -> int:
     except ResourceBound as exc:
         print(f"error: resource bound exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        # a run that no cap stopped: the bad-input code and a traceback would misreport it
+        print("error: resource bound exceeded: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except PrecrossedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -20,35 +20,75 @@ code.
 
 Boundary matrices are built by one function, ``assemble_complex``, for every
 complex: each simplex's faces are summed with signs +1, -1, ... in the order
-given.  They are stored column-major, one tuple of (row, value) pairs per
-simplex, in the order the faces of the simplex first reach each row.  Within
-one boundary, equal pairs are one object, so a column holds no container per
-entry.  The d o d check reads those columns directly; the Smith form builds
-its own row dicts and column holder dicts from them, and the field ranks copy
-one column at a time.
+given.  They are stored column-major in packed machine integers: column
+offsets and rows as 4-byte ints and values as single bytes, each in one
+``bytes`` object, with the nonzeros of a column in the order the faces of
+its simplex first reach each row.  A field whose ints do not fit keeps them
+as a tuple, so every entry stays exact.  Every reader walks a matrix once,
+column by column (``SparseIntMatrix.walk``): the Smith form builds its own
+row dicts and column holder dicts from it, and the field ranks copy one
+column at a time.  The d o d check decodes d_(k-1) into column tuples, with
+one shared (row, +-1) pair per row, and walks d_k against them.
 """
 
 from __future__ import annotations
 
-from ._values import value_type
+from itertools import islice
+
+from ._values import pack, unpacked, value_type
 from .errors import DegreeOutOfRange, NotChainMap
 
 MATRIX_CAP = 5_000
 
 
-class SparseIntMatrix(value_type("SparseIntMatrix", "rows cols columns")):
-    """Integer matrix stored column-major: ``columns[c]`` is a tuple of (row, value) pairs.
+class SparseIntMatrix(value_type("SparseIntMatrix", "rows cols starts index values")):
+    """Integer matrix stored column-major in packed machine integers.
 
-    There are exactly ``cols`` column tuples; within one, rows are distinct and
-    lie in range(rows), and no value is zero.  ``entries`` is a
-    {(row, col): value} copy of the same columns, for inspection only.
+    Column c holds the nonzeros ``starts[c]:starts[c + 1]`` of ``index``, their
+    rows, and of ``values``.  ``starts`` (cols + 1 offsets from 0) and
+    ``index`` are packed as native 'i' ints and ``values`` as 'b' ints, each
+    field one ``bytes`` (see ``_values.pack``); a field with an int that does
+    not fit is a tuple of its ints instead.  Within a column, rows are
+    distinct and lie in range(rows), and no value is zero.  ``walk`` reads
+    the columns in place; ``columns``, the list of (row, value) pair tuples,
+    and ``entries``, a {(row, col): value} dict, are copies for inspection.
     """
 
     __slots__ = ()
 
+    @classmethod
+    def from_columns(cls, rows: int, cols: int, columns) -> "SparseIntMatrix":
+        """The matrix whose column c is the (row, value) pairs ``columns[c]``."""
+        starts, index, values = [0], [], []
+        for col in columns:
+            for r, v in col:
+                index.append(r)
+                values.append(v)
+            starts.append(len(index))
+        return cls(rows, cols, pack(starts, "i"), pack(index, "i"), pack(values, "b"))
+
+    def walk(self):
+        """One iterator of (row, value) pairs per column, in column order.
+
+        The columns are read off one pass over the nonzeros, so, as with the
+        groups of ``itertools.groupby``, a column's iterator is only valid
+        until the next one is taken; what was left unread of it is skipped.
+        """
+        starts = unpacked(self.starts, "i")
+        pairs = zip(unpacked(self.index, "i"), unpacked(self.values, "b"))
+        for a, b in zip(starts, starts[1:]):
+            col = islice(pairs, b - a)
+            yield col
+            for _ in col:
+                pass
+
+    @property
+    def columns(self) -> list[tuple[tuple[int, int], ...]]:
+        return [tuple(col) for col in self.walk()]
+
     @property
     def entries(self) -> dict[tuple[int, int], int]:
-        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col}
+        return {(r, c): v for c, col in enumerate(self.walk()) for r, v in col}
 
 
 class SNFResult(value_type("SNFResult", "diag row_order col_order row_ops col_ops unit_cols")):
@@ -117,7 +157,7 @@ class _Smith:
         self.ncols = mat.cols
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, dict[int, None]] = {}
-        for c, col in enumerate(mat.columns):
+        for c, col in enumerate(mat.walk()):
             holders = {}
             for r, v in col:
                 if r not in drop:
@@ -312,7 +352,7 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
     if p is None:
         from math import gcd  # only the Q route needs it
     pivots: list[int] = []
-    for j, col in enumerate(mat.columns):
+    for j, col in enumerate(mat.walk()):
         if p is None:
             v = {r: x for r, x in col if leads[r] is not None}
         else:
@@ -393,7 +433,7 @@ class ChainComplex:
     Construction checks every boundary's shape and that d o d = 0.
     """
 
-    def __init__(self, bases: list[list], boundaries: list[SparseIntMatrix],
+    def __init__(self, bases: list, boundaries: list[SparseIntMatrix],
                  spec: object | None = None):
         self.bases = bases
         self.boundaries = boundaries
@@ -405,12 +445,11 @@ class ChainComplex:
             raise AssertionError("one boundary matrix per degree expected")
         for k, mat in enumerate(self.boundaries):
             want_rows = 0 if k == 0 else len(self.bases[k - 1])
-            shape = (mat.rows, mat.cols, len(mat.columns))
+            shape = (mat.rows, mat.cols, len(unpacked(mat.starts, "i")) - 1)
             if shape != (want_rows, len(self.bases[k]), mat.cols):
                 raise AssertionError(f"boundary {k} has shape {mat.rows}x{mat.cols}")
         for k in range(2, len(self.boundaries)):
-            _assert_composes_to_zero(self.boundaries[k - 1].columns,
-                                     self.boundaries[k].columns, k)
+            _assert_composes_to_zero(self.boundaries[k - 1], self.boundaries[k], k)
 
     @property
     def max_degree(self) -> int:
@@ -453,9 +492,21 @@ class ChainComplex:
         return self._rank_cache[k, p][0]
 
 
-def _assert_composes_to_zero(acols: list[tuple], bcols: list[tuple], k: int) -> None:
-    """Raise unless d_(k-1) d_k = 0, both given by their stored columns."""
-    for col in bcols:
+def _assert_composes_to_zero(upper: SparseIntMatrix, lower: SparseIntMatrix, k: int) -> None:
+    """Raise unless upper lower = 0, for upper = d_(k-1) and lower = d_k.
+
+    ``upper`` is decoded once into column tuples, in which the (row, 1) and
+    (row, -1) pairs of each row are one object, and ``lower`` is walked
+    against them.
+    """
+    plus = [(r, 1) for r in range(upper.rows)]
+    minus = [(r, -1) for r in range(upper.rows)]
+    pairs = (plus[r] if v == 1 else minus[r] if v == -1 else (r, v)
+             for r, v in zip(unpacked(upper.index, "i"), unpacked(upper.values, "b")))
+    starts = unpacked(upper.starts, "i")
+    acols = [tuple(islice(pairs, b - a)) for a, b in zip(starts, starts[1:])]
+    del plus, minus
+    for col in lower.walk():
         acc: dict[int, int] = {}
         for mid, v in col:
             for r, w in acols[mid]:
@@ -464,39 +515,49 @@ def _assert_composes_to_zero(acols: list[tuple], bcols: list[tuple], k: int) -> 
             raise AssertionError(f"boundary composition in degree {k} is nonzero")
 
 
-def assemble_complex(bases: list[list], faces, spec: object | None = None) -> ChainComplex:
+def assemble_complex(bases: list, faces, spec: object | None = None) -> ChainComplex:
     """The chain complex on ``bases``: d_k sums each simplex's faces with signs +1, -1, ...
 
     ``faces(k, basis)`` yields one iterable of faces per simplex of ``basis``,
-    in basis order.  They are looked up one simplex at a time in an index of
-    the basis below made for d_k alone, so no faces are kept, the top basis
-    gets no index, and an empty basis takes no faces.  A column is summed in a
-    dict and stored as its (row, value) pairs, each taken from a table of the
-    pairs d_k has used so far; the table and the index go before the d o d
-    check.
+    in basis order.  Each d_k is packed as soon as its columns are summed
+    (``_boundary``), so the d o d check runs on packed matrices alone.
     """
-    boundaries = [SparseIntMatrix(0, len(bases[0]), [()] * len(bases[0]))]
+    boundaries = [SparseIntMatrix.from_columns(0, len(bases[0]), [()] * len(bases[0]))]
     for k in range(1, len(bases)):
-        columns: list[tuple] = []
-        if bases[k]:
-            lookup = {s: i for i, s in enumerate(bases[k - 1])}
-            shared: dict[tuple[int, int], tuple[int, int]] = {}
-            for simplex_faces in faces(k, bases[k]):
-                col: dict[int, int] = {}
-                sign = 1
-                for face in simplex_faces:
-                    r = lookup.get(face)
-                    if r is not None:  # a degenerate face contributes zero
-                        val = col.get(r, 0) + sign
-                        if val:
-                            col[r] = val
-                        else:
-                            del col[r]
-                    sign = -sign
-                columns.append(tuple([shared.setdefault(pair, pair) for pair in col.items()]))
-            del lookup, shared  # gone before the d o d check
-        boundaries.append(SparseIntMatrix(len(bases[k - 1]), len(bases[k]), columns))
+        boundaries.append(_boundary(k, bases[k - 1], bases[k], faces))
     return ChainComplex(bases, boundaries, spec)
+
+
+def _boundary(k: int, below, basis, faces) -> SparseIntMatrix:
+    """d_k from basis to below, packed.
+
+    The faces are looked up one simplex at a time in an index of ``below``
+    made for d_k alone, so no faces are kept and an empty basis takes no
+    faces.  A column is summed in a dict, whose rows and values are appended
+    to two lists; the index goes before they are packed, and the lists when
+    this returns.
+    """
+    starts, index, values = [0], [], []
+    if basis:
+        lookup = {s: i for i, s in enumerate(below)}
+        for simplex_faces in faces(k, basis):
+            col: dict[int, int] = {}
+            sign = 1
+            for face in simplex_faces:
+                r = lookup.get(face)
+                if r is not None:  # a degenerate face contributes zero
+                    val = col.get(r, 0) + sign
+                    if val:
+                        col[r] = val
+                    else:
+                        del col[r]
+                sign = -sign
+            index += col
+            values += col.values()
+            starts.append(len(index))
+        del lookup
+    return SparseIntMatrix(len(below), len(basis), pack(starts, "i"), pack(index, "i"),
+                           pack(values, "b"))
 
 
 def chain_complex(spec, m_max: int, length_bound: int | None = None,
@@ -562,9 +623,9 @@ def homology_generators(comp: ChainComplex, m: int) -> HomologyBasis:
     snf = smith_normal_form(comp.boundaries[m], log="cols")
     bnd = comp.boundaries[m + 1]
     # d_(m+1) row by row, then its kernel coordinates by column, each freed once A holds it
-    coords = _transpose(_kernel_coords(snf, _transpose(dict(enumerate(map(dict, bnd.columns))))))
-    a = SparseIntMatrix(comp.dim(m) - snf.rank, bnd.cols,
-                        [tuple(coords.pop(c, {}).items()) for c in range(bnd.cols)])
+    coords = _transpose(_kernel_coords(snf, _transpose(dict(enumerate(map(dict, bnd.walk()))))))
+    a = SparseIntMatrix.from_columns(comp.dim(m) - snf.rank, bnd.cols,
+                                     (coords.pop(c, {}).items() for c in range(bnd.cols)))
     asnf = smith_normal_form(a, log="rows")
     rows = [i for i in range(a.rows) if i >= asnf.rank or asnf.diag[i] > 1]
     # V[:, r:] U'^-1 on the unit vectors of the rows whose factor in D' is not 1
@@ -608,7 +669,7 @@ class InducedMap(value_type("InducedMap", "degree matrix source_orders target_or
                    for c in range(len(self.source_orders))]
         columns += [((r, d),) for r, d in enumerate(self.target_orders) if d]
         n = len(self.target_orders)
-        diag = smith_normal_form(SparseIntMatrix(n, len(columns), columns)).diag
+        diag = smith_normal_form(SparseIntMatrix.from_columns(n, len(columns), columns)).diag
         return len(diag) == n and all(d == 1 for d in diag)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._values import Memo, value_type
+from ._values import Memo, pack, value_type
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from .words import (
@@ -118,6 +118,8 @@ class WordSpec(SimplicialSpec):
         0..k-1 are kept (s_i leaves position i empty), and a prefix is dropped
         as soon as it misses more positions than it has letters left to add;
         so in a degree k above ``length_bound`` nothing is enumerated at all.
+        The codes are returned as a read-only memoryview of 8-byte ints, or
+        as the list if one reaches 2^63.
         """
         if length_bound is None:
             raise ResourceBound(f"{self.name} enumeration needs a length bound")
@@ -161,7 +163,8 @@ class WordSpec(SimplicialSpec):
             frontier = grown
             if not frontier:
                 break
-        return found
+        packed = pack(found, "q")
+        return found if type(packed) is tuple else memoryview(packed).cast("q")
 
     def face(self, k, simplex, i):
         """The code of d_i, tail dropped."""

@@ -21,7 +21,7 @@ def from_entries(rows, cols, entries):
     for (r, c), v in entries.items():
         if v:
             columns[c].append((r, v))
-    return SparseIntMatrix(rows, cols, [tuple(col) for col in columns])
+    return SparseIntMatrix.from_columns(rows, cols, columns)
 
 
 def from_dense(rows, cols, dense):

@@ -320,6 +320,21 @@ def test_resource_bound_exits_three(desk_path, capsys):
     assert code == EXIT_RESOURCE
 
 
+def test_out_of_memory_exits_three_with_one_line(desk_path, capsys, monkeypatch):
+    # a run no cap stopped: one stderr line, nothing on stdout, no traceback
+    import precrossed.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "chain_complex", exhausted)
+    code = main(["homology", desk_path, "--object", "TRANS", "--pipeline", "envelope",
+                 "--max-degree", "2", "--max-length", "3", "--coeff", "Q"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_RESOURCE, "")
+    assert captured.err == "error: resource bound exceeded: out of memory\n"
+
+
 def test_cap_counts_nondegenerate_words(desk_path, capsys):
     # the degree-3 envelope of IDZ3 at L=3 has 48 nondegenerate words among
     # 127 normal-form words; the cap counts only the former

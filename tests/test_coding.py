@@ -13,6 +13,7 @@ import pytest
 
 from face_oracle import reference_face, reference_words
 from precrossed.errors import ResourceBound
+from precrossed.homology import chain_complex, homology
 from precrossed.simplicial import build_clauwens, build_envelope
 from precrossed.words import EnvelopeWord, WordContext
 
@@ -105,3 +106,21 @@ def test_swapped_letters_of_two_codes_fail_the_checks(registry):
         check_coding(spec, 1, 2)
         with pytest.raises(AssertionError):
             check_coding(spec, 2, 2)
+
+
+def test_a_basis_with_a_code_past_int64_keeps_a_list(registry):
+    # Z/2 over the trivial group in degree 2: one letter per position, radix 3,
+    # and two nondegenerate words of each length from 2, alternating the
+    # positions.  At length 39 every code is below 2^63, at length 40 one is not
+    spec = build_envelope(registry.precrossed["Z2TRIV"])
+    packed, kept = spec.nondegenerate(2, 39), spec.nondegenerate(2, 40)
+    assert type(packed) is memoryview and packed.readonly and max(packed) < 2 ** 63
+    assert type(kept) is list and max(kept) >= 2 ** 63
+    assert len(kept) == len(packed) + 2 == 78
+    assert kept[:76] == list(packed)
+    for w in kept[-2:]:
+        assert spec.word(2, spec.letters(2, w)) == w
+        assert len(spec.letters(2, w)) == 40
+    # the complex on the list basis: H_1 = Z/2 at both lengths
+    for bound in (39, 40):
+        assert homology(chain_complex(spec, 1, bound), 1).render() == "Z/2"

@@ -87,7 +87,7 @@ def test_walk_repeats_and_restarts(registry):
     words = spec.simplices(2, 3)
     single = {s: next(word_faces(spec.ctx, 2, [s])) for s in words}
     # each word twice in a row, then the empty word, then everything again
-    order = [s for s in words for _ in range(2)] + [0] + words
+    order = [s for s in words for _ in range(2)] + [0] + list(words)
     assert list(word_faces(spec.ctx, 2, order)) == [single[s] for s in order]
     assert list(word_faces(spec.ctx, 2, [])) == []
     with pytest.raises(IndexOutOfRange):

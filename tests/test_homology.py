@@ -335,7 +335,7 @@ def tri_z3_complex():
 
 def columns(mat: SparseIntMatrix, keep) -> SparseIntMatrix:
     keep = set(keep)
-    return SparseIntMatrix(
+    return SparseIntMatrix.from_columns(
         mat.rows, mat.cols, [col if c in keep else () for c, col in enumerate(mat.columns)])
 
 
@@ -700,22 +700,45 @@ def desk_complexes(registry):
     return out
 
 
-def test_boundaries_are_stored_as_shared_pair_tuples(registry):
+def test_boundaries_are_packed(registry):
     racks = rack_complex(registry.augracks["TRANS"], 2)
     for comp in fixture_complexes() + desk_complexes(registry) + [racks]:
         for mat in comp.boundaries:
+            assert all(type(field) is bytes for field in (mat.starts, mat.index, mat.values))
+            starts = memoryview(mat.starts).cast("i").tolist()
+            assert len(starts) == mat.cols + 1 and starts[0] == 0
+            assert all(a <= b for a, b in zip(starts, starts[1:]))
+            assert starts[-1] == len(memoryview(mat.index).cast("i")) == len(mat.values)
             assert len(mat.columns) == mat.cols
             for col in mat.columns:
-                assert type(col) is tuple
-                assert all(type(pair) is tuple and len(pair) == 2 for pair in col)
                 rows = [r for r, _ in col]
                 assert len(set(rows)) == len(rows)
                 assert all(0 <= r < mat.rows for r in rows)
                 assert all(v != 0 for _, v in col)
-            # equal pairs are one object within a boundary
-            pairs = [pair for col in mat.columns for pair in col]
-            assert len({id(pair) for pair in pairs}) == len(set(pairs))
+            assert SparseIntMatrix.from_columns(mat.rows, mat.cols, mat.columns) == mat
     assert sum(len(col) for col in racks.boundaries[3].columns) == 60
+
+
+def test_entries_past_a_byte_and_past_int64_stay_exact():
+    # +-200 fit no byte and +-2^70 no machine int: the values are kept as a
+    # tuple, and the Smith form, its logs and the Q rank read them exactly
+    big = 2 ** 70
+    dense = [[big, 200, 0, 1], [-big, 3, 1, 0], [0, -200, big + 1, -big]]
+    mat = from_dense(3, 4, dense)
+    assert type(mat.values) is tuple and type(mat.index) is bytes
+    assert dense_of(mat) == dense
+    assert SparseIntMatrix.from_columns(3, 4, mat.columns) == mat
+    assert mat.entries == {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+    snf, u, _, v, _ = logged_transforms(mat)
+    assert list(snf.diag) == dense_smith(dense)
+    product = matmul(matmul(u, dense), v)
+    assert product == [[snf.diag[i] if i == j else 0 for j in range(4)] for i in range(3)]
+    assert gaussian_rank(mat)[0] == dense_rank(dense) == 3
+    assert gaussian_rank(mat, 2)[0] == dense_rank(dense, 2)
+    # the byte range itself packs
+    edge = from_dense(2, 2, [[127, -128], [-127, 0]])
+    assert type(edge.values) is bytes
+    assert dense_of(edge) == [[127, -128], [-127, 0]]
 
 
 def test_no_faces_are_taken_of_an_empty_basis(registry):

@@ -36,9 +36,12 @@ SRC = ROOT / "src"
 FORBIDDEN = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
 # what argparse and enum pull in, and what namedtuple and functools.cache did: the
 # command table parses every command line without them, and the value types and
-# memo tables need neither, so neither the import nor a command run loads any of these
+# memo tables need neither, so neither the import nor a command run loads any of these.
+# array loads collections: boundaries and word bases are packed with struct instead
 NOT_LOADED = {"argparse", "re", "gettext", "locale", "shutil", "enum",
-              "collections", "collections.abc", "functools", "keyword", "reprlib"}
+              "collections", "collections.abc", "functools", "keyword", "reprlib", "array"}
+# loaded on the first pack of a boundary or a basis, not by the import
+PACKING = {"struct", "_struct"}
 
 # contextlib and json load collections, functools and re, so the probe swaps the
 # standard streams by hand and imports json only once the command has run
@@ -95,6 +98,7 @@ def test_cli_import_loads_no_unneeded_module(desk_path):
         got = json.loads(proc.stdout)
         assert FORBIDDEN.isdisjoint(got["imported"])
         assert NOT_LOADED.isdisjoint(got["imported"])
+        assert PACKING.isdisjoint(got["imported"])
         assert NOT_LOADED.isdisjoint(got["ran"]), command
         assert "fractions" not in got["ran"]
         assert got["code"] == 0, command
@@ -119,10 +123,10 @@ VALUE_TYPES = {
                       ("carrier", "group", "action", "pi", "induced")),
     "PreCrossedModule": (_module, ("x_group", "group", "action", "pi")),
     "PrecrossedAction": (lambda: precrossed_action(_module()), ("phi", "image", "module")),
-    "SparseIntMatrix": (lambda: SparseIntMatrix(1, 2, [((0, 2),), ((0, 2),)]),
-                        ("rows", "cols", "columns")),
-    "SNFResult": (lambda: smith_normal_form(SparseIntMatrix(2, 2, [((0, 2),), ((1, 3),)]),
-                                            log="rows"),
+    "SparseIntMatrix": (lambda: SparseIntMatrix.from_columns(1, 2, [((0, 2),), ((0, 2),)]),
+                        ("rows", "cols", "starts", "index", "values")),
+    "SNFResult": (lambda: smith_normal_form(
+                      SparseIntMatrix.from_columns(2, 2, [((0, 2),), ((1, 3),)]), log="rows"),
                   ("diag", "row_order", "col_order", "row_ops", "col_ops", "unit_cols")),
     "HomologyGroup": (lambda: homology(_complex(), 1), ("degree", "coeff", "betti", "torsion")),
     "HomologyBasis": (lambda: homology_generators(_complex(), 1),
