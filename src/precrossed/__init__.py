@@ -55,14 +55,9 @@ from .simplicial import (
     is_degenerate,
 )
 from .words import (
-    EnvelopeWord,
     Letter,
     WordMode,
-    encode,
-    multiply,
-    normalize_mixed,
     reduce,
-    twist,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -57,10 +57,6 @@ class ModeMismatch(PrecrossedError):
     """Word or builder operation applied across incompatible word modes."""
 
 
-class DegreeMismatch(PrecrossedError):
-    """Binary word operation applied to words of different degrees."""
-
-
 class IndexOutOfRange(PrecrossedError):
     """Face or degeneracy index outside 0..degree."""
 

@@ -33,11 +33,11 @@ from .words import (
     Letter,
     WordContext,
     WordMode,
+    _fold,
     context_from_precrossed,
     context_from_rack,
-    degeneracy_letters,
     letter_text,
-    word_code,
+    reduce,
     word_faces,
     word_letters,
 )
@@ -106,7 +106,7 @@ class WordSpec(SimplicialSpec):
 
     def word(self, k: int, letters) -> int:
         """The degree-k code of the normal form of ``letters``."""
-        return word_code(self.ctx, k, letters)
+        return reduce(self.ctx, k, letters)
 
     def _enumerate(self, k, length_bound, cap, nondegenerate):
         """Normal-form words of length <= length_bound, in (length, text) order.
@@ -177,7 +177,11 @@ class WordSpec(SimplicialSpec):
         return word_faces(self.ctx, k, simplices)
 
     def degeneracy(self, k, simplex, i):
-        return self.word(k + 1, degeneracy_letters(self.ctx, k, self.letters(k, simplex), i))
+        """s_i: a letter at position j moves to j + 1 when i <= j, folded straight to a code."""
+        if not 0 <= i <= k:
+            raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
+        move = tuple([j if j < i else j + 1 for j in range(k)])
+        return _fold(self.ctx, k + 1, self.letters(k, simplex), move)
 
     def encode(self, k, simplex):
         return letter_text(self.ctx, self.letters(k, simplex))
@@ -199,10 +203,16 @@ def _pairs(k: int) -> tuple[tuple[int, int], ...]:
 
 
 @Memo
+def _pair_index(k: int) -> dict[tuple[int, int], int]:
+    """The index of each pair a < b among the degree-k edges, ``_pairs[k]``."""
+    return {p: n for n, p in enumerate(_pairs[k])}
+
+
+@Memo
 def _face_edges(key: tuple[int, int]) -> tuple[int, ...]:
     """For d_i in degree k: where each degree-(k-1) edge sits among the degree-k edges."""
     k, i = key
-    old_index = {p: n for n, p in enumerate(_pairs[k])}
+    old_index = _pair_index[k]
 
     def delta(a):
         return a if a < i else a + 1
@@ -215,7 +225,7 @@ def _degeneracy_edges(key: tuple[int, int]) -> tuple[int, ...]:
     """For s_i in degree k: where each degree-(k+1) edge sits among the degree-k
     edges; -1 marks the identity edge over the repeated vertex."""
     k, i = key
-    old_index = {p: n for n, p in enumerate(_pairs[k])}
+    old_index = _pair_index[k]
 
     def sigma(a):
         return a if a <= i else a - 1
@@ -229,7 +239,7 @@ def _degenerate_edges(key: tuple[int, int]) -> tuple[int, tuple[tuple[int, int],
     """For s_i d_i in degree k: the index of x_(i,i+1), and the index pairs of
     the edges x_(a,i), x_(a,i+1) (a < i) and x_(i,b), x_(i+1,b) (b > i+1)."""
     k, i = key
-    index = {p: n for n, p in enumerate(_pairs[k])}
+    index = _pair_index[k]
     same = [(index[a, i], index[a, i + 1]) for a in range(i)]
     same += [(index[i, b], index[i + 1, b]) for b in range(i + 2, k + 1)]
     return index[i, i + 1], tuple(same)
@@ -390,13 +400,10 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.rule = rule
-        self._images: dict = {}
+        self._images = Memo(lambda key: rule(*key))
 
     def apply(self, k: int, simplex):
-        key = (k, simplex)
-        if key not in self._images:
-            self._images[key] = self.rule(k, simplex)
-        return self._images[key]
+        return self._images[k, simplex]
 
 
 def canonical_to_coskeleton(module: PreCrossedModule) -> SimplicialMap:

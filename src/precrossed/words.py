@@ -1,7 +1,7 @@
-"""Canonical normal forms for words of position-tagged letters with a group tail.
+"""Words of position-tagged letters as int codes: normal forms and faces.
 
-A word in degree k is a sequence of letters over positions 0..k-1 followed by
-a single group element (the tail).  Three modes share the machinery:
+A word in degree k is a sequence of letters over positions 0..k-1.  Three
+modes share the machinery:
 
 * GROUP_SYLLABLE -- letters index a finite group X; adjacent letters at the
   same position merge through the X table and identity letters vanish.
@@ -9,21 +9,23 @@ a single group element (the tail).  Three modes share the machinery:
   adjacent exact inverses cancel (free-group syllables spelled letterwise).
 * MONOID_LETTER  -- letters index a plain carrier; nothing reduces.
 
-The tail sits rightmost; pushing a group element g left-to-right past a
-letter twists the letter base, g * (x)_j = (x^(g^-1))_j * g.
+An envelope word also ends in a group element, its tail, and homology reads
+the envelope modulo the base group, which forgets the tail; so a word here
+has none.  The top face turns letters into group elements, and carrying g
+right past a letter twists its base, g * (x)_j = (x^(g^-1))_j * g.
 
-A word of degree k is also a single int, its code: each letter is coded by
+A word of degree k is a single int, its code: each letter is coded by
 its rank in the degree's alphabet, listed in the order of the letter texts
 and counted from 1, and the codes are the word's digits in radix (alphabet
 size + 1), first letter most significant (see ``Coding``).  Each mode's
 merge/cancel rule is written once, as the ``push`` of a degree's
 ``Coding``, which adds one letter code to a word code.  ``word_faces`` walks
 the digits of word codes along the prefixes that consecutive words share,
-and is the one face routine.  ``word_code`` and ``word_letters`` convert
-between codes and letter tuples, and ``reduce`` and the degeneracies fold
-letters through ``push`` at that boundary.  The tables of a degree are
-built on its first use.  The twist is written once for whole words, in
-``normalize_mixed``, which ``twist`` and ``multiply`` go through.
+and is the one face routine; the twist is written once, in the face tables
+it reads (``WordContext._face_table``).  ``reduce`` folds any checked
+letters through ``push`` into the code of their normal form, and
+``word_letters`` decodes a code.  The tables of a degree are built on its
+first use.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from ._values import Memo, value_type
 from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
-from .errors import DegreeMismatch, IndexOutOfRange, ModeMismatch
+from .errors import IndexOutOfRange, ModeMismatch
 
 
 class WordMode(value_type("WordMode", "name value")):
@@ -51,16 +53,6 @@ class Letter(value_type("Letter", "base sign position")):
     """One letter: a base index, a sign (+1, or -1 only in FREE_LETTER mode), a position."""
 
     __slots__ = ()
-
-
-class EnvelopeWord(value_type("EnvelopeWord", "mode degree letters tail")):
-    """A word in degree ``degree``: its reduced ``letters`` and the group element ``tail``."""
-
-    __slots__ = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
 
 
 class WordContext:
@@ -240,8 +232,11 @@ def _fold(ctx: WordContext, degree: int, letters: Iterable[tuple[int, int, int]]
     return w
 
 
-def word_code(ctx: WordContext, degree: int, letters: Iterable[tuple[int, int, int]]) -> int:
-    """The normal form of a letter sequence as a degree-``degree`` word code.  Every letter is checked."""
+def reduce(ctx: WordContext, degree: int, letters: Iterable[tuple[int, int, int]]) -> int:
+    """The degree-``degree`` code of the normal form of a letter sequence.
+
+    Every letter is checked, then folded through the mode's ``push``.
+    """
     letters = list(letters)
     for lt in letters:
         _check_letter(ctx, lt, degree)
@@ -257,51 +252,6 @@ def word_letters(ctx: WordContext, degree: int, w: int) -> tuple[Letter, ...]:
         w, c = divmod(w, radix)
         out.append(letters[c])
     return tuple(reversed(out))
-
-
-def _as_letters(letters: tuple) -> tuple[Letter, ...]:
-    return tuple(map(Letter._make, letters))
-
-
-def reduce(ctx: WordContext, degree: int, letters: Iterable[Letter], tail: int | None = None) -> EnvelopeWord:
-    """Normal form of a letter sequence; idempotent.  Every letter is checked."""
-    return EnvelopeWord(ctx.mode, degree, word_letters(ctx, degree, word_code(ctx, degree, letters)),
-                        ctx.group.identity if tail is None else tail)
-
-
-def twist(ctx: WordContext, g: int, word: EnvelopeWord) -> EnvelopeWord:
-    """Replace every base x by x^(g^-1); the move that carries g left past the word."""
-    letters = normalize_mixed(ctx, word.degree, [g, *_as_letters(word.letters)]).letters
-    return EnvelopeWord(word.mode, word.degree, letters, word.tail)
-
-
-def multiply(ctx: WordContext, w1: EnvelopeWord, w2: EnvelopeWord) -> EnvelopeWord:
-    if w1.mode is not w2.mode or w1.mode is not ctx.mode:
-        raise ModeMismatch(f"cannot multiply {w1.mode.name} by {w2.mode.name} in {ctx.mode.name}")
-    if w1.degree != w2.degree:
-        raise DegreeMismatch(f"degrees {w1.degree} and {w2.degree} differ")
-    items = [*_as_letters(w1.letters), w1.tail, *_as_letters(w2.letters)]
-    return normalize_mixed(ctx, w1.degree, items, w2.tail)
-
-
-def normalize_mixed(ctx: WordContext, degree: int, items, tail: int | None = None) -> EnvelopeWord:
-    """Push every interleaved group element to the right, then reduce.
-
-    ``items`` may mix Letter values and group element indices (plain ints);
-    each letter is twisted by the group elements before it.
-    """
-    g = ctx.group.identity
-    letters: list[Letter] = []
-    for item in items:
-        if isinstance(item, Letter):
-            if g != ctx.group.identity:
-                item = Letter(ctx.action[item.base][ctx.group.inv(g)], item.sign, item.position)
-            letters.append(item)
-        else:
-            g = ctx.group.mul(g, item)
-    if tail is not None:
-        g = ctx.group.mul(g, tail)
-    return reduce(ctx, degree, letters, tail=g)
 
 
 def word_faces(ctx: WordContext, degree: int, words: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -357,26 +307,8 @@ def word_faces(ctx: WordContext, degree: int, words: Iterable[int]) -> Iterator[
         yield lower + (upper,)
 
 
-def degeneracy_letters(ctx: WordContext, degree: int, letters: tuple, i: int) -> tuple:
-    """Letterwise degeneracy s_i: position j becomes j+1 when i <= j, else stays."""
-    k = degree
-    if not 0 <= i <= k:
-        raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
-    w = _fold(ctx, k + 1, letters, tuple(j if j < i else j + 1 for j in range(k)))
-    return word_letters(ctx, k + 1, w)
-
-
 def letter_text(ctx: WordContext, letters: tuple) -> str:
     """The letters as text: `(x@j)`, `(x^-1@j)` for inverses, `1` if there are none."""
     labels = ctx.labels
     return "".join([f"({labels[b]}@{j})" if s >= 0 else f"({labels[b]}^-1@{j})"
                     for b, s, j in letters]) or "1"
-
-
-def encode(ctx: WordContext, word: EnvelopeWord) -> str:
-    """Canonical text form: ``letter_text``, then `|g` for a tail other than the identity."""
-    text = letter_text(ctx, word.letters)
-    if word.tail != ctx.group.identity:
-        text += f"|{ctx.group.label(word.tail)}"
-    return text
-

@@ -4,10 +4,14 @@ Deliberately separate from the package implementation: it rebuilds every
 face the slow way, by evaluating each letter to a letter or a group element,
 pushing the group elements right one at a time, and reducing letter by
 letter with ``Letter`` values.  It shares no code with ``words``, so
-agreement with the table-driven face routine is meaningful.  The canonical
-map to the coskeleton is rebuilt here by iterated faces, and coskeleton
-faces and degeneracies through a pair index built on every call, so they
-check the one-sweep map and the cached edge tables of ``simplicial``.
+agreement with the table-driven face routine is meaningful.  A word here
+is a ``(letters, tail)`` pair: ``Letter`` values and the group element on
+their right, which the package forgets.  ``reference_normalize`` is the
+envelope's group law on such words, the push of group elements right that
+every face here goes through.  The canonical map to the coskeleton is
+rebuilt here by iterated faces, and coskeleton faces and degeneracies
+through a pair index built on every call, so they check the one-sweep map
+and the cached edge tables of ``simplicial``.
 ``reference_words`` lists the normal forms by growing letter tuples under
 the same letterwise reduction and sorting them by length, then text, so
 the enumerated word codes can be decoded and compared with it.
@@ -18,7 +22,7 @@ that a ``SimplicialMap`` commutes with them.
 """
 
 from precrossed.errors import NotChainMap
-from precrossed.words import EnvelopeWord, Letter, WordMode
+from precrossed.words import Letter, WordMode
 
 from snf_oracle import from_entries
 
@@ -76,19 +80,39 @@ def reference_words(ctx, k, length_bound, nondegenerate=False):
     return sorted(words, key=lambda w: (len(w), _text(ctx, w)))
 
 
-def reference_face(ctx, word, i):
-    """d_i of a full word, tail kept.
+def reference_normalize(ctx, items):
+    """The normal form ``(letters, tail)`` of ``items``, a sequence of ``Letter``
+    values and group element indices (plain ints).
+
+    Each group element is carried right into the tail past the letters after
+    it, g (x)_j = (x^(g^-1))_j g, so every letter is twisted by the product
+    of the group elements before it; the letters are then pushed one by one.
+    """
+    group = ctx.group
+    g = group.identity
+    out = []
+    for item in items:
+        if isinstance(item, Letter):
+            base = ctx.action[item.base][group.inv(g)]
+            _push(ctx, out, Letter(base, item.sign, item.position))
+        else:
+            g = group.mul(g, item)
+    return tuple(out), g
+
+
+def reference_face(ctx, k, word, i):
+    """d_i of a degree-k word ``(letters, tail)``, tail kept.
 
     A letter at position j in degree k goes to: nothing when i = j = 0, the
     untouched letter when i > j, position j-1 when i <= j and j > 0, and the
-    group element pi(base)^sign when j = k-1 and i = k.  Each letter is then
-    twisted by the group elements before it, which end in the tail.
+    group element pi(base)^sign when j = k-1 and i = k.  The items, then
+    the tail, are normalized by ``reference_normalize``.
     """
-    k = word.degree
     assert k >= 1 and 0 <= i <= k
+    letters, tail = word
     group = ctx.group
     items = []
-    for b, s, j in word.letters:
+    for b, s, j in letters:
         if j == k - 1 and i == k:
             g = ctx.pi[b]
             items.append(g if s > 0 else group.inv(g))
@@ -98,15 +122,7 @@ def reference_face(ctx, word, i):
             continue
         else:
             items.append(Letter(b, s, j - 1))
-    g = group.identity
-    out = []
-    for item in items:
-        if isinstance(item, Letter):
-            base = ctx.action[item.base][group.inv(g)]
-            _push(ctx, out, Letter(base, item.sign, item.position))
-        else:
-            g = group.mul(g, item)
-    return EnvelopeWord(ctx.mode, k - 1, tuple(out), group.mul(g, word.tail))
+    return reference_normalize(ctx, [*items, tail])
 
 
 def reference_boundaries(spec, m_max, length_bound):
@@ -119,9 +135,9 @@ def reference_boundaries(spec, m_max, length_bound):
         index = {spec.letters(k - 1, s): r for r, s in enumerate(bases[k - 1])}
         entries = {}
         for c, s in enumerate(bases[k]):
-            w = EnvelopeWord(ctx.mode, k, spec.letters(k, s), ctx.group.identity)
+            w = (spec.letters(k, s), ctx.group.identity)
             for i in range(k + 1):
-                r = index.get(reference_face(ctx, w, i).letters)
+                r = index.get(reference_face(ctx, k, w, i)[0])
                 if r is not None:
                     entries[r, c] = entries.get((r, c), 0) + (-1) ** i
         out.append(from_entries(len(bases[k - 1]), len(bases[k]), entries))
@@ -143,21 +159,22 @@ def reference_canonical_rule(module, ctx):
     """
     g = module.group
 
-    def evaluate(word, keep):
-        for idx in range(word.degree, -1, -1):
+    def evaluate(k, word, keep):
+        for idx in range(k, -1, -1):
             if idx not in keep:
-                word = reference_face(ctx, word, idx)
+                word = reference_face(ctx, k, word, idx)
+                k -= 1
         return word
 
     def rule(k, letters):
-        word = EnvelopeWord(ctx.mode, k, tuple(Letter(*lt) for lt in letters), g.identity)
-        verts = [evaluate(word, (a,)).tail for a in range(k + 1)]
+        word = (tuple(Letter(*lt) for lt in letters), g.identity)
+        verts = [evaluate(k, word, (a,))[1] for a in range(k + 1)]
         edges = []
         for a, b in _pairs(k):
-            w = evaluate(word, (a, b))
-            assert len(w.letters) <= 1 and w.tail == verts[b]
-            x = w.letters[0].base if w.letters else module.x_group.identity
-            assert g.mul(module.pi[x], w.tail) == verts[a]
+            left, tail = evaluate(k, word, (a, b))
+            assert len(left) <= 1 and tail == verts[b]
+            x = left[0].base if left else module.x_group.identity
+            assert g.mul(module.pi[x], tail) == verts[a]
             edges.append(x)
         tinv = g.inv(verts[k])
         return tuple(g.mul(v, tinv) for v in verts), tuple(edges)

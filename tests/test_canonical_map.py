@@ -47,8 +47,9 @@ def test_rule_matches_iterated_faces_on_generated_ids3_words(registry, case):
     module = registry.precrossed["IDS3"]
     cmap = canonical_to_coskeleton(module)
     reference = reference_canonical_rule(module, cmap.source.ctx)
-    word = reduce(cmap.source.ctx, k, [Letter(x, 1, j) for x, j in raw]).letters
-    fam = cmap.rule(k, cmap.source.word(k, word))
+    code = reduce(cmap.source.ctx, k, [Letter(x, 1, j) for x, j in raw])
+    word = cmap.source.letters(k, code)
+    fam = cmap.rule(k, code)
     assert (fam.vertices, fam.edges) == reference(k, word)
     # the sweep is a product over letters, so it reads an unreduced word the
     # same way: the raw letters' codes as digits, with no push between them

@@ -335,6 +335,30 @@ def test_out_of_memory_exits_three_with_one_line(desk_path, capsys, monkeypatch)
     assert captured.err == "error: resource bound exceeded: out of memory\n"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the address-space limit is set with Linux RLIMIT_AS")
+def test_real_out_of_memory_exits_three_with_one_line(desk_path):
+    # one child, its address space capped at 200 MiB, runs out of memory for
+    # real: the free envelope of TRANS at length 7 outgrows it under a cap no
+    # run reaches
+    import resource
+
+    limit = 200 * 2 ** 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = pathlib.Path(__file__).parents[1] / "src"
+    argv = ["homology", desk_path, "--object", "TRANS", "--pipeline", "envelope",
+            "--max-degree", "3", "--max-length", "7", "--cap", "1000000000"]
+    proc = subprocess.run([sys.executable, "-m", "precrossed.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          preexec_fn=cap_address_space, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+    assert proc.stderr == "error: resource bound exceeded: out of memory\n"
+
+
 def test_cap_counts_nondegenerate_words(desk_path, capsys):
     # the degree-3 envelope of IDZ3 at L=3 has 48 nondegenerate words among
     # 127 normal-form words; the cap counts only the former

@@ -15,7 +15,7 @@ from face_oracle import reference_face, reference_words
 from precrossed.errors import ResourceBound
 from precrossed.homology import chain_complex, homology
 from precrossed.simplicial import build_clauwens, build_envelope
-from precrossed.words import EnvelopeWord, WordContext
+from precrossed.words import WordContext
 
 CAP = 2000
 
@@ -60,8 +60,8 @@ def check_coding(spec, k, bound):
         checked += len(basis)
     if k:
         for letters, faces in zip(decoded, spec.faces(k, basis)):
-            word = EnvelopeWord(ctx.mode, k, letters, ctx.group.identity)
-            want = tuple(reference_face(ctx, word, i).letters for i in range(k + 1))
+            word = (letters, ctx.group.identity)
+            want = tuple(reference_face(ctx, k, word, i)[0] for i in range(k + 1))
             assert tuple(spec.letters(k - 1, f) for f in faces) == want, (label, letters)
     return checked
 

@@ -11,15 +11,7 @@ from face_oracle import reference_boundaries, reference_face
 from precrossed.errors import IndexOutOfRange, ResourceBound
 from precrossed.homology import chain_complex, gaussian_rank, homology
 from precrossed.simplicial import build_clauwens, build_coskeleton, build_envelope, build_nerve
-from precrossed.words import (
-    EnvelopeWord,
-    Letter,
-    WordMode,
-    reduce,
-    word_code,
-    word_faces,
-    word_letters,
-)
+from precrossed.words import Letter, WordMode, reduce, word_faces, word_letters
 
 
 def word_specs(registry):
@@ -46,8 +38,8 @@ def test_face_matches_the_reference_on_desk_words(registry):
                         got = spec.face(k, s, i)
                         # a tail changes no face's letters
                         for tail in tails:
-                            w = EnvelopeWord(ctx.mode, k, letters, tail)
-                            assert spec.letters(k - 1, got) == reference_face(ctx, w, i).letters, (
+                            w = (letters, tail)
+                            assert spec.letters(k - 1, got) == reference_face(ctx, k, w, i)[0], (
                                 label, w, i)
                         # a word may be given as plain tuples
                         assert spec.face(k, spec.word(k, plain), i) == got, (label, s, i)
@@ -71,8 +63,8 @@ def test_walk_matches_the_single_faces_in_any_order(registry):
             words = walk_words(spec, k)
             want = {}
             for s in words:
-                w = EnvelopeWord(ctx.mode, k, spec.letters(k, s), ctx.group.identity)
-                want[s] = tuple(reference_face(ctx, w, i).letters for i in range(k + 1))
+                w = (spec.letters(k, s), ctx.group.identity)
+                want[s] = tuple(reference_face(ctx, k, w, i)[0] for i in range(k + 1))
             mixed = list(words)
             shuffle.shuffle(mixed)
             for order in (words, words[::-1], mixed):
@@ -168,14 +160,15 @@ def contexts(registry):
 
 @st.composite
 def words(draw, ctx):
-    """A reduced word of degree 1..4 with any tail, from up to 7 raw letters."""
+    """``(k, code, tail)``: the code of a reduced word of degree 1..4 from up to
+    7 raw letters, and any tail."""
     k = draw(st.integers(1, 4))
     signs = (1, -1) if ctx.mode is WordMode.FREE_LETTER else (1,)
     raw = draw(st.lists(
         st.builds(Letter, st.integers(0, ctx.alphabet_size - 1), st.sampled_from(signs),
                   st.integers(0, k - 1)),
         max_size=7))
-    return reduce(ctx, k, raw, tail=draw(st.integers(0, ctx.group.order - 1)))
+    return k, reduce(ctx, k, raw), draw(st.integers(0, ctx.group.order - 1))
 
 
 @pytest.mark.parametrize("name", ["IDS3 group syllables", "TRANS free letters",
@@ -184,12 +177,12 @@ def words(draw, ctx):
 @given(data=st.data())
 def test_generated_faces(contexts, name, data):
     ctx = contexts[name]
-    w = data.draw(words(ctx))
-    k = w.degree
-    faces = next(word_faces(ctx, k, [word_code(ctx, k, w.letters)]))
+    k, code, tail = data.draw(words(ctx))
+    w = (word_letters(ctx, k, code), tail)
+    faces = next(word_faces(ctx, k, [code]))
     # the walk drops the tail, and a tail changes no face's letters
     assert tuple(word_letters(ctx, k - 1, f) for f in faces) == tuple(
-        reference_face(ctx, w, i).letters for i in range(k + 1)), w
+        reference_face(ctx, k, w, i)[0] for i in range(k + 1)), w
     if k >= 2:
         # d_i d_j = d_(j-1) d_i, from a second walk over the faces
         again = list(word_faces(ctx, k - 1, faces))

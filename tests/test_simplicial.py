@@ -22,7 +22,7 @@ from precrossed.simplicial import (
     canonical_to_coskeleton,
     is_degenerate,
 )
-from precrossed.words import Letter, WordContext, reduce
+from precrossed.words import Letter, WordContext
 
 from face_oracle import check_commutes, check_simplicial_identities
 
@@ -98,13 +98,13 @@ def test_clauwens_empty_carrier_is_a_point():
 
 def test_face_of_degree_one_word_is_basepoint():
     spec = build_envelope(z2_trivial_module())
-    w = spec.word(1, reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters)
+    w = spec.word(1, [Letter(1, 1, 0)])
     assert spec.encode(0, spec.face(1, w, 0)) == "1"
 
 
 def test_face_merges_positions_to_basepoint():
     spec = build_envelope(z2_trivial_module())
-    w = spec.word(2, reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters)
+    w = spec.word(2, [Letter(1, 1, 0), Letter(1, 1, 1)])
     assert spec.encode(1, spec.face(2, w, 1)) == "1"
 
 
@@ -113,16 +113,16 @@ def test_top_face_applies_pi_and_twists():
     g = spec.ctx.group
     for y in range(1, 6):
         for x in range(1, 6):
-            w = spec.word(2, reduce(spec.ctx, 2, [Letter(y, 1, 1), Letter(x, 1, 0)]).letters)
+            w = spec.word(2, [Letter(y, 1, 1), Letter(x, 1, 0)])
             result = spec.face(2, w, 2)
             expected = spec.ctx.action[x][g.inv(spec.ctx.pi[y])]
-            want = reduce(spec.ctx, 1, [Letter(expected, 1, 0)])
-            assert spec.letters(1, result) == want.letters
+            want = spec.word(1, [Letter(expected, 1, 0)])
+            assert spec.letters(1, result) == spec.letters(1, want)
 
 
 def test_degeneracies_shift_positions():
     spec = build_envelope(z2_trivial_module())
-    w = spec.word(1, reduce(spec.ctx, 1, [Letter(1, 1, 0)]).letters)
+    w = spec.word(1, [Letter(1, 1, 0)])
     assert spec.encode(2, spec.degeneracy(1, w, 0)) == "(1@1)"
     assert spec.encode(2, spec.degeneracy(1, w, 1)) == "(1@0)"
 
@@ -134,9 +134,9 @@ def test_degeneracy_of_basepoint_is_basepoint():
 
 def test_is_degenerate_cases():
     spec = build_envelope(z2_trivial_module())
-    single = spec.word(2, reduce(spec.ctx, 2, [Letter(1, 1, 1)]).letters)
+    single = spec.word(2, [Letter(1, 1, 1)])
     assert is_degenerate(spec, 2, single)
-    mixed = spec.word(2, reduce(spec.ctx, 2, [Letter(1, 1, 0), Letter(1, 1, 1)]).letters)
+    mixed = spec.word(2, [Letter(1, 1, 0), Letter(1, 1, 1)])
     assert not is_degenerate(spec, 2, mixed)
     assert is_degenerate(spec, 3, spec.word(3, ()))
 
@@ -391,7 +391,7 @@ def test_canonical_map_values():
     module = conjugation_module(cyclic_group(2))
     cmap = canonical_to_coskeleton(module)
     assert cmap.apply(2, cmap.source.word(2, ())) == CoskeletonFamily((0, 0, 0), (0, 0, 0))
-    edge = cmap.source.word(1, reduce(cmap.source.ctx, 1, [Letter(1, 1, 0)]).letters)
+    edge = cmap.source.word(1, [Letter(1, 1, 0)])
     assert cmap.apply(1, edge) == CoskeletonFamily((1, 0), (1,))
 
 
