@@ -60,5 +60,17 @@ from .words import (
     reduce,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AugmentedRack", "FiniteGroup", "PreCrossedModule", "PrecrossedAction", "Rack",
+    "conjugation_action", "conjugation_module", "conjugation_structure", "cyclic_group",
+    "group_from_permutations", "precrossed_action", "restrict_to_image", "symmetric_group",
+    "trivial_action", "trivial_group", "validate_augmented_rack", "validate_group",
+    "validate_precrossed", "validate_rack",
+    "ChainComplex", "HomologyGroup", "SparseIntMatrix", "chain_complex", "classify_cycle",
+    "gaussian_rank", "homology", "homology_generators", "induced_map", "smith_normal_form",
+    "group_homology", "rack_complex", "tensor_algebra_dims",
+    "SimplicialMap", "build_clauwens", "build_coskeleton", "build_envelope", "build_nerve",
+    "canonical_to_coskeleton", "is_degenerate",
+    "Letter", "WordMode", "reduce",
+]
 __version__ = "0.1.0"

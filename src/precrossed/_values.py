@@ -8,7 +8,7 @@ A field is read through ``operator.itemgetter``, about 15 ns slower than
 namedtuple's C getter, so hot loops unpack a value once instead.
 
 ``Memo`` is the package's table filled on first read, in place of
-``functools.cache``: the coskeleton's edge tables, each word context's
+``functools.cache``: the coskeleton's edge tables, each word spec's
 per-degree code and face tables, and a simplicial map's images.
 
 ``pack`` stores a sequence of ints as one ``bytes`` of machine integers, and

@@ -13,10 +13,8 @@ Four builders share one interface:
 A simplex is the builder's own hashable value -- the int code of a word's
 letters (see ``words.Coding``), a ``CoskeletonFamily`` or a group tuple --
 and its degree k is passed next to it, which a word code needs to be read.
-Faces act letterwise on words; a letter at the top position maps to a
-group element, which is pushed into the tail, and the quotient by the right
-group action simply forgets the tail.  Degree-k truncation by total letter
-count is closed under faces, so every length bound yields a simplicial subset.
+Degree-k truncation by total letter count is closed under faces, so every
+length bound yields a simplicial subset.
 """
 
 from __future__ import annotations
@@ -31,15 +29,13 @@ from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
 from .errors import IndexOutOfRange, ModeMismatch, ResourceBound
 from .words import (
     Letter,
-    WordContext,
     WordMode,
     _fold,
-    context_from_precrossed,
-    context_from_rack,
+    coding,
+    face_table,
     letter_text,
     reduce,
     word_faces,
-    word_letters,
 )
 
 SIMPLEX_CAP = 200_000
@@ -92,21 +88,36 @@ class SimplicialSpec:
 class WordSpec(SimplicialSpec):
     """Envelope and Clauwens quotients: a simplex is the code of a tail-free normal form.
 
-    The code of a degree-k word is an int whose digits are its letters' codes
-    in ``ctx.codings[k]``; ``letters(k, w)`` and ``word(k, letters)`` convert.
+    The one object of a word simplicial set, which the ``words`` functions
+    read: ``obj`` is a pre-crossed module lettered by X in GROUP_SYLLABLE
+    mode, else an augmented rack lettered by its carrier.  A degree-k code's
+    digits are letter codes in ``codings[k]``; ``letters`` and ``word`` convert.
     """
 
-    def __init__(self, name: str, ctx: WordContext):
-        self.name = name
-        self.ctx = ctx
+    def __init__(self, name: str, mode: WordMode, obj):
+        self.name, self.mode = name, mode
+        self.group, self.pi, self.action = obj.group, obj.pi, obj.action
+        if mode is WordMode.GROUP_SYLLABLE:
+            x = obj.x_group
+            self.labels, self.x_table, self.x_identity = x.elements, x.table, x.identity
+        else:
+            self.labels, self.x_table, self.x_identity = obj.carrier, None, None
+        self.codings = Memo(lambda k: coding(self, k))
+        self.face_tables = Memo(lambda k: face_table(self, k))
 
     def letters(self, k: int, w: int) -> tuple[Letter, ...]:
         """The letters of the degree-k word code ``w``."""
-        return word_letters(self.ctx, k, w)
+        coding = self.codings[k]
+        letters, radix = coding.letters, coding.radix
+        out = []
+        while w:
+            w, c = divmod(w, radix)
+            out.append(letters[c])
+        return tuple(reversed(out))
 
     def word(self, k: int, letters) -> int:
         """The degree-k code of the normal form of ``letters``."""
-        return reduce(self.ctx, k, letters)
+        return reduce(self, k, letters)
 
     def _enumerate(self, k, length_bound, cap, nondegenerate):
         """Normal-form words of length <= length_bound, in (length, text) order.
@@ -126,7 +137,7 @@ class WordSpec(SimplicialSpec):
         if nondegenerate and k > length_bound:
             return []
         what = "nondegenerate simplices" if nondegenerate else "simplices"
-        coding = self.ctx.codings[k]
+        coding = self.codings[k]
         push, radix = coding.push, coding.radix
         # follow[c]: each code with the bit of its position that push appends
         # after the last code c, rather than merging or cancelling; the empty
@@ -170,24 +181,24 @@ class WordSpec(SimplicialSpec):
         """The code of d_i, tail dropped."""
         if not 0 <= i <= k:
             raise IndexOutOfRange(f"face {i} undefined in degree {k}")
-        return next(word_faces(self.ctx, k, (simplex,)))[i]
+        return next(word_faces(self, k, (simplex,)))[i]
 
     def faces(self, k, simplices):
         """All faces of each word along shared prefixes, as ``word_faces`` walks them."""
-        return word_faces(self.ctx, k, simplices)
+        return word_faces(self, k, simplices)
 
     def degeneracy(self, k, simplex, i):
         """s_i: a letter at position j moves to j + 1 when i <= j, folded straight to a code."""
         if not 0 <= i <= k:
             raise IndexOutOfRange(f"degeneracy {i} undefined in degree {k}")
         move = tuple([j if j < i else j + 1 for j in range(k)])
-        return _fold(self.ctx, k + 1, self.letters(k, simplex), move)
+        return _fold(self, k + 1, self.letters(k, simplex), move)
 
     def encode(self, k, simplex):
-        return letter_text(self.ctx, self.letters(k, simplex))
+        return letter_text(self, self.letters(k, simplex))
 
     def describe(self):
-        return f"{self.name}[{self.ctx.mode.value}]"
+        return f"{self.name}[{self.mode.value}]"
 
 
 class CoskeletonFamily(value_type("CoskeletonFamily", "vertices edges")):
@@ -360,9 +371,9 @@ def build_envelope(obj) -> WordSpec:
     """Envelope quotient: group syllables for a pre-crossed module, free letters
     for an augmented rack (the envelope of its free pre-crossed module)."""
     if isinstance(obj, PreCrossedModule):
-        return WordSpec("envelope", context_from_precrossed(obj))
+        return WordSpec("envelope", WordMode.GROUP_SYLLABLE, obj)
     if isinstance(obj, AugmentedRack):
-        return WordSpec("envelope", context_from_rack(obj, WordMode.FREE_LETTER))
+        return WordSpec("envelope", WordMode.FREE_LETTER, obj)
     raise ModeMismatch("an envelope needs a pre-crossed module or an augmented rack")
 
 
@@ -370,7 +381,7 @@ def build_clauwens(rack: AugmentedRack) -> WordSpec:
     """Quotient of the simplicial free monoid on the rack graph by the group relations."""
     if not isinstance(rack, AugmentedRack):
         raise ModeMismatch("the Clauwens builder requires an augmented rack")
-    return WordSpec("clauwens", context_from_rack(rack, WordMode.MONOID_LETTER))
+    return WordSpec("clauwens", WordMode.MONOID_LETTER, rack)
 
 
 def build_coskeleton(module: PreCrossedModule) -> CoskeletonSpec:

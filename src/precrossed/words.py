@@ -14,27 +14,28 @@ the envelope modulo the base group, which forgets the tail; so a word here
 has none.  The top face turns letters into group elements, and carrying g
 right past a letter twists its base, g * (x)_j = (x^(g^-1))_j * g.
 
-A word of degree k is a single int, its code: each letter is coded by
-its rank in the degree's alphabet, listed in the order of the letter texts
-and counted from 1, and the codes are the word's digits in radix (alphabet
-size + 1), first letter most significant (see ``Coding``).  Each mode's
-merge/cancel rule is written once, as the ``push`` of a degree's
-``Coding``, which adds one letter code to a word code.  ``word_faces`` walks
-the digits of word codes along the prefixes that consecutive words share,
-and is the one face routine; the twist is written once, in the face tables
-it reads (``WordContext._face_table``).  ``reduce`` folds any checked
-letters through ``push`` into the code of their normal form, and
-``word_letters`` decodes a code.  The tables of a degree are built on its
-first use.
+A word of degree k is a single int, its code, whose digits are the codes
+of its letters (see ``Coding``).  Each mode's merge/cancel rule is written
+once, as the ``push`` of a degree's ``Coding``, which adds one letter code
+to a word code.  ``word_faces`` walks the digits of word codes along the
+prefixes that consecutive words share, and is the one face routine; the
+twist is written once, in ``face_table``.  ``reduce`` folds any checked
+letters through ``push`` into a code.
+
+The functions take the word simplicial set, ``simplicial.WordSpec``, as
+``spec`` and read: ``mode``; the base ``group``; ``pi[b]``, the group value
+of letter base b, and ``action[b][g]``, its twist b^g; ``labels``, the
+letter base texts; X's ``x_table`` and ``x_identity`` (None outside
+GROUP_SYLLABLE); and ``codings[k]`` and ``face_tables[k]``, ``coding`` and
+``face_table`` of degree k, kept on first read.
 """
 
 from __future__ import annotations
 
-# Iterable and Iterator in annotations are the collections.abc classes; PEP 563
-# keeps annotations as strings, so that module is never imported
+# Iterable, Iterator (collections.abc) and WordSpec (simplicial) in annotations
+# are never imported: PEP 563 keeps annotations as strings
 
-from ._values import Memo, value_type
-from .algebra import AugmentedRack, FiniteGroup, PreCrossedModule
+from ._values import value_type
 from .errors import IndexOutOfRange, ModeMismatch
 
 
@@ -53,111 +54,6 @@ class Letter(value_type("Letter", "base sign position")):
     """One letter: a base index, a sign (+1, or -1 only in FREE_LETTER mode), a position."""
 
     __slots__ = ()
-
-
-class WordContext:
-    """Everything word arithmetic needs about one envelope or monoid.
-
-    ``action[b][g]`` is the base twist b^g, ``pi[b]`` the group value of a
-    letter base; ``x_table``/``x_identity`` are set only in GROUP_SYLLABLE mode.
-    ``codings[k]`` and ``face_tables[k]`` are built on the first read of each
-    degree k and kept.
-    """
-
-    def __init__(self, mode: WordMode, group: FiniteGroup, pi: tuple[int, ...],
-                 action: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
-                 x_table: tuple[tuple[int, ...], ...] | None = None,
-                 x_identity: int | None = None):
-        self.mode = mode
-        self.group = group
-        self.pi = pi
-        self.action = action
-        self.labels = labels
-        self.alphabet_size = len(labels)
-        self.x_table = x_table
-        self.x_identity = x_identity
-        self.codings = Memo(self._coding)
-        self.face_tables = Memo(self._face_table)
-
-    def alphabet(self, k: int) -> list[Letter]:
-        """Every letter that does not vanish on its own in degree k, in the order of its text.
-
-        Those are the group syllables other than the identity, free letters
-        of either sign and monoid letters, at positions 0..k-1.
-        """
-        signs = (1, -1) if self.mode is WordMode.FREE_LETTER else (1,)
-        letters = [Letter(b, s, j) for j in range(k) for b in range(self.alphabet_size)
-                   for s in signs if b != self.x_identity]
-        return sorted(letters, key=lambda lt: letter_text(self, (lt,)))
-
-    def _coding(self, k: int) -> Coding:
-        """The codes of degree k, and the reduction rule of the mode on them.
-
-        ``push(w, c)`` returns the word code ``w`` with the letter of code c
-        added on the right: group syllables at one position merge through
-        the X table and identities vanish, free letters cancel against an
-        adjacent exact inverse, monoid letters never reduce.  The empty word
-        is 0, whose last digit 0 is no letter's code.
-        """
-        letters = [None, *self.alphabet(k)]
-        radix = len(letters)
-        codes = {lt: c for c, lt in enumerate(letters) if c}
-        if self.mode is WordMode.GROUP_SYLLABLE:
-            table = self.x_table
-            pos = [-1] + [j for _, _, j in letters[1:]]
-            # merged[t][c]: the code of the syllable t.c, 0 for the identity;
-            # read only where t and c share a position
-            merged = [()] + [[0] + [codes.get((table[a][b], 1, i), 0) if j == i else 0
-                                    for b, _, j in letters[1:]]
-                             for a, _, i in letters[1:]]
-
-            def push(w, c):
-                t = w % radix
-                if pos[t] != pos[c]:
-                    return w * radix + c
-                # the new last letter has another position, so one merge suffices
-                m = merged[t][c]
-                return w - t + m if m else w // radix
-        elif self.mode is WordMode.FREE_LETTER:
-            inverse = [0] + [codes[b, -s, j] for b, s, j in letters[1:]]
-
-            def push(w, c):
-                if w % radix == inverse[c]:
-                    return w // radix
-                return w * radix + c
-        else:
-            def push(w, c):
-                return w * radix + c
-        return Coding(letters, codes, radix, push)
-
-    def _face_table(self, k: int) -> tuple[list, list, list]:
-        """What each degree-k code c becomes in the faces of a word (k >= 1).
-
-        ``lowered[c][i]`` is the degree-(k-1) code of c in d_i for i < k, 0
-        where d_0 drops a letter at position 0.  For d_k, a letter at the top
-        position k-1 becomes the group element ``value[c]``, pi(base)^sign;
-        any other letter twisted by g^-1 has the code ``twisted[c][g]``, and
-        ``twisted[c]`` is None at the top position.
-        """
-        top = k - 1
-        below = self.codings[top].codes
-        inv, pi, action = self.group.inverse, self.pi, self.action
-        lowered: list = [()]
-        twisted: list = [None]
-        value: list = [None]
-        for b, s, j in self.codings[k].letters[1:]:
-            # d_i sends position j to j - 1 for i <= j and keeps it for j < i < k;
-            # below holds no letter at position k - 1, which only d_k reaches
-            moved = below[b, s, j - 1] if j else 0
-            lowered.append((moved,) * (j + 1) + (below.get((b, s, j)),) * (top - j))
-            if j == top:
-                twisted.append(None)
-                value.append(pi[b] if s > 0 else inv[pi[b]])
-            else:
-                # inv[g] is g^-1, so entry g is the code of (b^(g^-1), s, j)
-                twisted.append(tuple([below[action[b][h], s, j] for h in inv]))
-                value.append(None)
-        return lowered, twisted, value
 
 
 class Coding:
@@ -180,41 +76,100 @@ class Coding:
         self.push = push
 
 
-def context_from_precrossed(module: PreCrossedModule) -> WordContext:
-    return WordContext(
-        mode=WordMode.GROUP_SYLLABLE,
-        group=module.group,
-        pi=module.pi,
-        action=module.action,
-        labels=module.x_group.elements,
-        x_table=module.x_group.table,
-        x_identity=module.x_group.identity,
-    )
+def alphabet(spec: WordSpec, k: int) -> list[Letter]:
+    """Every letter that does not vanish on its own in degree k, in the order of its text.
+
+    Those are the group syllables other than the identity, free letters
+    of either sign and monoid letters, at positions 0..k-1.
+    """
+    signs = (1, -1) if spec.mode is WordMode.FREE_LETTER else (1,)
+    letters = [Letter(b, s, j) for j in range(k) for b in range(len(spec.labels))
+               for s in signs if b != spec.x_identity]
+    return sorted(letters, key=lambda lt: letter_text(spec, (lt,)))
 
 
-def context_from_rack(rack: AugmentedRack, mode: WordMode) -> WordContext:
-    if mode is WordMode.GROUP_SYLLABLE:
-        raise ModeMismatch("GROUP_SYLLABLE requires a pre-crossed module")
-    return WordContext(
-        mode=mode,
-        group=rack.group,
-        pi=rack.pi,
-        action=rack.action,
-        labels=rack.carrier,
-    )
+def coding(spec: WordSpec, k: int) -> Coding:
+    """The codes of degree k, and the reduction rule of the mode on them.
+
+    ``push(w, c)`` returns the word code ``w`` with the letter of code c
+    added on the right: group syllables at one position merge through
+    the X table and identities vanish, free letters cancel against an
+    adjacent exact inverse, monoid letters never reduce.  The empty word
+    is 0, whose last digit 0 is no letter's code.
+    """
+    letters = [None, *alphabet(spec, k)]
+    radix = len(letters)
+    codes = {lt: c for c, lt in enumerate(letters) if c}
+    if spec.mode is WordMode.GROUP_SYLLABLE:
+        table = spec.x_table
+        pos = [-1] + [j for _, _, j in letters[1:]]
+        # merged[t][c]: the code of the syllable t.c, 0 for the identity;
+        # read only where t and c share a position
+        merged = [()] + [[0] + [codes.get((table[a][b], 1, i), 0) if j == i else 0
+                                for b, _, j in letters[1:]]
+                         for a, _, i in letters[1:]]
+
+        def push(w, c):
+            t = w % radix
+            if pos[t] != pos[c]:
+                return w * radix + c
+            # the new last letter has another position, so one merge suffices
+            m = merged[t][c]
+            return w - t + m if m else w // radix
+    elif spec.mode is WordMode.FREE_LETTER:
+        inverse = [0] + [codes[b, -s, j] for b, s, j in letters[1:]]
+
+        def push(w, c):
+            if w % radix == inverse[c]:
+                return w // radix
+            return w * radix + c
+    else:
+        def push(w, c):
+            return w * radix + c
+    return Coding(letters, codes, radix, push)
 
 
-def _check_letter(ctx: WordContext, lt: tuple[int, int, int], degree: int) -> None:
+def face_table(spec: WordSpec, k: int) -> tuple[list, list, list]:
+    """What each degree-k code c becomes in the faces of a word (k >= 1).
+
+    ``lowered[c][i]`` is the degree-(k-1) code of c in d_i for i < k, 0
+    where d_0 drops a letter at position 0.  For d_k, a letter at the top
+    position k-1 becomes the group element ``value[c]``, pi(base)^sign;
+    any other letter twisted by g^-1 has the code ``twisted[c][g]``, and
+    ``twisted[c]`` is None at the top position.
+    """
+    top = k - 1
+    below = spec.codings[top].codes
+    inv, pi, action = spec.group.inverse, spec.pi, spec.action
+    lowered: list = [()]
+    twisted: list = [None]
+    value: list = [None]
+    for b, s, j in spec.codings[k].letters[1:]:
+        # d_i sends position j to j - 1 for i <= j and keeps it for j < i < k;
+        # below holds no letter at position k - 1, which only d_k reaches
+        moved = below[b, s, j - 1] if j else 0
+        lowered.append((moved,) * (j + 1) + (below.get((b, s, j)),) * (top - j))
+        if j == top:
+            twisted.append(None)
+            value.append(pi[b] if s > 0 else inv[pi[b]])
+        else:
+            # inv[g] is g^-1, so entry g is the code of (b^(g^-1), s, j)
+            twisted.append(tuple([below[action[b][h], s, j] for h in inv]))
+            value.append(None)
+    return lowered, twisted, value
+
+
+def _check_letter(spec: WordSpec, lt: tuple[int, int, int], degree: int) -> None:
     base, sign, position = lt
     if not 0 <= position < degree:
         raise IndexOutOfRange(f"letter position {position} outside degree {degree}")
-    if not 0 <= base < ctx.alphabet_size:
+    if not 0 <= base < len(spec.labels):
         raise IndexOutOfRange(f"letter base {base} outside the carrier")
-    if sign not in (1, -1) or (sign == -1 and ctx.mode is not WordMode.FREE_LETTER):
-        raise ModeMismatch(f"sign {sign} not allowed in mode {ctx.mode.name}")
+    if sign not in (1, -1) or (sign == -1 and spec.mode is not WordMode.FREE_LETTER):
+        raise ModeMismatch(f"sign {sign} not allowed in mode {spec.mode.name}")
 
 
-def _fold(ctx: WordContext, degree: int, letters: Iterable[tuple[int, int, int]],
+def _fold(spec: WordSpec, degree: int, letters: Iterable[tuple[int, int, int]],
           move: tuple[int, ...] | None = None) -> int:
     """The degree-``degree`` code of ``letters`` re-indexed through ``move``, reduced.
 
@@ -222,7 +177,7 @@ def _fold(ctx: WordContext, degree: int, letters: Iterable[tuple[int, int, int]]
     through the mode's rule; a letter outside the alphabet is an identity
     syllable, which vanishes.
     """
-    coding = ctx.codings[degree]
+    coding = spec.codings[degree]
     codes, push = coding.codes, coding.push
     w = 0
     for b, s, j in letters:
@@ -232,29 +187,18 @@ def _fold(ctx: WordContext, degree: int, letters: Iterable[tuple[int, int, int]]
     return w
 
 
-def reduce(ctx: WordContext, degree: int, letters: Iterable[tuple[int, int, int]]) -> int:
+def reduce(spec: WordSpec, degree: int, letters: Iterable[tuple[int, int, int]]) -> int:
     """The degree-``degree`` code of the normal form of a letter sequence.
 
     Every letter is checked, then folded through the mode's ``push``.
     """
     letters = list(letters)
     for lt in letters:
-        _check_letter(ctx, lt, degree)
-    return _fold(ctx, degree, letters)
+        _check_letter(spec, lt, degree)
+    return _fold(spec, degree, letters)
 
 
-def word_letters(ctx: WordContext, degree: int, w: int) -> tuple[Letter, ...]:
-    """The letters of a degree-``degree`` word code, as ``Letter`` values."""
-    coding = ctx.codings[degree]
-    letters, radix = coding.letters, coding.radix
-    out = []
-    while w:
-        w, c = divmod(w, radix)
-        out.append(letters[c])
-    return tuple(reversed(out))
-
-
-def word_faces(ctx: WordContext, degree: int, words: Iterable[int]) -> Iterator[tuple[int, ...]]:
+def word_faces(spec: WordSpec, degree: int, words: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """``(d_0 w, ..., d_k w)`` for each degree-k word code w, in input order,
     as degree-(k-1) codes, tails dropped.
 
@@ -265,18 +209,18 @@ def word_faces(ctx: WordContext, degree: int, words: Iterable[int]) -> Iterator[
     the previous word and pushes only the letters after it: d_i with i < k
     pushes the letter re-indexed through its face map, d_k multiplies a top
     letter's pi(base)^sign into g and pushes any other letter twisted by
-    g^-1, each read off ``ctx.face_tables[k]``.  Any input order is
+    g^-1, each read off ``spec.face_tables[k]``.  Any input order is
     correct; sorted input shares the most.
     """
     k = degree
     if k == 0:
         raise IndexOutOfRange(f"face 0 undefined in degree {k}")
-    radix = ctx.codings[k].radix
-    push = ctx.codings[k - 1].push
-    lowered, twisted, value = ctx.face_tables[k]
-    mul = ctx.group.table
+    radix = spec.codings[k].radix
+    push = spec.codings[k - 1].push
+    lowered, twisted, value = spec.face_tables[k]
+    mul = spec.group.table
     # states[n]: (lower faces, top face, g) on the first n letters of prev
-    states = [((0,) * k, 0, ctx.group.identity)]
+    states = [((0,) * k, 0, spec.group.identity)]
     prev = 0
     for word in words:
         # the digits of word after its longest common prefix with prev, last
@@ -307,8 +251,8 @@ def word_faces(ctx: WordContext, degree: int, words: Iterable[int]) -> Iterator[
         yield lower + (upper,)
 
 
-def letter_text(ctx: WordContext, letters: tuple) -> str:
+def letter_text(spec: WordSpec, letters: tuple) -> str:
     """The letters as text: `(x@j)`, `(x^-1@j)` for inverses, `1` if there are none."""
-    labels = ctx.labels
+    labels = spec.labels
     return "".join([f"({labels[b]}@{j})" if s >= 0 else f"({labels[b]}^-1@{j})"
                     for b, s, j in letters]) or "1"

@@ -27,18 +27,18 @@ from precrossed.words import Letter, WordMode
 from snf_oracle import from_entries
 
 
-def _push(ctx, out, lt):
-    if ctx.mode is WordMode.GROUP_SYLLABLE:
-        if lt.base == ctx.x_identity:
+def _push(spec, out, lt):
+    if spec.mode is WordMode.GROUP_SYLLABLE:
+        if lt.base == spec.x_identity:
             return
         if out and out[-1].position == lt.position:
             prev = out.pop()
-            merged = ctx.x_table[prev.base][lt.base]
-            if merged != ctx.x_identity:
+            merged = spec.x_table[prev.base][lt.base]
+            if merged != spec.x_identity:
                 out.append(Letter(merged, 1, lt.position))
             return
         out.append(lt)
-    elif ctx.mode is WordMode.FREE_LETTER:
+    elif spec.mode is WordMode.FREE_LETTER:
         if out and out[-1] == Letter(lt.base, -lt.sign, lt.position):
             out.pop()
             return
@@ -47,40 +47,40 @@ def _push(ctx, out, lt):
         out.append(lt)
 
 
-def _reduce(ctx, letters):
+def _reduce(spec, letters):
     out = []
     for lt in letters:
-        _push(ctx, out, Letter(*lt))
+        _push(spec, out, Letter(*lt))
     return tuple(out)
 
 
-def _text(ctx, letters):
-    return "".join(f"({ctx.labels[b]}@{j})" if s > 0 else f"({ctx.labels[b]}^-1@{j})"
+def _text(spec, letters):
+    return "".join(f"({spec.labels[b]}@{j})" if s > 0 else f"({spec.labels[b]}^-1@{j})"
                    for b, s, j in letters) or "1"
 
 
-def reference_words(ctx, k, length_bound, nondegenerate=False):
+def reference_words(spec, k, length_bound, nondegenerate=False):
     """Every tail-free normal form of degree k with at most ``length_bound``
     letters, as ``Letter`` tuples sorted by length, then text; with
     ``nondegenerate`` only those meeting every position 0..k-1.
 
     A word is grown by any letter after which the reference reduction
     changes nothing, and sorted at the end."""
-    signs = (1, -1) if ctx.mode is WordMode.FREE_LETTER else (1,)
-    letters = [Letter(b, s, j) for j in range(k) for b in range(ctx.alphabet_size)
+    signs = (1, -1) if spec.mode is WordMode.FREE_LETTER else (1,)
+    letters = [Letter(b, s, j) for j in range(k) for b in range(len(spec.labels))
                for s in signs]
     level = [()]
     words = [()]
     for _ in range(length_bound):
         level = [w + (lt,) for w in level for lt in letters
-                 if _reduce(ctx, w + (lt,)) == w + (lt,)]
+                 if _reduce(spec, w + (lt,)) == w + (lt,)]
         words += level
     if nondegenerate:
         words = [w for w in words if {j for _, _, j in w} == set(range(k))]
-    return sorted(words, key=lambda w: (len(w), _text(ctx, w)))
+    return sorted(words, key=lambda w: (len(w), _text(spec, w)))
 
 
-def reference_normalize(ctx, items):
+def reference_normalize(spec, items):
     """The normal form ``(letters, tail)`` of ``items``, a sequence of ``Letter``
     values and group element indices (plain ints).
 
@@ -88,19 +88,19 @@ def reference_normalize(ctx, items):
     it, g (x)_j = (x^(g^-1))_j g, so every letter is twisted by the product
     of the group elements before it; the letters are then pushed one by one.
     """
-    group = ctx.group
+    group = spec.group
     g = group.identity
     out = []
     for item in items:
         if isinstance(item, Letter):
-            base = ctx.action[item.base][group.inv(g)]
-            _push(ctx, out, Letter(base, item.sign, item.position))
+            base = spec.action[item.base][group.inv(g)]
+            _push(spec, out, Letter(base, item.sign, item.position))
         else:
             g = group.mul(g, item)
     return tuple(out), g
 
 
-def reference_face(ctx, k, word, i):
+def reference_face(spec, k, word, i):
     """d_i of a degree-k word ``(letters, tail)``, tail kept.
 
     A letter at position j in degree k goes to: nothing when i = j = 0, the
@@ -110,11 +110,11 @@ def reference_face(ctx, k, word, i):
     """
     assert k >= 1 and 0 <= i <= k
     letters, tail = word
-    group = ctx.group
+    group = spec.group
     items = []
     for b, s, j in letters:
         if j == k - 1 and i == k:
-            g = ctx.pi[b]
+            g = spec.pi[b]
             items.append(g if s > 0 else group.inv(g))
         elif i > j:
             items.append(Letter(b, s, j))
@@ -122,22 +122,21 @@ def reference_face(ctx, k, word, i):
             continue
         else:
             items.append(Letter(b, s, j - 1))
-    return reference_normalize(ctx, [*items, tail])
+    return reference_normalize(spec, [*items, tail])
 
 
 def reference_boundaries(spec, m_max, length_bound):
     """Boundary matrices d_1..d_(m_max+1) on the ``nondegenerate`` bases, faces through
     ``reference_face`` with the tail forgotten."""
-    ctx = spec.ctx
     bases = [spec.nondegenerate(k, length_bound) for k in range(m_max + 2)]
     out = []
     for k in range(1, m_max + 2):
         index = {spec.letters(k - 1, s): r for r, s in enumerate(bases[k - 1])}
         entries = {}
         for c, s in enumerate(bases[k]):
-            w = (spec.letters(k, s), ctx.group.identity)
+            w = (spec.letters(k, s), spec.group.identity)
             for i in range(k + 1):
-                r = index.get(reference_face(ctx, k, w, i)[0])
+                r = index.get(reference_face(spec, k, w, i)[0])
                 if r is not None:
                     entries[r, c] = entries.get((r, c), 0) + (-1) ** i
         out.append(from_entries(len(bases[k - 1]), len(bases[k]), entries))
@@ -148,7 +147,7 @@ def _pairs(k):
     return [(a, b) for a in range(k + 1) for b in range(a + 1, k + 1)]
 
 
-def reference_canonical_rule(module, ctx):
+def reference_canonical_rule(module, spec):
     """The canonical map to the coskeleton by iterated faces, one chain per vertex and edge.
 
     Vertex a is the tail of the word after every face but d_a (highest
@@ -162,7 +161,7 @@ def reference_canonical_rule(module, ctx):
     def evaluate(k, word, keep):
         for idx in range(k, -1, -1):
             if idx not in keep:
-                word = reference_face(ctx, k, word, idx)
+                word = reference_face(spec, k, word, idx)
                 k -= 1
         return word
 

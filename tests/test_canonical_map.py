@@ -22,7 +22,7 @@ def test_rule_matches_iterated_faces_on_desk_words(registry):
     for name, bound in LENGTHS.items():
         module = registry.precrossed[name]
         cmap = canonical_to_coskeleton(module)
-        reference = reference_canonical_rule(module, cmap.source.ctx)
+        reference = reference_canonical_rule(module, cmap.source)
         for k in range(4):
             for s in cmap.source.simplices(k, bound):  # degenerate words included
                 fam = cmap.rule(k, s)
@@ -46,15 +46,15 @@ def test_rule_matches_iterated_faces_on_generated_ids3_words(registry, case):
     k, raw = case
     module = registry.precrossed["IDS3"]
     cmap = canonical_to_coskeleton(module)
-    reference = reference_canonical_rule(module, cmap.source.ctx)
-    code = reduce(cmap.source.ctx, k, [Letter(x, 1, j) for x, j in raw])
+    reference = reference_canonical_rule(module, cmap.source)
+    code = reduce(cmap.source, k, [Letter(x, 1, j) for x, j in raw])
     word = cmap.source.letters(k, code)
     fam = cmap.rule(k, code)
     assert (fam.vertices, fam.edges) == reference(k, word)
     # the sweep is a product over letters, so it reads an unreduced word the
     # same way: the raw letters' codes as digits, with no push between them
     # (an identity letter has no code; the sweep multiplies it away)
-    coding = cmap.source.ctx.codings[k]
+    coding = cmap.source.codings[k]
     unreduced = 0
     for x, j in raw:
         if x != module.x_group.identity:

@@ -17,7 +17,16 @@ from precrossed.cli import (
     main,
     parse_text,
 )
-from precrossed.errors import ParseError, PrecrossedError
+from precrossed.errors import (
+    ActionInvalid,
+    NoIdentity,
+    NotBijective,
+    NotEquivariant,
+    NotHomomorphism,
+    NotLatinSquare,
+    ParseError,
+    PrecrossedError,
+)
 
 
 def run(argv, capsys):
@@ -105,6 +114,43 @@ def test_empty_permutation_exits_one(capsys, tmp_path):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err == "error: line 1: group 'G' has an empty permutation\n"
+
+
+# Registries that parse but fail a validation rule of their objects, each with
+# the error class that parse_text raises and the one line that validate prints
+INVALID = {
+    "latin-square-without-identity": (
+        "group G\n  table: 0,2,1 / 2,1,0 / 1,0,2\n",
+        NoIdentity, "no two-sided identity element"),
+    "group-row-with-a-repeat": (
+        "group G\n  table: 0,0 / 1,0\n", NotLatinSquare, "row 0 is not a permutation"),
+    "augrack-action-outside-the-carrier": (
+        "group Z2\n  table: 0,1 / 1,0\naugrack A\n  group: Z2\n  size: 1\n  pi: 1\n"
+        "  action: 0,1\n",
+        ActionInvalid, "row 0 has an entry outside the carrier"),
+    "rack-entry-outside": (
+        "rack R\n  table: 0,3 / 1,0\n", NotBijective, "row 0 has an entry outside 0..1"),
+    "precrossed-pi-outside-g": (
+        "group Z2\n  table: 0,1 / 1,0\nprecrossed P\n  x: Z2\n  g: Z2\n  pi: 0,2\n"
+        "  action: trivial\n",
+        NotHomomorphism, "pi has a value outside the group"),
+    "identity-pi-with-trivial-action": (
+        "group S3\n  perms: 1,0,2 / 1,2,0\n"
+        "precrossed P\n  x: S3\n  g: S3\n  pi: id\n  action: trivial\n",
+        NotEquivariant, "pi(1^2) != pi(1)^2"),
+}
+
+
+@pytest.mark.parametrize("text, error, message", list(INVALID.values()), ids=list(INVALID))
+def test_invalid_registries_raise_and_exit_one(capsys, tmp_path, text, error, message):
+    with pytest.raises(error) as raised:
+        parse_text(text)
+    assert type(raised.value) is error and str(raised.value) == message
+    path = tmp_path / "reg.txt"
+    path.write_text(text)
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_INPUT, "", f"error: {message}\n")
 
 
 # the desk's S3, R3, TRANS and IDS3 spelled out with a group table and with
@@ -682,6 +728,10 @@ USAGE_ERRORS = {
     "missing-option": (
         ["homology", "FILE", "--pipeline", "envelope", "--max-degree", "1", "--max-length", "2"],
         "the following arguments are required: --object",
+    ),
+    "ambiguous-prefix": (
+        Z2TRIV + ["--m", "2"],
+        "ambiguous option: --m could match --max-degree, --max-length, --machine",
     ),
 }
 

@@ -15,7 +15,7 @@ from face_oracle import reference_face, reference_words
 from precrossed.errors import ResourceBound
 from precrossed.homology import chain_complex, homology
 from precrossed.simplicial import build_clauwens, build_envelope
-from precrossed.words import WordContext
+from precrossed import words
 
 CAP = 2000
 
@@ -46,7 +46,6 @@ def largest_bound(spec, k):
 def check_coding(spec, k, bound):
     """Raise AssertionError unless the degree-k codes at ``bound`` pass the four checks;
     return the number of words checked."""
-    ctx = spec.ctx
     label = (spec.describe(), k, bound)
     checked = 0
     for nondegenerate in (False, True):
@@ -56,12 +55,12 @@ def check_coding(spec, k, bound):
         for w, letters in zip(basis, decoded):
             assert spec.word(k, letters) == w, (label, w, letters)
         assert all(a < b for a, b in zip(basis, basis[1:])), label
-        assert decoded == reference_words(ctx, k, bound, nondegenerate), (label, nondegenerate)
+        assert decoded == reference_words(spec, k, bound, nondegenerate), (label, nondegenerate)
         checked += len(basis)
     if k:
         for letters, faces in zip(decoded, spec.faces(k, basis)):
-            word = (letters, ctx.group.identity)
-            want = tuple(reference_face(ctx, k, word, i)[0] for i in range(k + 1))
+            word = (letters, spec.group.identity)
+            want = tuple(reference_face(spec, k, word, i)[0] for i in range(k + 1))
             assert tuple(spec.letters(k - 1, f) for f in faces) == want, (label, letters)
     return checked
 
@@ -83,15 +82,15 @@ def mutation_specs(registry):
 def test_swapped_codes_in_one_degree_fail_the_checks(registry, monkeypatch):
     # the degree-2 table is built from an alphabet with its first two letters
     # swapped: codes and letters still agree, but not with the text order
-    alphabet = WordContext.alphabet
+    alphabet = words.alphabet
 
-    def swapped(self, k):
-        letters = alphabet(self, k)
+    def swapped(spec, k):
+        letters = alphabet(spec, k)
         if k == 2:
             letters[0], letters[1] = letters[1], letters[0]
         return letters
 
-    monkeypatch.setattr(WordContext, "alphabet", swapped)
+    monkeypatch.setattr(words, "alphabet", swapped)
     for spec in mutation_specs(registry):
         check_coding(spec, 1, 2)
         with pytest.raises(AssertionError):
@@ -101,7 +100,7 @@ def test_swapped_codes_in_one_degree_fail_the_checks(registry, monkeypatch):
 def test_swapped_letters_of_two_codes_fail_the_checks(registry):
     # only the decoding side of the built degree-2 table is swapped
     for spec in mutation_specs(registry):
-        letters = spec.ctx.codings[2].letters
+        letters = spec.codings[2].letters
         letters[1], letters[2] = letters[2], letters[1]
         check_coding(spec, 1, 2)
         with pytest.raises(AssertionError):

@@ -11,7 +11,7 @@ from face_oracle import reference_boundaries, reference_face
 from precrossed.errors import IndexOutOfRange, ResourceBound
 from precrossed.homology import chain_complex, gaussian_rank, homology
 from precrossed.simplicial import build_clauwens, build_coskeleton, build_envelope, build_nerve
-from precrossed.words import Letter, WordMode, reduce, word_faces, word_letters
+from precrossed.words import Letter, WordMode, reduce, word_faces
 
 
 def word_specs(registry):
@@ -27,8 +27,7 @@ def word_specs(registry):
 
 def test_face_matches_the_reference_on_desk_words(registry):
     for label, spec in word_specs(registry):
-        ctx = spec.ctx
-        tails = sorted({ctx.group.identity, ctx.group.order - 1})  # and one other, if any
+        tails = sorted({spec.group.identity, spec.group.order - 1})  # and one other, if any
         for bound in range(4):
             for k in range(1, 4):
                 for s in spec.simplices(k, bound):
@@ -39,7 +38,7 @@ def test_face_matches_the_reference_on_desk_words(registry):
                         # a tail changes no face's letters
                         for tail in tails:
                             w = (letters, tail)
-                            assert spec.letters(k - 1, got) == reference_face(ctx, k, w, i)[0], (
+                            assert spec.letters(k - 1, got) == reference_face(spec, k, w, i)[0], (
                                 label, w, i)
                         # a word may be given as plain tuples
                         assert spec.face(k, spec.word(k, plain), i) == got, (label, s, i)
@@ -58,13 +57,12 @@ def walk_words(spec, k):
 def test_walk_matches_the_single_faces_in_any_order(registry):
     shuffle = random.Random(12)
     for label, spec in word_specs(registry):
-        ctx = spec.ctx
         for k in range(1, 5):
             words = walk_words(spec, k)
             want = {}
             for s in words:
-                w = (spec.letters(k, s), ctx.group.identity)
-                want[s] = tuple(reference_face(ctx, k, w, i)[0] for i in range(k + 1))
+                w = (spec.letters(k, s), spec.group.identity)
+                want[s] = tuple(reference_face(spec, k, w, i)[0] for i in range(k + 1))
             mixed = list(words)
             shuffle.shuffle(mixed)
             for order in (words, words[::-1], mixed):
@@ -77,13 +75,13 @@ def test_walk_matches_the_single_faces_in_any_order(registry):
 def test_walk_repeats_and_restarts(registry):
     spec = build_envelope(registry.precrossed["IDS3"])
     words = spec.simplices(2, 3)
-    single = {s: next(word_faces(spec.ctx, 2, [s])) for s in words}
+    single = {s: next(word_faces(spec, 2, [s])) for s in words}
     # each word twice in a row, then the empty word, then everything again
     order = [s for s in words for _ in range(2)] + [0] + list(words)
-    assert list(word_faces(spec.ctx, 2, order)) == [single[s] for s in order]
-    assert list(word_faces(spec.ctx, 2, [])) == []
+    assert list(word_faces(spec, 2, order)) == [single[s] for s in order]
+    assert list(word_faces(spec, 2, [])) == []
     with pytest.raises(IndexOutOfRange):
-        list(word_faces(spec.ctx, 0, [0]))
+        list(word_faces(spec, 0, [0]))
 
 
 def test_default_faces_call_face(registry):
@@ -148,44 +146,43 @@ def test_field_ranks_are_computed_once_per_boundary(registry, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def contexts(registry):
+def specs(registry):
     trans = registry.augracks["TRANS"]
     return {
-        "IDS3 group syllables": build_envelope(
-            registry.precrossed["IDS3"]).ctx,
-        "TRANS free letters": build_envelope(trans).ctx,
-        "TRANS Clauwens letters": build_clauwens(trans).ctx,
+        "IDS3 group syllables": build_envelope(registry.precrossed["IDS3"]),
+        "TRANS free letters": build_envelope(trans),
+        "TRANS Clauwens letters": build_clauwens(trans),
     }
 
 
 @st.composite
-def words(draw, ctx):
+def words(draw, spec):
     """``(k, code, tail)``: the code of a reduced word of degree 1..4 from up to
     7 raw letters, and any tail."""
     k = draw(st.integers(1, 4))
-    signs = (1, -1) if ctx.mode is WordMode.FREE_LETTER else (1,)
+    signs = (1, -1) if spec.mode is WordMode.FREE_LETTER else (1,)
     raw = draw(st.lists(
-        st.builds(Letter, st.integers(0, ctx.alphabet_size - 1), st.sampled_from(signs),
+        st.builds(Letter, st.integers(0, len(spec.labels) - 1), st.sampled_from(signs),
                   st.integers(0, k - 1)),
         max_size=7))
-    return k, reduce(ctx, k, raw), draw(st.integers(0, ctx.group.order - 1))
+    return k, reduce(spec, k, raw), draw(st.integers(0, spec.group.order - 1))
 
 
 @pytest.mark.parametrize("name", ["IDS3 group syllables", "TRANS free letters",
                                   "TRANS Clauwens letters"])
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
-def test_generated_faces(contexts, name, data):
-    ctx = contexts[name]
-    k, code, tail = data.draw(words(ctx))
-    w = (word_letters(ctx, k, code), tail)
-    faces = next(word_faces(ctx, k, [code]))
+def test_generated_faces(specs, name, data):
+    spec = specs[name]
+    k, code, tail = data.draw(words(spec))
+    w = (spec.letters(k, code), tail)
+    faces = next(word_faces(spec, k, [code]))
     # the walk drops the tail, and a tail changes no face's letters
-    assert tuple(word_letters(ctx, k - 1, f) for f in faces) == tuple(
-        reference_face(ctx, k, w, i)[0] for i in range(k + 1)), w
+    assert tuple(spec.letters(k - 1, f) for f in faces) == tuple(
+        reference_face(spec, k, w, i)[0] for i in range(k + 1)), w
     if k >= 2:
         # d_i d_j = d_(j-1) d_i, from a second walk over the faces
-        again = list(word_faces(ctx, k - 1, faces))
+        again = list(word_faces(spec, k - 1, faces))
         for j in range(1, k + 1):
             for i in range(j):
                 assert again[j][i] == again[i][j - 1], (w, i, j)

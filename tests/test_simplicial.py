@@ -22,7 +22,8 @@ from precrossed.simplicial import (
     canonical_to_coskeleton,
     is_degenerate,
 )
-from precrossed.words import Letter, WordContext
+from precrossed import words
+from precrossed.words import Letter
 
 from face_oracle import check_commutes, check_simplicial_identities
 
@@ -110,12 +111,12 @@ def test_face_merges_positions_to_basepoint():
 
 def test_top_face_applies_pi_and_twists():
     spec = build_envelope(conjugation_module(symmetric_group(3)))
-    g = spec.ctx.group
+    g = spec.group
     for y in range(1, 6):
         for x in range(1, 6):
             w = spec.word(2, [Letter(y, 1, 1), Letter(x, 1, 0)])
             result = spec.face(2, w, 2)
-            expected = spec.ctx.action[x][g.inv(spec.ctx.pi[y])]
+            expected = spec.action[x][g.inv(spec.pi[y])]
             want = spec.word(1, [Letter(expected, 1, 0)])
             assert spec.letters(1, result) == spec.letters(1, want)
 
@@ -401,6 +402,21 @@ def test_canonical_map_commutes():
         check_commutes(cmap, 3, 2)
 
 
+def test_face_and_degeneracy_indices_outside_0_to_k_raise(registry):
+    module, rack = registry.precrossed["IDS3"], registry.augracks["TRANS"]
+    specs = [build_envelope(module), build_envelope(rack), build_clauwens(rack),
+             build_coskeleton(module), build_nerve(module.group)]
+    for spec in specs:
+        for k in (1, 2):
+            s = spec.simplices(k, 2)[-1]
+            for i in (-1, k + 1):
+                with pytest.raises(IndexOutOfRange, match=f"face {i} undefined in degree {k}"):
+                    spec.face(k, s, i)
+                with pytest.raises(IndexOutOfRange,
+                                   match=f"degeneracy {i} undefined in degree {k}"):
+                    spec.degeneracy(k, s, i)
+
+
 def test_word_spec_requires_length_bound():
     spec = build_clauwens(one_rack())
     with pytest.raises(ResourceBound):
@@ -412,10 +428,10 @@ def test_degrees_above_the_length_bound_enumerate_nothing(registry, monkeypatch)
     specs = [build_envelope(registry.augracks["TRANS"]), build_clauwens(registry.augracks["TRANS"]),
              build_envelope(registry.precrossed["IDS3"])]
 
-    def refuse(self, k):
+    def refuse(spec, k):
         raise AssertionError(f"alphabet built in degree {k}")
 
-    monkeypatch.setattr(WordContext, "alphabet", refuse)
+    monkeypatch.setattr(words, "alphabet", refuse)
     for spec in specs:
         for bound in range(3):
             for k in range(bound + 1, bound + 4):

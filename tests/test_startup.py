@@ -1,5 +1,6 @@
 """Start-up cost: what `import precrossed.cli` loads, and the value types that keep it small."""
 
+import ast
 import copy
 import json
 import os
@@ -7,6 +8,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -171,19 +173,18 @@ def test_value_type_contract(make, fields):
         type(a)(*a[:-1])
 
 
-# the package's names, modules among them: an export added or removed shows here
+# the package's names: an export added or removed shows here
 PUBLIC = [
     "AugmentedRack", "ChainComplex", "FiniteGroup", "HomologyGroup", "Letter",
     "PreCrossedModule", "PrecrossedAction", "Rack", "SimplicialMap", "SparseIntMatrix",
-    "WordMode", "algebra", "build_clauwens", "build_coskeleton", "build_envelope",
+    "WordMode", "build_clauwens", "build_coskeleton", "build_envelope",
     "build_nerve", "canonical_to_coskeleton", "chain_complex", "classify_cycle",
     "conjugation_action", "conjugation_module", "conjugation_structure", "cyclic_group",
-    "errors", "gaussian_rank", "group_from_permutations", "group_homology", "homology",
-    "homology_generators", "induced_map", "is_degenerate", "oracles", "precrossed_action",
-    "rack_complex", "reduce", "restrict_to_image", "simplicial", "smith_normal_form",
+    "gaussian_rank", "group_from_permutations", "group_homology", "homology",
+    "homology_generators", "induced_map", "is_degenerate", "precrossed_action",
+    "rack_complex", "reduce", "restrict_to_image", "smith_normal_form",
     "symmetric_group", "tensor_algebra_dims", "trivial_action", "trivial_group",
     "validate_augmented_rack", "validate_group", "validate_precrossed", "validate_rack",
-    "words",
 ]
 
 
@@ -191,6 +192,12 @@ def test_public_names_are_pinned_and_the_readme_lists_their_value_types():
     import precrossed
 
     assert sorted(precrossed.__all__) == PUBLIC
+    # the submodules bound by the package's own imports are not exported
+    assert not any(isinstance(getattr(precrossed, name), types.ModuleType)
+                   for name in precrossed.__all__)
+    namespace = {}
+    exec("from precrossed import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     documented = set(library.split("The value types (", 1)[1].split(")", 1)[0].split("`")[1::2])
@@ -199,6 +206,45 @@ def test_public_names_are_pinned_and_the_readme_lists_their_value_types():
     # type of the package: one removed from it cannot stay in the list
     assert "Letter" in exported and exported <= documented
     assert documented == set(VALUE_TYPES)
+
+
+# each module of the package: the sibling modules it imports
+IMPORTS = {
+    "__init__": {"algebra", "homology", "oracles", "simplicial", "words"},
+    "_values": set(),
+    "algebra": {"_values", "errors"},
+    "cli": {"algebra", "errors", "homology", "oracles", "simplicial"},
+    "errors": set(),
+    "homology": {"_values", "errors"},
+    "oracles": {"algebra", "errors", "homology", "simplicial"},
+    "simplicial": {"_values", "algebra", "errors", "words"},
+    "words": {"_values", "errors"},
+}
+
+
+def sibling_imports(path):
+    """The package modules that the source at ``path`` imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("precrossed."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("precrossed."))
+    return found
+
+
+def test_the_module_import_graph_is_pinned():
+    graph = {path.stem: sibling_imports(path) for path in (SRC / "precrossed").glob("*.py")}
+    assert graph == IMPORTS
+    # the word layer stands on the value types and errors alone; the linear
+    # algebra imports no builder; the reference computations build no words
+    assert graph["words"] == {"_values", "errors"}
+    assert not graph["homology"] & {"words", "simplicial", "oracles"}
+    assert "words" not in graph["oracles"]
 
 
 def test_readme_library_example_repr():
