@@ -32,8 +32,8 @@ from .algebra import (
     validate_precrossed,
     validate_rack,
 )
-from .errors import Incompatible, ParseError, PrecrossedError, ResourceBound
-from .homology import HomologyGroup, chain_complex, homology, induced_map
+from .errors import Incompatible, ParseError, PrecrossedError, ResourceBound, ValidationError
+from .homology import HomologyGroup, chain_complex, field_characteristic, homology, induced_map
 from .oracles import group_homology, rack_complex, tensor_algebra_dims
 from .simplicial import (
     SIMPLEX_CAP,
@@ -144,7 +144,18 @@ class _Parser:
     def _finish(self) -> None:
         if self.block_kind is None:
             return
-        kind, name, keys = self.block_kind, self.block_name, self.keys
+        kind, name = self.block_kind, self.block_name
+        try:
+            obj = self._build(kind, name, self.keys)
+        except ParseError:
+            raise
+        except ValidationError as exc:  # a failed table axiom names the block it is in
+            raise type(exc)(f"{kind} {name}: {exc}") from None
+        self.registry.tables()[kind][name] = obj
+        self.block_kind = None
+
+    def _build(self, kind: str, name: str, keys: dict[str, str]):
+        """The object of one block, built from its key lines and validated."""
         if kind == "group":
             if "perms" in keys:
                 self._need("perms")
@@ -153,18 +164,18 @@ class _Parser:
                     raise ParseError(
                         f"line {self.block_line}: group {name!r} has an empty permutation"
                     )
-                obj = group_from_permutations(perms)
+                return group_from_permutations(perms)
             else:
                 self._need("table")
-                obj = validate_group(_rows(keys["table"], "table"))
+                return validate_group(_rows(keys["table"], "table"))
         elif kind == "rack":
             self._need("table")
-            obj = validate_rack(_rows(keys["table"], "table"))
+            return validate_rack(_rows(keys["table"], "table"))
         elif kind == "augrack":
             if "subset" in keys:
                 self._need("group", "subset")
                 group = self._group_ref(keys["group"])
-                obj = conjugation_structure(group, _ints(keys["subset"], "subset"))
+                return conjugation_structure(group, _ints(keys["subset"], "subset"))
             else:
                 self._need("group", "size", "pi", "action")
                 group = self._group_ref(keys["group"])
@@ -174,16 +185,14 @@ class _Parser:
                 pi = _ints(keys["pi"], "pi")
                 action = self._action(keys["action"], group, size, None)
                 labels = [f"x{i}" for i in range(size)]
-                obj = validate_augmented_rack(labels, group, action, pi)
+                return validate_augmented_rack(labels, group, action, pi)
         elif kind == "precrossed":
             self._need("x", "g", "pi", "action")
             xg = self._group_ref(keys["x"])
             g = self._group_ref(keys["g"])
             pi = self._pi(keys["pi"], xg, g)
             action = self._action(keys["action"], g, xg.order, xg)
-            obj = validate_precrossed(xg, g, action, pi)
-        self.registry.tables()[kind][name] = obj
-        self.block_kind = None
+            return validate_precrossed(xg, g, action, pi)
 
     def _pi(self, value: str, xg: FiniteGroup, g: FiniteGroup) -> list[int]:
         if value == "id":
@@ -327,6 +336,18 @@ def cmd_compare_ra(reg: Registry, name: str, max_degree: int, max_length: int,
     return report
 
 
+def _count_below(ascending, bound: int) -> int:
+    """How many items of an ascending sequence are below ``bound``, by bisection."""
+    lo, hi = 0, len(ascending)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ascending[mid] < bound:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths: list[int],
                   cap: int | None = None) -> Report:
     kind, obj = reg.lookup(name)
@@ -341,9 +362,17 @@ def cmd_check_tri(reg: Registry, name: str, max_degree: int, coeff: str, lengths
     generators = [(m, h.betti) for m, h in enumerate(group_homology(obj, max_degree, coeff, cap))
                   if m and h.betti]
     expected = [tensor_algebra_dims(generators, m) for m in range(max_degree + 1)]
-    table = {length: [h.betti for h, _ in _homology_at("precrossed", module, "envelope",
-                                                       range(max_degree + 1), length, cap, coeff)]
-             for length in lengths}
+    # one complex at the longest length; each shorter one is its leading blocks
+    comp = _pipeline_complex("precrossed", module, "envelope", max_degree, max(lengths), cap)
+    p = field_characteristic(coeff)
+    pivots = [comp.field_pivots(k, p) for k in range(max_degree + 2)]
+    table = {}
+    for length in lengths:
+        # a word of at most `length` letters codes below radix^length
+        dims = [_count_below(basis, comp.spec.codings[k].radix ** length) if basis else 0
+                for k, basis in enumerate(comp.bases)]
+        ranks = [_count_below(cols, dim) for cols, dim in zip(pivots, dims)]
+        table[length] = [dims[m] - ranks[m] - ranks[m + 1] for m in range(max_degree + 1)]
     compare_at = {m: (m + 1 if m + 1 in lengths else max(lengths)) for m in range(max_degree + 1)}
     agree = all(table[compare_at[m]][m] == expected[m] for m in range(max_degree + 1))
     report = _capped_report(

@@ -11,12 +11,15 @@ d_k, which keeps the invariant factors.  A logged run records the elementary
 operations of one side, rows or columns, and the generator route replays the
 side it reads where it needs a transform.  Field Betti numbers use ranks by
 column insertion instead, computed bottom-up with the rows that the pivots
-one degree down account for dropped.  Each column is reduced at its leading
-(largest) row against one stored pivot vector per row, kept in two
-row-indexed lists (leading entries, with dropped rows marked, and tuples of
-the other pairs): normalized to a leading 1 over GF(p), and reduced by
-fraction-free integer steps over Q.  The two coefficient routes share no
-code.
+one degree down account for dropped, and with clearing: a column of d_k that
+is the largest row of a column of d_(k+1) is passed over, since that column
+of d_(k+1) makes it a combination of the columns before it.  Neither changes
+the pivot columns, the first column basis in index order.  Each column is
+reduced at its leading (largest) row against one stored pivot vector per
+row, kept in two row-indexed lists (leading entries, with dropped rows
+marked, and tuples of the other pairs): normalized to a leading 1 over
+GF(p), and reduced by fraction-free integer steps over Q.  The two
+coefficient routes share no code.
 
 Boundary matrices are built by one function, ``assemble_complex``, for every
 complex: each simplex's faces are summed with signs +1, -1, ... in the order
@@ -27,8 +30,10 @@ its simplex first reach each row.  A field whose ints do not fit keeps them
 as a tuple, so every entry stays exact.  Every reader walks a matrix once,
 column by column (``SparseIntMatrix.walk``): the Smith form builds its own
 row dicts and column holder dicts from it, and the field ranks copy one
-column at a time.  The d o d check decodes d_(k-1) into column tuples, with
-one shared (row, +-1) pair per row, and walks d_k against them.
+column at a time, passing over cleared columns undecoded.  Clearing reads
+the largest row of each column off a slice of the packed rows.  The d o d
+check decodes d_(k-1) into column tuples, with one shared (row, +-1) pair
+per row, and walks d_k against them.
 """
 
 from __future__ import annotations
@@ -67,20 +72,29 @@ class SparseIntMatrix(value_type("SparseIntMatrix", "rows cols starts index valu
             starts.append(len(index))
         return cls(rows, cols, pack(starts, "i"), pack(index, "i"), pack(values, "b"))
 
-    def walk(self):
+    def walk(self, skip=None):
         """One iterator of (row, value) pairs per column, in column order.
 
         The columns are read off one pass over the nonzeros, so, as with the
         groups of ``itertools.groupby``, a column's iterator is only valid
         until the next one is taken; what was left unread of it is skipped.
+        A column c with ``skip[c]`` set is given as empty, and its pairs are
+        not decoded: the pass starts again at the next column read.
         """
         starts = unpacked(self.starts, "i")
-        pairs = zip(unpacked(self.index, "i"), unpacked(self.values, "b"))
-        for a, b in zip(starts, starts[1:]):
+        index, values = unpacked(self.index, "i"), unpacked(self.values, "b")
+        pairs, at = zip(index, values), 0
+        for c, (a, b) in enumerate(zip(starts, starts[1:])):
+            if skip is not None and skip[c]:
+                yield ()
+                continue
+            if a != at:  # past skipped columns
+                pairs = zip(index[a:], values[a:])
             col = islice(pairs, b - a)
             yield col
             for _ in col:
                 pass
+            at = b
 
     @property
     def columns(self) -> list[tuple[tuple[int, int], ...]]:
@@ -331,8 +345,32 @@ def smith_normal_form(mat: SparseIntMatrix, log: str | None = None, *,
     return SNFResult(diag, *orders, state.row_ops, state.col_ops, unit_cols)
 
 
+def clearing_marks(upper: SparseIntMatrix, p: int | None = None) -> bytearray:
+    """One byte per column of d_k, from upper = d_(k+1): set at each column
+    index that is the largest row of a column of d_(k+1) holding a nonzero
+    there, nonzero mod p over GF(p).
+
+    Such a column of d_(k+1) lies in ker d_k with its last nonzero at row i,
+    so column i of d_k is a combination of the columns before it.
+    """
+    marks = bytearray(upper.rows)
+    starts = unpacked(upper.starts, "i")
+    index, values = unpacked(upper.index, "i"), unpacked(upper.values, "b")
+    # the positions of the nonzeros that vanish mod p: only an entry of size p or more can
+    vanish = ()
+    if p and values and max(max(values), -min(values)) >= p:
+        vanish = {n for n, v in enumerate(values) if not v % p}
+    for a, b in zip(starts, starts[1:]):
+        rows = index[a:b]
+        if vanish and not vanish.isdisjoint(range(a, b)):
+            rows = [index[n] for n in range(a, b) if n not in vanish]
+        if rows:
+            marks[max(rows)] = 1
+    return marks
+
+
 def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
-                  drop_rows=()) -> tuple[int, list[int]]:
+                  drop_rows=(), cleared=None) -> tuple[int, list[int]]:
     """(rank, pivot columns) by column insertion over GF(p), or over Q when p is None.
 
     The echelon is two lists indexed by row: the leading entry of the pivot
@@ -341,7 +379,9 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
     copied without the dropped rows, is reduced while its largest row keys a
     stored pivot vector, and is stored under that row if left nonzero.  So a
     column is a pivot exactly when it is independent of the columns before it:
-    the pivot columns are the first column basis in index order.
+    the pivot columns are the first column basis in index order.  A column c
+    with ``cleared[c]`` set, which the caller knows to depend on the columns
+    before it (see ``clearing_marks``), is passed over unread.
     """
     leads: list = [0] * mat.rows
     rests: list = [()] * mat.rows
@@ -349,10 +389,12 @@ def gaussian_rank(mat: SparseIntMatrix, p: int | None = None, *,
         if not 0 <= r < mat.rows:
             raise ValueError(f"drop row {r} is outside range({mat.rows})")
         leads[r] = None
+    if cleared is not None and len(cleared) != mat.cols:
+        raise ValueError(f"{len(cleared)} clearing marks for {mat.cols} columns")
     if p is None:
         from math import gcd  # only the Q route needs it
     pivots: list[int] = []
-    for j, col in enumerate(mat.walk()):
+    for j, col in enumerate(mat.walk(cleared)):
         if p is None:
             v = {r: x for r, x in col if leads[r] is not None}
         else:
@@ -484,12 +526,27 @@ class ChainComplex:
         basis of d_(k-1), and d_(k-1) d_k = 0, so a column of d_k that vanishes
         off Q is zero: dropping Q is injective on im d_k, and the pivot columns
         of the compressed d_k are again a column basis of d_k.
+
+        They are also computed with clearing: the columns of d_k that
+        ``clearing_marks`` reads off d_(k+1) are passed over.  A column of
+        d_(k+1) is a relation among the columns of d_k; if its last term
+        nonzero in the field sits at row i, column i of d_k depends on the
+        columns before it and is no pivot.  The pivots are still the first
+        column basis of d_k in index order, the same list as without
+        clearing, so the compression of d_(k+1) is unchanged.
         """
         for j in range(k + 1):
             if (j, p) not in self._rank_cache:
                 below = self._rank_cache[j - 1, p][1] if j else ()
-                self._rank_cache[j, p] = gaussian_rank(self.boundaries[j], p, drop_rows=below)
+                above = clearing_marks(self.boundaries[j + 1], p) if j < self.max_degree else None
+                self._rank_cache[j, p] = gaussian_rank(self.boundaries[j], p, drop_rows=below,
+                                                       cleared=above)
         return self._rank_cache[k, p][0]
+
+    def field_pivots(self, k: int, p: int | None) -> list[int]:
+        """The pivot columns ``field_rank`` found in d_k: its first column basis in index order."""
+        self.field_rank(k, p)
+        return self._rank_cache[k, p][1]
 
 
 def _assert_composes_to_zero(upper: SparseIntMatrix, lower: SparseIntMatrix, k: int) -> None:

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from precrossed.algebra import trivial_action, trivial_group, validate_precrossed
 from precrossed.cli import (
     EXIT_DISAGREE,
     EXIT_INPUT,
     EXIT_RESOURCE,
+    cmd_check_tri,
     main,
     parse_text,
 )
@@ -27,6 +29,8 @@ from precrossed.errors import (
     ParseError,
     PrecrossedError,
 )
+from precrossed.homology import chain_complex, homology
+from precrossed.simplicial import build_envelope
 
 
 def run(argv, capsys):
@@ -121,23 +125,23 @@ def test_empty_permutation_exits_one(capsys, tmp_path):
 INVALID = {
     "latin-square-without-identity": (
         "group G\n  table: 0,2,1 / 2,1,0 / 1,0,2\n",
-        NoIdentity, "no two-sided identity element"),
+        NoIdentity, "group G: no two-sided identity element"),
     "group-row-with-a-repeat": (
-        "group G\n  table: 0,0 / 1,0\n", NotLatinSquare, "row 0 is not a permutation"),
+        "group G\n  table: 0,0 / 1,0\n", NotLatinSquare, "group G: row 0 is not a permutation"),
     "augrack-action-outside-the-carrier": (
         "group Z2\n  table: 0,1 / 1,0\naugrack A\n  group: Z2\n  size: 1\n  pi: 1\n"
         "  action: 0,1\n",
-        ActionInvalid, "row 0 has an entry outside the carrier"),
+        ActionInvalid, "augrack A: row 0 has an entry outside the carrier"),
     "rack-entry-outside": (
-        "rack R\n  table: 0,3 / 1,0\n", NotBijective, "row 0 has an entry outside 0..1"),
+        "rack R\n  table: 0,3 / 1,0\n", NotBijective, "rack R: row 0 has an entry outside 0..1"),
     "precrossed-pi-outside-g": (
         "group Z2\n  table: 0,1 / 1,0\nprecrossed P\n  x: Z2\n  g: Z2\n  pi: 0,2\n"
         "  action: trivial\n",
-        NotHomomorphism, "pi has a value outside the group"),
+        NotHomomorphism, "precrossed P: pi has a value outside the group"),
     "identity-pi-with-trivial-action": (
         "group S3\n  perms: 1,0,2 / 1,2,0\n"
         "precrossed P\n  x: S3\n  g: S3\n  pi: id\n  action: trivial\n",
-        NotEquivariant, "pi(1^2) != pi(1)^2"),
+        NotEquivariant, "precrossed P: pi(1^2) != pi(1)^2"),
 }
 
 
@@ -466,6 +470,35 @@ def test_check_tri_cap_reaches_the_nerve(desk_path, capsys):
     assert out == ""
     assert err == ("error: resource bound exceeded: nerve degree 6 exceeds 15624 "
                    "nondegenerate simplices\n")
+
+
+def test_check_tri_cap_names_the_longest_length(desk_path, capsys):
+    # check-tri enumerates at the longest length alone, so that is the length named
+    code = main(["check-tri", desk_path, "--object", "Z3", "--coeff", "F3", "--max-degree", "4",
+                 "--lengths", "1..7"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == ("error: resource bound exceeded: envelope[group] degree 3 exceeds 5000 "
+                   "nondegenerate simplices at length 7\n")
+
+
+@pytest.mark.parametrize("name, max_degree", [("TRIV", 4), ("Z2", 4), ("Z3", 4), ("S3", 1)])
+def test_check_tri_table_is_the_homology_at_each_length(registry, name, max_degree):
+    # the table is read off the leading blocks of one complex: each cell must
+    # equal the Betti number of the complex built at its own length
+    group, base = registry.groups[name], trivial_group()
+    module = validate_precrossed(group, base, trivial_action(base, group.order),
+                                 [base.identity] * group.order)
+    spec = build_envelope(module)
+    complexes = {length: chain_complex(spec, max_degree, length, cap=20_000)
+                 for length in range(6)}
+    for coeff in ("Q", "F2", "F3"):
+        for lengths in ([1, 2, 3, 4, 5], [5, 3, 3, 0]):
+            report = cmd_check_tri(registry, name, max_degree, coeff, lengths, cap=20_000)
+            rows = [line.split() for line in report.lines[2:]][:max_degree + 1]
+            assert [row[2:] for row in rows] == [
+                [str(homology(complexes[length], m, coeff).betti) for length in lengths]
+                for m in range(max_degree + 1)], (name, coeff, lengths)
 
 
 def test_compare_ra_agree(desk_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from face_oracle import reference_face, reference_words
 from precrossed.errors import ResourceBound
-from precrossed.homology import chain_complex, homology
+from precrossed.homology import SparseIntMatrix, chain_complex, homology
 from precrossed.simplicial import build_clauwens, build_envelope
 from precrossed import words
 
@@ -71,6 +71,31 @@ def test_codes_round_trip_in_text_order_with_the_reference_faces(registry, rack_
         for k in range(5):
             checked += check_coding(spec, k, largest_bound(spec, k))
     assert checked == 83165
+
+
+def test_shorter_lengths_are_leading_blocks(registry):
+    # a word of at most L letters codes below radix^L, and its faces are as
+    # short: the complex at L is the leading blocks of the complex at any
+    # longer length, basis by basis and boundary by packed boundary
+    for label, spec in coding_specs(registry):
+        for top in range(4, 0, -1):
+            try:
+                comp = chain_complex(spec, 2, top, cap=CAP)
+                break
+            except ResourceBound:
+                continue
+        else:
+            raise AssertionError(f"{label} has more than {CAP} words at length 1")
+        for length in range(top):
+            short = chain_complex(spec, 2, length, cap=CAP)
+            sizes = [sum(1 for w in basis if w < spec.codings[k].radix ** length)
+                     for k, basis in enumerate(comp.bases)]
+            assert sizes == [len(basis) for basis in short.bases], (label, length)
+            for k, n in enumerate(sizes):
+                assert list(comp.bases[k][:n]) == list(short.bases[k]), (label, length, k)
+                block = SparseIntMatrix.from_columns(sizes[k - 1] if k else 0, n,
+                                                     comp.boundaries[k].columns[:n])
+                assert block == short.boundaries[k], (label, length, k)
 
 
 def mutation_specs(registry):

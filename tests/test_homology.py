@@ -27,6 +27,7 @@ from precrossed.homology import (
     SparseIntMatrix,
     chain_complex,
     classify_cycle,
+    clearing_marks,
     gaussian_rank,
     homology,
     homology_generators,
@@ -357,15 +358,42 @@ def test_compressed_field_ranks_match_plain_ranks():
         for p in (None, 2, 3, 5):
             for k, mat in enumerate(comp.boundaries):
                 rank = comp.field_rank(k, p)
-                assert rank == gaussian_rank(mat, p)[0], (comp.spec, k, p)
+                plain = gaussian_rank(mat, p)
+                assert rank == plain[0], (comp.spec, k, p)
                 # the recorded pivot columns are a column basis of the whole d_k
                 _, pivots = comp._rank_cache[k, p]
                 assert len(pivots) == rank
                 assert gaussian_rank(columns(mat, pivots), p)[0] == rank, (comp.spec, k, p)
+                # clearing passes over columns that depend on earlier ones, so the
+                # pivots, the first column basis in index order, are plain elimination's
+                assert comp.field_pivots(k, p) == plain[1], (comp.spec, k, p)
+                if k < comp.max_degree:
+                    marks = clearing_marks(comp.boundaries[k + 1], p)
+                    assert len(marks) == mat.cols
+                    assert gaussian_rank(mat, p, cleared=marks) == plain, (comp.spec, k, p)
     # no rank writes into a stored boundary column
     assert [mat.columns for comp in complexes for mat in comp.boundaries] == stored
     assert [tri.dim(k) for k in range(6)] == [1, 2, 120, 1680, 4992, 3840]
     assert [tri.field_rank(k, 3) for k in range(6)] == [0, 0, 1, 117, 1559, 3425]
+    # the columns clearing passes over unread, of the dim - rank that reduce to zero over F3
+    assert [sum(clearing_marks(tri.boundaries[k + 1], 3)) if k < tri.max_degree else 0
+            for k in range(6)] == [0, 1, 116, 1416, 2448, 0]
+
+
+def test_clearing_reads_the_largest_row_that_is_nonzero_in_the_field():
+    # d_1 = [3 -1] and d_2 = (1, 3)^T: over F3 the 3 vanishes, so column 0 of
+    # d_1, zero there, is the one passed over; over Q and F2 it is column 1
+    d1 = SparseIntMatrix.from_columns(1, 2, [((0, 3),), ((0, -1),)])
+    d2 = SparseIntMatrix.from_columns(2, 1, [((0, 1), (1, 3))])
+    d0 = SparseIntMatrix.from_columns(0, 1, [()])
+    for p, marked, pivots in ((3, 0, [1]), (None, 1, [0]), (2, 1, [0])):
+        marks = clearing_marks(d2, p)
+        assert marks == bytearray(int(c == marked) for c in range(2)), p
+        assert gaussian_rank(d1, p, cleared=marks) == gaussian_rank(d1, p) == (1, pivots), p
+        comp = ChainComplex([[0], [0, 1], [0]], [d0, d1, d2])
+        assert comp.field_pivots(1, p) == pivots, p
+    with pytest.raises(ValueError):
+        gaussian_rank(d1, 3, cleared=bytearray(3))
 
 
 def dense_of(mat: SparseIntMatrix) -> list[list[int]]:
